@@ -10,7 +10,7 @@ generation exactly reproducible from (site, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

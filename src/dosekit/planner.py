@@ -10,7 +10,7 @@ structure tradeoff weights sweeps the Pareto surface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +81,17 @@ class BeamConfig:
         return cls(**kwargs)
 
 
-def beamlet_weight(depth_mm: float, lateral_mm: float, cfg: BeamConfig) -> float:
-    """exp(-mu*depth) * exp(-r^2 / (2 sigma^2)), zero beyond the lateral cutoff."""
-    if lateral_mm > cfg.lateral_cutoff:
-        return 0.0
-    return float(
-        np.exp(-cfg.attenuation_mu * depth_mm)
-        * np.exp(-(lateral_mm**2) / (2.0 * cfg.lateral_sigma**2))
+def beamlet_kernel(depth_mm, lateral_sq_mm2, cfg: BeamConfig) -> np.ndarray:
+    """exp(-mu*depth) * exp(-r^2 / (2 sigma^2)) elementwise, zero where r^2 > cutoff^2."""
+    value = np.exp(-cfg.attenuation_mu * depth_mm) * np.exp(
+        -lateral_sq_mm2 / (2.0 * cfg.lateral_sigma**2)
     )
+    return np.where(lateral_sq_mm2 <= cfg.lateral_cutoff**2, value, 0.0)
+
+
+def beamlet_weight(depth_mm: float, lateral_mm: float, cfg: BeamConfig) -> float:
+    """Scalar `beamlet_kernel` at lateral distance `lateral_mm`."""
+    return float(beamlet_kernel(depth_mm, lateral_mm**2, cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +114,6 @@ class InfluenceMatrix:
             raise ValidationError("influence entries must be nonnegative")
 
     @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def column_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
     def values(self) -> np.ndarray:
         return self.matrix.data
 
@@ -137,7 +132,18 @@ class InfluenceMatrix:
 
 
 def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatrix:
-    """Ray-march depths and Gaussian lateral falloff for every (voxel, beamlet)."""
+    """Ray-march depths and Gaussian lateral falloff for every (voxel, beamlet).
+
+    A voxel's depth along beam direction d is ``ray_step_mm`` times the number
+    of samples ``center - s*d`` (s = ray_step_mm, 2*ray_step_mm, ...) whose cell
+    ``floor(pos / spacing)`` is a body voxel. All body voxels march together,
+    one step at a time, and a voxel leaves the march once its sample leaves the
+    body mask's bounding box: each axis of the sampled cell moves monotonically
+    with s, so a ray never re-enters the (convex) box, and no body cell lies
+    outside it. Lateral entries are formed only within ``lateral_cutoff`` and
+    collected as (row, column, value) triples. Working memory is therefore
+    O(body voxels x beamlets per beam), plus the triples of the result.
+    """
     structures = case.structures
     dims = structures.dims
     spacing = np.asarray(structures.spacing, dtype=np.float64)
@@ -149,7 +155,9 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     gx = body_idx % nx
     gy = (body_idx // nx) % ny
     gz = body_idx // (nx * ny)
-    centers = (np.stack([gx, gy, gz], axis=1).astype(np.float64) + 0.5) * spacing
+    cells = np.stack([gx, gy, gz], axis=1)
+    centers = (cells.astype(np.float64) + 0.5) * spacing
+    box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
 
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
@@ -165,8 +173,10 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     z_rel = ptv_pts[:, 2] - iso[2]
     z_lo, z_hi = z_rel.min() - cfg.field_margin_mm, z_rel.max() + cfg.field_margin_mm
     z_offsets = np.linspace(z_lo, z_hi, nv)
+    pz = centers[:, 2] - iso[2]
+    dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
 
-    blocks = []
+    rows, cols, vals = [], [], []
     for b in range(cfg.n_beams):
         phi = 2.0 * np.pi * b / cfg.n_beams
         d = np.array([np.cos(phi), np.sin(phi), 0.0])
@@ -177,24 +187,31 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         u_offsets = np.linspace(u_lo, u_hi, nu)
 
         # material path length upstream of each voxel along -d
-        pos = centers[None, :, :] - steps[:, None, None] * d[None, None, :]
-        cell = np.floor(pos / spacing).astype(np.int64)
-        valid = np.all((cell >= 0) & (cell < np.asarray(dims)), axis=2)
-        cell_clipped = np.clip(cell, 0, np.asarray(dims) - 1)
-        inside = body_arr[cell_clipped[..., 0], cell_clipped[..., 1], cell_clipped[..., 2]]
-        depth = cfg.ray_step_mm * (inside & valid).sum(axis=0).astype(np.float64)
+        count = np.zeros(body_idx.size, dtype=np.int64)
+        active = np.arange(body_idx.size)
+        for s in steps:
+            cell = np.floor((centers[active] - s * d) / spacing).astype(np.int64)
+            in_box = np.all((cell >= box_lo) & (cell <= box_hi), axis=1)
+            if not in_box.all():
+                active, cell = active[in_box], cell[in_box]
+                if not active.size:
+                    break
+            count[active] += body_arr[cell[:, 0], cell[:, 1], cell[:, 2]]
+        depth = cfg.ray_step_mm * count.astype(np.float64)
 
         pu = (centers - iso) @ u
-        pz = centers[:, 2] - iso[2]
-        uu, zz = np.meshgrid(u_offsets, z_offsets, indexing="ij")
-        r2 = (pu[:, None] - uu.ravel()[None, :]) ** 2 + (pz[:, None] - zz.ravel()[None, :]) ** 2
-        block = np.exp(-cfg.attenuation_mu * depth)[:, None] * np.exp(
-            -r2 / (2.0 * cfg.lateral_sigma**2)
-        )
-        block[r2 > cfg.lateral_cutoff**2] = 0.0
-        blocks.append(sp.csr_matrix(block))
+        r2 = ((pu[:, None] - u_offsets[None, :]) ** 2)[:, :, None] + dz2[:, None, :]
+        r2 = r2.reshape(body_idx.size, nu * nv)
+        row, col = np.nonzero(r2 <= cfg.lateral_cutoff**2)
+        rows.append(row)
+        cols.append(col + b * nu * nv)
+        vals.append(beamlet_kernel(depth[row], r2[row, col], cfg))
 
-    matrix = sp.hstack(blocks, format="csr")
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(body_idx.size, cfg.n_beams * nu * nv),
+    )
+    matrix.eliminate_zeros()  # entries that underflow to 0 inside the cutoff
 
     infl = InfluenceMatrix(
         matrix=matrix,

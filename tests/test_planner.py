@@ -1,9 +1,13 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dosekit.errors import ValidationError
-from dosekit.phantom import builtin_site, generate_patient
+from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.planner import (
     BeamConfig,
     CpParams,
@@ -24,7 +28,7 @@ from dosekit.planner import (
     solve_fluence,
     solve_stacked,
 )
-from dosekit.volume import StructureMask, StructureSet, VoxelGrid
+from dosekit.volume import KernelSpec, StructureMask, StructureSet, VoxelGrid
 
 from test_volume import make_mask
 
@@ -96,7 +100,7 @@ class TestInfluenceMatrix:
 
     def test_every_ptv_voxel_reachable(self, case):
         infl = build_influence_matrix(case, BeamConfig())
-        reach = np.diff(infl.row_offsets) > 0
+        reach = np.diff(infl.matrix.indptr) > 0
         for ptv in case.structures.ptvs:
             assert reach[infl.rows_for(ptv)].all()
 
@@ -104,13 +108,198 @@ class TestInfluenceMatrix:
         a = build_influence_matrix(case, BeamConfig())
         b = build_influence_matrix(case, BeamConfig())
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.column_indices, b.column_indices)
+        assert np.array_equal(a.matrix.indices, b.matrix.indices)
         assert np.array_equal(a.voxel_indices, b.voxel_indices)
 
     def test_geometry_error_when_beams_miss(self, case):
         cfg = BeamConfig(beamlet_grid=(2, 2), lateral_cutoff=0.1, lateral_sigma=0.05)
         with pytest.raises(PlannerGeometryError):
             build_influence_matrix(case, cfg)
+
+
+def dense_influence_reference(case, cfg):
+    """The dense builder the sparse one replaced: every (step, voxel) sample and
+    every (voxel, beamlet) entry of a beam at once. Test-only reference."""
+    structures = case.structures
+    dims = structures.dims
+    spacing = np.asarray(structures.spacing, dtype=np.float64)
+    body = structures.body
+    body_arr = body.bool_array()
+    body_idx = body.linear_indices()
+
+    nx, ny, _ = dims
+    gx = body_idx % nx
+    gy = (body_idx // nx) % ny
+    gz = body_idx // (nx * ny)
+    centers = (np.stack([gx, gy, gz], axis=1).astype(np.float64) + 0.5) * spacing
+
+    ptv_union = np.zeros(dims, dtype=bool)
+    for ptv in structures.ptvs:
+        ptv_union |= ptv.bool_array()
+    ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
+    iso = ptv_pts.mean(axis=0)
+
+    diag = float(np.linalg.norm(np.asarray(dims) * spacing))
+    steps = np.arange(1, int(np.ceil(diag / cfg.ray_step_mm)) + 1, dtype=np.float64)
+    steps *= cfg.ray_step_mm
+
+    nu, nv = cfg.beamlet_grid
+    z_rel = ptv_pts[:, 2] - iso[2]
+    z_lo, z_hi = z_rel.min() - cfg.field_margin_mm, z_rel.max() + cfg.field_margin_mm
+    z_offsets = np.linspace(z_lo, z_hi, nv)
+
+    blocks = []
+    for b in range(cfg.n_beams):
+        phi = 2.0 * np.pi * b / cfg.n_beams
+        d = np.array([np.cos(phi), np.sin(phi), 0.0])
+        u = np.array([-np.sin(phi), np.cos(phi), 0.0])
+
+        pu_ptv = (ptv_pts - iso) @ u
+        u_lo, u_hi = pu_ptv.min() - cfg.field_margin_mm, pu_ptv.max() + cfg.field_margin_mm
+        u_offsets = np.linspace(u_lo, u_hi, nu)
+
+        pos = centers[None, :, :] - steps[:, None, None] * d[None, None, :]
+        cell = np.floor(pos / spacing).astype(np.int64)
+        valid = np.all((cell >= 0) & (cell < np.asarray(dims)), axis=2)
+        cell_clipped = np.clip(cell, 0, np.asarray(dims) - 1)
+        inside = body_arr[cell_clipped[..., 0], cell_clipped[..., 1], cell_clipped[..., 2]]
+        depth = cfg.ray_step_mm * (inside & valid).sum(axis=0).astype(np.float64)
+
+        pu = (centers - iso) @ u
+        pz = centers[:, 2] - iso[2]
+        uu, zz = np.meshgrid(u_offsets, z_offsets, indexing="ij")
+        r2 = (pu[:, None] - uu.ravel()[None, :]) ** 2 + (pz[:, None] - zz.ravel()[None, :]) ** 2
+        block = np.exp(-cfg.attenuation_mu * depth)[:, None] * np.exp(
+            -r2 / (2.0 * cfg.lateral_sigma**2)
+        )
+        block[r2 > cfg.lateral_cutoff**2] = 0.0
+        blocks.append(sp.csr_matrix(block))
+    return sp.hstack(blocks, format="csr")
+
+
+def assert_same_csr(actual, expected):
+    for name in ("indptr", "indices", "data"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert a.tobytes() == e.tobytes(), name
+
+
+def with_full_grid_body(case):
+    """`case` with every grid voxel in the body, so rays leave the body box at the grid edge."""
+    body = case.structures.body
+    full = VoxelGrid(body.mask.dims, body.mask.spacing, np.ones(body.mask.dims, dtype=np.float32))
+    others = tuple(s for s in case.structures.structures if s is not body)
+    structures = StructureSet((StructureMask(body.name, body.kind, full), *others))
+    return PatientCase(case.id, structures, case.site_id, case.seed)
+
+
+def scaled_site(spec, factor):
+    """`spec` with kernel dims, shape radii and jitter scaled by `factor`; spacing kept."""
+    pal = spec.shape_palette
+
+    def scale(pair):
+        return (pair[0] * factor, pair[1] * factor)
+
+    palette = dataclasses.replace(
+        pal,
+        body_radius_mm=tuple(scale(r) for r in pal.body_radius_mm),
+        body_center_jitter_mm=pal.body_center_jitter_mm * factor,
+        ptv_radius_mm=scale(pal.ptv_radius_mm),
+        ptv_center_jitter_mm=pal.ptv_center_jitter_mm * factor,
+        oar_radius_mm=scale(pal.oar_radius_mm),
+    )
+    kernel = KernelSpec(tuple(round(d * factor) for d in spec.kernel.dims))
+    return dataclasses.replace(spec, kernel=kernel, shape_palette=palette)
+
+
+class TestInfluenceMatchesDenseReference:
+    @pytest.mark.parametrize("site", ["siteA", "siteB"])
+    @pytest.mark.parametrize("patient", [1, 2])
+    def test_desk_patients(self, site, patient):
+        case = generate_patient(builtin_site(site), patient)
+        cfg = BeamConfig()
+        assert_same_csr(build_influence_matrix(case, cfg).matrix,
+                        dense_influence_reference(case, cfg))
+
+    def test_body_touching_grid_boundary(self):
+        case = with_full_grid_body(generate_patient(builtin_site("siteA"), 1))
+        cfg = BeamConfig()
+        assert_same_csr(build_influence_matrix(case, cfg).matrix,
+                        dense_influence_reference(case, cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        # cos(pi/2) is about 6e-17, not 0: rays of beam 1 drift across x very slowly
+        BeamConfig(n_beams=4, beamlet_grid=(5, 3), ray_step_mm=4.0),
+        # entries beyond about 39 mm inside the cutoff underflow to 0 and are dropped
+        BeamConfig(lateral_sigma=1.0, lateral_cutoff=200.0),
+    ], ids=["four-beams-long-step", "underflow-inside-cutoff"])
+    def test_non_default_beams(self, cfg):
+        case = generate_patient(builtin_site("siteB"), 1)
+        assert_same_csr(build_influence_matrix(case, cfg).matrix,
+                        dense_influence_reference(case, cfg))
+
+
+def python_ray_depth(case, voxel, d, step_mm):
+    """Depth of one voxel by a scalar march: step_mm per upstream sample in the body."""
+    dims = case.structures.dims
+    spacing = case.structures.spacing
+    body = case.structures.body.bool_array()
+    center = [(g + 0.5) * h for g, h in zip(voxel, spacing)]
+    diag = math.sqrt(sum((n * h) ** 2 for n, h in zip(dims, spacing)))
+    count = 0
+    for k in range(1, math.ceil(diag / step_mm) + 1):
+        s = k * step_mm
+        cell = [math.floor((c - s * dj) / h) for c, dj, h in zip(center, d, spacing)]
+        if all(0 <= i < n for i, n in zip(cell, dims)) and body[tuple(cell)]:
+            count += 1
+    return step_mm * count
+
+
+class TestInfluenceEntries:
+    def test_entries_match_beamlet_weight(self):
+        case = generate_patient(builtin_site("siteA"), 1)
+        cfg = BeamConfig()
+        infl = build_influence_matrix(case, cfg)
+        spacing = np.asarray(case.spacing)
+        nx, ny, _ = case.dims
+        ptv_union = np.zeros(case.dims, dtype=bool)
+        for ptv in case.structures.ptvs:
+            ptv_union |= ptv.bool_array()
+        ptv_pts = (np.argwhere(ptv_union) + 0.5) * spacing
+        iso = ptv_pts.mean(axis=0)
+        nu, nv = cfg.beamlet_grid
+        z_rel = ptv_pts[:, 2] - iso[2]
+        z_offsets = np.linspace(z_rel.min() - cfg.field_margin_mm,
+                                z_rel.max() + cfg.field_margin_mm, nv)
+
+        coo = infl.matrix.tocoo()
+        picks = np.random.default_rng(0).choice(coo.nnz, size=12, replace=False)
+        for row, col, value in zip(coo.row[picks], coo.col[picks], coo.data[picks]):
+            b, iu, iv = col // (nu * nv), (col // nv) % nu, col % nv
+            phi = 2.0 * np.pi * b / cfg.n_beams
+            d = (float(np.cos(phi)), float(np.sin(phi)), 0.0)
+            u = np.array([-np.sin(phi), np.cos(phi), 0.0])
+            pu_ptv = (ptv_pts - iso) @ u
+            u_offset = np.linspace(pu_ptv.min() - cfg.field_margin_mm,
+                                   pu_ptv.max() + cfg.field_margin_mm, nu)[iu]
+            idx = int(infl.voxel_indices[row])
+            voxel = (idx % nx, (idx // nx) % ny, idx // (nx * ny))
+            rel = (np.asarray(voxel) + 0.5) * spacing - iso
+            lateral = math.hypot(rel @ u - u_offset, rel[2] - z_offsets[iv])
+            depth = python_ray_depth(case, voxel, d, cfg.ray_step_mm)
+            assert value == pytest.approx(beamlet_weight(depth, lateral, cfg), rel=1e-12)
+
+
+def test_influence_build_memory_at_64x64x32():
+    case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
+    assert case.dims == (64, 64, 32)
+    tracemalloc.start()
+    try:
+        build_influence_matrix(case, BeamConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20
 
 
 class TestObjective:
