@@ -1,10 +1,11 @@
 """Ground-truth plan factory.
 
-A simplified ray/attenuation model builds a sparse dose-influence matrix for
-equispaced coplanar beams; fluence maps are optimized against a weighted
-per-structure least-squares objective with a nonnegativity constraint, solved
-by the Chambolle-Pock first-order primal-dual iteration; sampling the
-structure tradeoff weights sweeps the Pareto surface.
+A simplified ray/attenuation model builds a sparse dose-influence matrix A for
+equispaced coplanar beams. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
+over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
+structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
+solved by the Chambolle-Pock primal-dual iteration. Sampling the structure
+tradeoff weights sweeps the Pareto surface.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import scipy.sparse as sp
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import StructureMask, StructureSet, VoxelGrid, read_volume, write_volume
+from .volume import (ManifestError, StructureMask, StructureSet, VoxelGrid, read_manifest,
+                     read_volume, write_volume)
 
 DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
 
@@ -30,6 +32,10 @@ class PlannerError(DosekitError):
 
 class PlannerGeometryError(PlannerError):
     """Beam arrangement leaves target voxels with zero influence."""
+
+
+class FluenceFileError(PlannerError):
+    """A saved fluence file that is not the plan's beamlet count of <f4 values."""
 
 
 class SolverDivergenceError(PlannerError):
@@ -268,27 +274,15 @@ def sample_weights(
 
 @dataclass(frozen=True)
 class CpParams:
-    tau: float
-    sigma: float
+    """Chambolle-Pock settings; both step sizes are 0.95 / operator_norm."""
+
     operator_norm: float
-    theta: float = 1.0
     max_iters: int = 2000
     tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
-        if self.tau * self.sigma * self.operator_norm**2 > 1.0 + 1e-9:
-            raise ValidationError("step sizes violate tau*sigma*|A|^2 <= 1")
-
-
-def default_cp_params(operator_norm: float, max_iters: int = 2000,
-                      tolerance: float = 1e-6) -> CpParams:
-    step = 0.95 / max(operator_norm, 1e-12)
-    return CpParams(
-        tau=step, sigma=step, operator_norm=operator_norm,
-        max_iters=max_iters, tolerance=tolerance,
-    )
 
 
 def estimate_operator_norm(matrix, seed: int, iters: int = 50) -> float:
@@ -329,27 +323,28 @@ class Plan:
     diagnostics: PlanDiagnostics
 
     def __post_init__(self):
-        if self.fluence.size and self.fluence.min() < 0:
-            raise ValidationError("fluence must be nonnegative")
+        if not np.all(np.isfinite(self.fluence) & (self.fluence >= 0)):
+            raise ValidationError("fluence must be finite and nonnegative")
 
 
-def _stacked_objective(A_stack, c_vec, p_vec, x) -> float:
-    r = A_stack @ x - p_vec
-    return float(np.sum(c_vec * r * r))
+def _residual_sq(M, b, x) -> float:
+    r = M @ x - b
+    return float(r @ r)
 
 
-def solve_stacked(A_stack, c_vec, p_vec, params: CpParams):
-    """Chambolle-Pock on min_x>=0 sum_i c_i (a_i.x - p_i)^2.
+def solve_stacked(M, b, params: CpParams):
+    """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2.
 
-    Dual prox is the conjugate prox of the weighted quadratic,
-    prox_{sigma f*}(v) = (v - sigma p) / (1 + sigma / (2c)), applied rowwise.
+    With f(v) = ||v - b||^2 the dual prox is
+    prox_{s f*}(v) = (v - s b) / (1 + s/2); the primal prox is projection onto
+    x >= 0. Both steps are s = 0.95 / ||M||, so s^2 ||M||^2 < 1.
     """
-    n = A_stack.shape[1]
-    x = np.zeros(n)
+    s = 0.95 / max(params.operator_norm, 1e-12)
+    Mt = M.T.tocsr()  # once, not a CSC view and its set-up per iteration
+    x = np.zeros(M.shape[1])
     xbar = x.copy()
-    y = np.zeros(A_stack.shape[0])
-    denom = 1.0 + params.sigma / (2.0 * c_vec)
-    obj0 = _stacked_objective(A_stack, c_vec, p_vec, x)
+    y = np.zeros(M.shape[0])
+    obj0 = _residual_sq(M, b, x)
     obj_mid = obj0
     mid_iter = max(params.max_iters // 2, 1)
     iterations = 0
@@ -357,21 +352,24 @@ def solve_stacked(A_stack, c_vec, p_vec, params: CpParams):
     for it in range(1, params.max_iters + 1):
         iterations = it
         with np.errstate(over="ignore", invalid="ignore"):
-            y = (y + params.sigma * (A_stack @ xbar) - params.sigma * p_vec) / denom
+            y = (y + s * (M @ xbar - b)) / (1.0 + s / 2.0)
+            # An entry whose residual stays 0 shrinks by 1/(1 + s/2) > 1/2 a step, so it sticks
+            # at the smallest subnormal instead of 0, and subnormals slow every operation on y.
+            y[np.abs(y) < np.finfo(np.float64).tiny] = 0.0
             x_old = x
-            x = x - params.tau * (A_stack.T @ y)
+            x = x - s * (Mt @ y)
             np.maximum(x, 0.0, out=x)
-            xbar = x + params.theta * (x - x_old)
+            xbar = 2.0 * x - x_old
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise SolverDivergenceError(it)
         if it == mid_iter:
-            obj_mid = _stacked_objective(A_stack, c_vec, p_vec, x)
+            obj_mid = _residual_sq(M, b, x)
         step = float(np.linalg.norm(x - x_old))
         scale = max(float(np.linalg.norm(x)), 1e-30)
         if step / scale < params.tolerance:
             converged = True
             break
-    obj_final = _stacked_objective(A_stack, c_vec, p_vec, x)
+    obj_final = _residual_sq(M, b, x)
     if iterations < mid_iter:
         obj_mid = obj_final
     return x, PlanDiagnostics(
@@ -386,24 +384,23 @@ def solve_stacked(A_stack, c_vec, p_vec, params: CpParams):
 
 def _objective_blocks(infl: InfluenceMatrix, structures: StructureSet,
                       weights: PlanWeights):
-    rows_list, c_list, p_list = [], [], []
+    """M and b with objective = ||M x - b||^2: structure s's influence rows and
+    target, scaled by sqrt(w_s / N_s)."""
+    rows_list, scale_list, b_list = [], [], []
     for s in (*structures.ptvs, *structures.oars):
         if s.name not in weights.weights:
             raise ValidationError(f"no tradeoff weight for structure {s.name!r}")
         rows = infl.rows_for(s)
         if rows.size == 0:
             continue
-        c = weights[s.name] / rows.size
+        scale = np.sqrt(weights[s.name] / rows.size)
         p = s.prescription if s.kind == "PTV" else 0.0
         rows_list.append(rows)
-        c_list.append(np.full(rows.size, c))
-        p_list.append(np.full(rows.size, p))
-    all_rows = np.concatenate(rows_list)
-    return (
-        infl.matrix[all_rows],
-        np.concatenate(c_list),
-        np.concatenate(p_list),
-    )
+        scale_list.append(np.full(rows.size, scale))
+        b_list.append(np.full(rows.size, scale * p))
+    M = infl.matrix[np.concatenate(rows_list)]  # a copy: scaling it leaves infl intact
+    M.data *= np.repeat(np.concatenate(scale_list), np.diff(M.indptr))
+    return M, np.concatenate(b_list)
 
 
 def objective(infl: InfluenceMatrix, structures: StructureSet,
@@ -414,8 +411,8 @@ def objective(infl: InfluenceMatrix, structures: StructureSet,
         raise ValidationError(
             f"fluence length {fluence.shape} does not match {infl.n_beamlets} beamlets"
         )
-    A_stack, c_vec, p_vec = _objective_blocks(infl, structures, weights)
-    return _stacked_objective(A_stack, c_vec, p_vec, fluence)
+    M, b = _objective_blocks(infl, structures, weights)
+    return _residual_sq(M, b, fluence)
 
 
 def scatter_dose(infl: InfluenceMatrix, fluence: np.ndarray) -> VoxelGrid:
@@ -430,16 +427,16 @@ def solve_fluence(
     infl: InfluenceMatrix,
     structures: StructureSet,
     weights: PlanWeights,
-    params: CpParams | None = None,
+    max_iters: int = 2000,
+    tolerance: float = 1e-6,
     seed: int = 0,
     patient_id: str = "",
     index: int = 0,
 ) -> Plan:
-    A_stack, c_vec, p_vec = _objective_blocks(infl, structures, weights)
-    if params is None:
-        norm = estimate_operator_norm(A_stack, derive_seed(seed, "operator-norm"))
-        params = default_cp_params(norm)
-    x, diagnostics = solve_stacked(A_stack, c_vec, p_vec, params)
+    """One plan: build M and b for `weights`, estimate ||M||, run the CP solve."""
+    M, b = _objective_blocks(infl, structures, weights)
+    norm = estimate_operator_norm(M, derive_seed(seed, "operator-norm"))
+    x, diagnostics = solve_stacked(M, b, CpParams(norm, max_iters, tolerance))
     return Plan(
         patient_id=patient_id,
         index=index,
@@ -463,20 +460,12 @@ def generate_plans(
     if plan_count < 1:
         raise ValidationError("plan_count must be >= 1")
     infl = build_influence_matrix(case, cfg)
-    probe = sample_weights(case.structures, weight_bounds, derive_seed(seed, "weights", 0))
-    A_stack, _, _ = _objective_blocks(infl, case.structures, probe)
-    norm = estimate_operator_norm(A_stack, derive_seed(seed, "operator-norm"))
-    params = default_cp_params(norm, max_iters=max_iters, tolerance=tolerance)
     plans = []
     for i in range(plan_count):
         weights = sample_weights(case.structures, weight_bounds, derive_seed(seed, "weights", i))
         try:
-            plans.append(
-                solve_fluence(
-                    infl, case.structures, weights, params,
-                    patient_id=case.id, index=i,
-                )
-            )
+            plans.append(solve_fluence(infl, case.structures, weights, max_iters, tolerance,
+                                       seed=seed, patient_id=case.id, index=i))
         except PlannerError as exc:
             raise PlannerError(f"plan {i} for {case.id}: {exc}") from exc
     return plans
@@ -485,6 +474,8 @@ def generate_plans(
 PLAN_JSON = "plan.json"
 DOSE_FILE = "dose.dvol"
 FLUENCE_FILE = "fluence.f32"
+PLAN_SCHEMA = {"patient_id": str, "index": int, "weights": dict, "weight_bounds": list,
+               "diagnostics": dict, "n_beamlets": int}
 
 
 def save_plan(directory, plan: Plan) -> None:
@@ -500,23 +491,29 @@ def save_plan(directory, plan: Plan) -> None:
         "weights": plan.weights.weights,
         "weight_bounds": list(plan.weights.bounds),
         "diagnostics": plan.diagnostics.to_json_dict(),
+        "n_beamlets": int(plan.fluence.size),
     }
     (directory / PLAN_JSON).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_plan(directory) -> Plan:
     directory = Path(directory)
-    meta = json.loads((directory / PLAN_JSON).read_text())
-    dose = read_volume(directory / DOSE_FILE)
-    fluence = np.frombuffer((directory / FLUENCE_FILE).read_bytes(), dtype="<f4").astype(np.float64)
+    meta = read_manifest(directory / PLAN_JSON, PLAN_SCHEMA)
+    raw = (directory / FLUENCE_FILE).read_bytes()
+    if len(raw) != 4 * meta["n_beamlets"]:
+        raise FluenceFileError(f"{directory / FLUENCE_FILE}: {len(raw)} bytes, "
+                               f"expected {meta['n_beamlets']} <f4 values")
+    try:
+        weights = PlanWeights({k: float(v) for k, v in meta["weights"].items()},
+                              tuple(meta["weight_bounds"]))
+        diagnostics = PlanDiagnostics(**meta["diagnostics"])
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{directory / PLAN_JSON}: {exc}") from exc
     return Plan(
         patient_id=meta["patient_id"],
         index=meta["index"],
-        weights=PlanWeights(
-            weights={k: float(v) for k, v in meta["weights"].items()},
-            bounds=tuple(meta["weight_bounds"]),
-        ),
-        fluence=fluence,
-        dose=dose,
-        diagnostics=PlanDiagnostics(**meta["diagnostics"]),
+        weights=weights,
+        fluence=np.frombuffer(raw, dtype="<f4").astype(np.float64),
+        dose=read_volume(directory / DOSE_FILE),
+        diagnostics=diagnostics,
     )

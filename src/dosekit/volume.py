@@ -54,6 +54,10 @@ class PayloadSizeError(VolumeFormatError):
     pass
 
 
+class ManifestError(DosekitError):
+    """Malformed or incomplete JSON manifest."""
+
+
 class KernelTooSmallError(ValidationError):
     """Body bounding box exceeds the crop kernel along `axis`."""
 
@@ -123,10 +127,6 @@ class VoxelGrid:
     def from_array(cls, array: np.ndarray, spacing=DEFAULT_SPACING_MM) -> "VoxelGrid":
         array = np.asarray(array)
         return cls(array.shape, tuple(spacing), array.astype(np.float32, copy=False))
-
-    def with_data(self, array: np.ndarray) -> "VoxelGrid":
-        """Same geometry, new values."""
-        return VoxelGrid(self.dims, self.spacing, np.asarray(array, dtype=np.float32))
 
     @property
     def voxel_count(self) -> int:
@@ -238,12 +238,6 @@ class StructureSet:
     @property
     def spacing(self) -> tuple[float, float, float]:
         return self.structures[0].mask.spacing
-
-    def by_name(self, name: str) -> StructureMask:
-        for s in self.structures:
-            if s.name == name:
-                return s
-        raise ValidationError(f"no structure named {name!r}")
 
     @property
     def highest_prescription(self) -> float:
@@ -436,23 +430,41 @@ def save_structure_set(directory, structures: StructureSet, extra: dict | None =
     )
 
 
+def read_manifest(path, schema: dict[str, type]) -> dict:
+    """Parse a JSON object in which each key of `schema` holds a value of that key's type."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path}: expected a JSON object")
+    bad = [k for k, kind in schema.items() if not isinstance(manifest.get(k), kind)]
+    if bad:
+        raise ManifestError(f"{path}: missing or mistyped keys {bad}")
+    return manifest
+
+
 def load_structure_set(directory) -> tuple[StructureSet, dict]:
     """Read a patient directory back; returns (structures, manifest extras)."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValidationError(f"{directory}: no {MANIFEST_NAME}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path, {"structures": list})
     masks = []
     for entry in manifest["structures"]:
-        grid = read_volume(directory / entry["mask_path"])
+        try:
+            mask_path, name, kind = entry["mask_path"], entry["name"], entry["kind"]
+            prescription, impact = entry.get("prescription"), entry.get("impact")
+        except (TypeError, KeyError) as exc:
+            raise ManifestError(f"{manifest_path}: bad structure entry {entry!r}") from exc
         masks.append(
             StructureMask(
-                name=entry["name"],
-                kind=entry["kind"],
-                mask=grid,
-                prescription=entry.get("prescription"),
-                impact=entry.get("impact"),
+                name=name,
+                kind=kind,
+                mask=read_volume(directory / mask_path),
+                prescription=prescription,
+                impact=impact,
             )
         )
     structures = StructureSet(tuple(masks))

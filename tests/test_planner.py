@@ -5,12 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import nnls
 
 from dosekit.errors import ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.planner import (
+    FLUENCE_FILE,
+    PLAN_JSON,
     BeamConfig,
     CpParams,
+    FluenceFileError,
     InfluenceMatrix,
     PlannerGeometryError,
     PlanWeights,
@@ -18,7 +22,6 @@ from dosekit.planner import (
     _objective_blocks,
     beamlet_weight,
     build_influence_matrix,
-    default_cp_params,
     estimate_operator_norm,
     generate_plans,
     load_plan,
@@ -28,7 +31,7 @@ from dosekit.planner import (
     solve_fluence,
     solve_stacked,
 )
-from dosekit.volume import KernelSpec, StructureMask, StructureSet, VoxelGrid
+from dosekit.volume import KernelSpec, ManifestError, StructureMask, StructureSet, VoxelGrid
 
 from test_volume import make_mask
 
@@ -54,7 +57,7 @@ def pg_oracle(A, c, p, max_iters=300_000, tol=1e-14):
 
 
 def tight_params(norm, max_iters=50_000):
-    return default_cp_params(norm, max_iters=max_iters, tolerance=1e-13)
+    return CpParams(operator_norm=norm, max_iters=max_iters, tolerance=1e-13)
 
 
 def single_voxel_case(ptv_prescription=2.0, with_oar=False):
@@ -325,28 +328,29 @@ class TestSolveFluence:
     def test_unconstrained_minimum(self):
         sset, infl = single_voxel_case(ptv_prescription=2.0)
         w = PlanWeights(weights={"ptv": 1.0})
-        plan = solve_fluence(infl, sset, w, tight_params(1.0))
+        plan = solve_fluence(infl, sset, w, max_iters=50_000, tolerance=1e-13)
         assert plan.fluence[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_two_structure_balance(self):
         sset, infl = single_voxel_case(ptv_prescription=1.0, with_oar=True)
         w = PlanWeights(weights={"ptv": 1.0, "oar": 1.0})
-        plan = solve_fluence(infl, sset, w, tight_params(np.sqrt(2.0)))
+        plan = solve_fluence(infl, sset, w, max_iters=50_000, tolerance=1e-13)
         assert plan.fluence[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_two_structure_weighted(self):
         sset, infl = single_voxel_case(ptv_prescription=1.0, with_oar=True)
         w = PlanWeights(weights={"ptv": 1.0, "oar": 3.0})
-        plan = solve_fluence(infl, sset, w, tight_params(np.sqrt(2.0)))
+        plan = solve_fluence(infl, sset, w, max_iters=50_000, tolerance=1e-13)
         assert plan.fluence[0] == pytest.approx(0.25, abs=1e-6)
 
     def test_divergence_reports_iteration(self):
         sset, infl = single_voxel_case(ptv_prescription=1.0)
         w = PlanWeights(weights={"ptv": 1.0})
         # lie about the operator norm so the steps blow up
-        bad = CpParams(tau=900.0, sigma=900.0, operator_norm=1e-3, max_iters=5000)
+        bad = CpParams(operator_norm=1e-3, max_iters=5000)
+        M, b = _objective_blocks(infl, sset, w)
         with pytest.raises(SolverDivergenceError) as exc:
-            solve_fluence(infl, sset, w, bad)
+            solve_stacked(M, b, bad)
         assert exc.value.iteration >= 1
 
     def test_descent_diagnostics(self):
@@ -378,9 +382,9 @@ class TestOracleEquivalence:
             w = float(rng.uniform(0.01, 1.0))
             c[lo:hi] = w / (hi - lo)
             p[lo:hi] = float(rng.uniform(0.5, 1.0)) if bi == 0 else 0.0
-        A_sp = sp.csr_matrix(A)
-        norm = estimate_operator_norm(A_sp, seed=seed)
-        x_cp, diag = solve_stacked(A_sp, c, p, tight_params(norm, max_iters=100_000))
+        M = sp.csr_matrix(np.sqrt(c)[:, None] * A)
+        norm = estimate_operator_norm(M, seed=seed)
+        x_cp, diag = solve_stacked(M, np.sqrt(c) * p, tight_params(norm, max_iters=100_000))
         _, obj_pg = pg_oracle(A, c, p)
         assert diag.final_objective == pytest.approx(obj_pg, rel=1e-6, abs=1e-12)
 
@@ -425,22 +429,41 @@ class TestGeneratePlans:
             assert pa.dose.identical(pb.dose)
 
     def test_single_plan_matches_direct_solve(self, case):
-        from dosekit.planner import _objective_blocks
         from dosekit.seeds import derive_seed
 
         plans = generate_plans(case, BeamConfig(), 1, seed=8, max_iters=200)
         infl = build_influence_matrix(case, BeamConfig())
         weights = sample_weights(case.structures, seed=derive_seed(8, "weights", 0))
-        A_stack, _, _ = _objective_blocks(infl, case.structures, weights)
-        norm = estimate_operator_norm(A_stack, derive_seed(8, "operator-norm"))
-        params = default_cp_params(norm, max_iters=200)
-        direct = solve_fluence(infl, case.structures, weights, params, patient_id=case.id)
+        direct = solve_fluence(infl, case.structures, weights, max_iters=200, seed=8,
+                               patient_id=case.id)
         assert np.array_equal(plans[0].fluence, direct.fluence)
 
     def test_dose_zero_outside_body(self, case):
         plan = generate_plans(case, BeamConfig(), 1, seed=3, max_iters=100)[0]
         outside = ~case.structures.body.bool_array()
         assert np.all(plan.dose.data[outside] == 0.0)
+
+
+def scaled_dense_rows(infl, structures, weights):
+    """Rows sqrt(w_s / N_s) * A_s and targets sqrt(w_s / N_s) * p_s, dense."""
+    blocks, targets = [], []
+    for s in (*structures.ptvs, *structures.oars):
+        rows = infl.rows_for(s)
+        scale = math.sqrt(weights[s.name] / rows.size)
+        blocks.append(scale * infl.matrix[rows].toarray())
+        targets.append(np.full(rows.size, scale * (s.prescription if s.kind == "PTV" else 0.0)))
+    return np.vstack(blocks), np.concatenate(targets)
+
+
+class TestGapToExactOptimum:
+    @pytest.mark.parametrize("site", ["siteA", "siteB"])
+    def test_default_plans_within_ten_percent_of_nnls(self, site):
+        case = generate_patient(builtin_site(site), 1)
+        infl = build_influence_matrix(case, BeamConfig())
+        for plan in generate_plans(case, BeamConfig(), 3, seed=0):
+            M, b = scaled_dense_rows(infl, case.structures, plan.weights)
+            _, rnorm = nnls(M, b)
+            assert plan.diagnostics.final_objective <= 1.10 * rnorm**2
 
 
 class TestParetoMonotonicity:
@@ -456,9 +479,7 @@ class TestParetoMonotonicity:
             for ptv in case.structures.ptvs:
                 weights[ptv.name] = 1.0
             pw = PlanWeights(weights=weights)
-            A_stack, _, _ = _objective_blocks(infl, case.structures, pw)
-            norm = estimate_operator_norm(A_stack, seed=0)
-            plan = solve_fluence(infl, case.structures, pw, tight_params(norm, max_iters=20_000))
+            plan = solve_fluence(infl, case.structures, pw, max_iters=20_000, tolerance=1e-13)
             means.append(float(plan.dose.data[oar.bool_array()].astype(np.float64).mean()))
         assert means[1] <= means[0] + 1e-9
 
@@ -477,3 +498,52 @@ class TestPlanPersistence:
             loaded.fluence, np.asarray(plan.fluence, dtype="<f4").astype(np.float64)
         )
         assert loaded.diagnostics == plan.diagnostics
+
+
+def append_byte(directory):
+    with open(directory / FLUENCE_FILE, "ab") as fh:
+        fh.write(b"\0")
+
+
+def drop_last_value(directory):
+    path = directory / FLUENCE_FILE
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def all_nan(directory):
+    path = directory / FLUENCE_FILE
+    path.write_bytes(np.full(len(path.read_bytes()) // 4, np.nan, dtype="<f4").tobytes())
+
+
+def broken_json(directory):
+    (directory / PLAN_JSON).write_text('{"patient_id": ')
+
+
+def empty_object(directory):
+    (directory / PLAN_JSON).write_text("{}")
+
+
+def bad_diagnostics(directory):
+    path = directory / PLAN_JSON
+    path.write_text(path.read_text().replace('"diagnostics": {', '"diagnostics": {"extra": 1, ', 1))
+
+
+class TestCorruptPlanFiles:
+    @pytest.fixture(scope="class")
+    def plan(self):
+        case = generate_patient(builtin_site("siteA"), 5)
+        return generate_plans(case, BeamConfig(), 1, seed=1, max_iters=20)[0]
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (append_byte, FluenceFileError),
+        (drop_last_value, FluenceFileError),
+        (all_nan, ValidationError),
+        (broken_json, ManifestError),
+        (empty_object, ManifestError),
+        (bad_diagnostics, ManifestError),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_maps_to_typed_error(self, plan, tmp_path, corrupt, error):
+        save_plan(tmp_path, plan)
+        corrupt(tmp_path)
+        with pytest.raises(error):
+            load_plan(tmp_path)

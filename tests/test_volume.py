@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from dosekit.errors import ValidationError
 from dosekit.volume import (
+    MANIFEST_NAME,
     BadMagicError,
     KernelSpec,
     KernelTooSmallError,
+    ManifestError,
     PayloadSizeError,
     StructureMask,
     StructureSet,
@@ -282,3 +284,13 @@ class TestManifest:
         for a, b in zip(loaded.structures, sset.structures):
             assert a.mask.identical(b.mask)
             assert (a.kind, a.prescription, a.impact) == (b.kind, b.prescription, b.impact)
+
+    @pytest.mark.parametrize("text", ['{"dims": [3, 3', "{}", '{"structures": 3}',
+                                      '{"structures": [{"name": "body"}]}'])
+    def test_corrupt_manifest_is_typed(self, tmp_path, text):
+        body = make_mask((3, 3, 3), [(1, 1, 1)])
+        ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv", prescription=1.0)
+        save_structure_set(tmp_path, StructureSet((body, ptv)))
+        (tmp_path / MANIFEST_NAME).write_text(text)
+        with pytest.raises(ManifestError):
+            load_structure_set(tmp_path)
