@@ -22,10 +22,13 @@ from .volume import (
     OAR,
     PTV,
     KernelSpec,
+    ManifestError,
     StructureMask,
     StructureSet,
     VoxelGrid,
+    _atomic_write_bytes,
     load_structure_set,
+    read_manifest,
     save_structure_set,
 )
 
@@ -75,6 +78,11 @@ class ShapePalette:
             oar_radius_mm=tuple(d["oar_radius_mm"]),
             max_attempts=int(d.get("max_attempts", 200)),
         )
+
+
+SITE_SCHEMA = {"site_id": str, "kernel": list, "ptv_levels": list, "oar_count_range": list,
+               "shape_palette": dict}
+PATIENT_SCHEMA = {"id": str, "site_id": str, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -136,11 +144,16 @@ class SiteSpec:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "SiteSpec":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        d = read_manifest(path, SITE_SCHEMA)
+        try:
+            return cls.from_json_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(f"{path}: bad site spec ({exc!r})") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +362,7 @@ def save_patient(directory, case: PatientCase) -> None:
 
 
 def load_patient(directory) -> PatientCase:
-    structures, extra = load_structure_set(directory)
+    structures, extra = load_structure_set(directory, PATIENT_SCHEMA)
     return PatientCase(
         id=extra["id"], structures=structures, site_id=extra["site_id"], seed=extra["seed"]
     )

@@ -444,13 +444,17 @@ def read_manifest(path, schema: dict[str, type]) -> dict:
     return manifest
 
 
-def load_structure_set(directory) -> tuple[StructureSet, dict]:
-    """Read a patient directory back; returns (structures, manifest extras)."""
+def load_structure_set(directory, extra_schema: dict[str, type] | None = None
+                       ) -> tuple[StructureSet, dict]:
+    """Read a patient directory back; returns (structures, manifest extras).
+
+    The manifest must also hold each key of `extra_schema` with a value of that type.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValidationError(f"{directory}: no {MANIFEST_NAME}")
-    manifest = read_manifest(manifest_path, {"structures": list})
+    manifest = read_manifest(manifest_path, {"structures": list, **(extra_schema or {})})
     masks = []
     for entry in manifest["structures"]:
         try:

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from dosekit.phantom import (
     load_patient,
     save_patient,
 )
-from dosekit.volume import KernelSpec
+from dosekit.volume import MANIFEST_NAME, KernelSpec, ManifestError
 
 
 class TestBuiltinSites:
@@ -35,6 +38,35 @@ class TestBuiltinSites:
         spec = builtin_site("siteB")
         spec.save(tmp_path / "siteB.json")
         assert SiteSpec.load(tmp_path / "siteB.json") == spec
+
+    @pytest.mark.parametrize("text", [
+        "{",
+        "[]",
+        '{"kernel": [32, 32, 16]}',
+        '{"site_id": "x", "kernel": 32, "ptv_levels": [1.0], "oar_count_range": [1, 2], '
+        '"shape_palette": {}}',
+        '{"site_id": "x", "kernel": [32, 32, 16], "ptv_levels": [1.0], '
+        '"oar_count_range": [1, 2], "shape_palette": {}}',
+    ], ids=["truncated", "not-an-object", "missing-keys", "mistyped-kernel", "empty-palette"])
+    def test_corrupt_preset_is_typed(self, tmp_path, text):
+        path = tmp_path / "site.json"
+        path.write_text(text)
+        with pytest.raises(ManifestError):
+            SiteSpec.load(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "site.json"
+        builtin_site("siteA").save(path)
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            builtin_site("siteB").save(path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_preset_rejects_unknown_keys(self, tmp_path):
         spec = builtin_site("siteA")
@@ -136,3 +168,18 @@ class TestPatientPersistence:
             assert a.name == b.name
             assert a.mask.identical(b.mask)
             assert (a.prescription, a.impact) == (b.prescription, b.impact)
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m.pop("id"),
+        lambda m: m.pop("site_id"),
+        lambda m: m.pop("seed"),
+        lambda m: m.update(seed="5"),
+    ], ids=["no-id", "no-site-id", "no-seed", "string-seed"])
+    def test_manifest_without_identity_is_typed(self, tmp_path, change):
+        save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError):
+            load_patient(tmp_path)

@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.optimize import nnls
 
 from dosekit.errors import ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
+from dosekit.seeds import derive_seed
 from dosekit.planner import (
     FLUENCE_FILE,
     PLAN_JSON,
@@ -19,6 +23,7 @@ from dosekit.planner import (
     PlannerGeometryError,
     PlanWeights,
     SolverDivergenceError,
+    _residual_sq,
     _objective_blocks,
     beamlet_weight,
     build_influence_matrix,
@@ -54,6 +59,32 @@ def pg_oracle(A, c, p, max_iters=300_000, tol=1e-14):
         x = xn
     obj = float(np.sum(c * (A @ x - p) ** 2))
     return x, obj
+
+
+def row_space_cp_reference(M, b, params):
+    """The row-space Chambolle-Pock loop that `solve_stacked` replaced: it carries
+    the dual y (one entry per row of M) and makes one product each with M and M^T
+    per iteration. Returns (x, iterations, converged, final objective)."""
+    s = 0.95 / max(params.operator_norm, 1e-12)
+    Mt = M.T.tocsr()
+    x = np.zeros(M.shape[1])
+    xbar = x.copy()
+    y = np.zeros(M.shape[0])
+    iterations = 0
+    converged = False
+    for it in range(1, params.max_iters + 1):
+        iterations = it
+        y = (y + s * (M @ xbar - b)) / (1.0 + s / 2.0)
+        y[np.abs(y) < np.finfo(np.float64).tiny] = 0.0
+        x_old = x
+        x = np.maximum(x - s * (Mt @ y), 0.0)
+        xbar = 2.0 * x - x_old
+        step = float(np.linalg.norm(x - x_old))
+        scale = max(float(np.linalg.norm(x)), 1e-30)
+        if step / scale < params.tolerance:
+            converged = True
+            break
+    return x, iterations, converged, _residual_sq(M, b, x)
 
 
 def tight_params(norm, max_iters=50_000):
@@ -331,6 +362,25 @@ class TestSolveFluence:
         plan = solve_fluence(infl, sset, w, max_iters=50_000, tolerance=1e-13)
         assert plan.fluence[0] == pytest.approx(2.0, abs=1e-6)
 
+    def test_kkt_residual_at_unconstrained_minimum(self):
+        sset, infl = single_voxel_case(ptv_prescription=2.0)
+        w = PlanWeights(weights={"ptv": 1.0})
+        plan = solve_fluence(infl, sset, w, max_iters=50_000, tolerance=1e-13)
+        assert plan.diagnostics.kkt_residual < 1e-6
+
+    def test_kkt_residual_of_desk_plan(self):
+        case = generate_patient(builtin_site("siteA"), 2)
+        infl = build_influence_matrix(case, BeamConfig())
+        w = sample_weights(case.structures, seed=3)
+        plan = solve_fluence(infl, case.structures, w, seed=3)
+        # the same residual from M itself, without the Gram matrix
+        M, b = _objective_blocks(infl, case.structures, w)
+        x = plan.fluence
+        grad = 2.0 * (M.T @ (M @ x - b))
+        expected = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
+        assert 0.0 < plan.diagnostics.kkt_residual < np.inf
+        assert plan.diagnostics.kkt_residual == pytest.approx(expected, rel=1e-6)
+
     def test_two_structure_balance(self):
         sset, infl = single_voxel_case(ptv_prescription=1.0, with_oar=True)
         w = PlanWeights(weights={"ptv": 1.0, "oar": 1.0})
@@ -389,6 +439,22 @@ class TestOracleEquivalence:
         assert diag.final_objective == pytest.approx(obj_pg, rel=1e-6, abs=1e-12)
 
 
+class TestGramFormMatchesRowSpace:
+    @pytest.mark.parametrize("site", ["siteA", "siteB"])
+    def test_desk_plans(self, site):
+        case = generate_patient(builtin_site(site), 1)
+        infl = build_influence_matrix(case, BeamConfig())
+        for i in range(3):
+            weights = sample_weights(case.structures, seed=derive_seed(0, "weights", i))
+            M, b = _objective_blocks(infl, case.structures, weights)
+            params = CpParams(estimate_operator_norm(M, derive_seed(0, "operator-norm")), 2000)
+            x, diag = solve_stacked(M, b, params)
+            x_ref, iterations, converged, obj_ref = row_space_cp_reference(M, b, params)
+            assert (diag.iterations, diag.converged) == (iterations, converged)
+            assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+            assert diag.final_objective == pytest.approx(obj_ref, rel=1e-10, abs=0.0)
+
+
 class TestSampleWeights:
     def test_range_containment(self):
         case = generate_patient(builtin_site("siteB"), 0)
@@ -429,8 +495,6 @@ class TestGeneratePlans:
             assert pa.dose.identical(pb.dose)
 
     def test_single_plan_matches_direct_solve(self, case):
-        from dosekit.seeds import derive_seed
-
         plans = generate_plans(case, BeamConfig(), 1, seed=8, max_iters=200)
         infl = build_influence_matrix(case, BeamConfig())
         weights = sample_weights(case.structures, seed=derive_seed(8, "weights", 0))
@@ -498,6 +562,34 @@ class TestPlanPersistence:
             loaded.fluence, np.asarray(plan.fluence, dtype="<f4").astype(np.float64)
         )
         assert loaded.diagnostics == plan.diagnostics
+
+
+    def test_kkt_residual_saved(self, tmp_path):
+        case = generate_patient(builtin_site("siteA"), 5)
+        plan = generate_plans(case, BeamConfig(), 1, seed=1, max_iters=100)[0]
+        save_plan(tmp_path, plan)
+        saved = json.loads((tmp_path / PLAN_JSON).read_text())["diagnostics"]["kkt_residual"]
+        assert saved == plan.diagnostics.kkt_residual > 0.0
+        assert load_plan(tmp_path).diagnostics.kkt_residual == plan.diagnostics.kkt_residual
+
+    @pytest.mark.parametrize("name", [FLUENCE_FILE, PLAN_JSON])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        case = generate_patient(builtin_site("siteA"), 5)
+        first, second = generate_plans(case, BeamConfig(), 2, seed=1, max_iters=20)
+        save_plan(tmp_path, first)
+        before = (tmp_path / name).read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_plan(tmp_path, second)
+        assert (tmp_path / name).read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 def append_byte(directory):
