@@ -1,0 +1,70 @@
+"""Command line: generate a phantom patient, or Pareto plans for a saved one.
+
+    dosekit phantom --site siteA --seed 1 --out cases/siteA-1
+    dosekit plan --case cases/siteA-1 --count 8 --seed 0 --out plans/siteA-1
+
+``plan`` writes plan i to ``<out>/plan<i>``. The exit status is 0 on success,
+2 for a ValidationError (bad configuration or input contract) and 3 for any
+other DosekitError, as ``errors.py`` sets out; argparse's own usage errors
+also exit with 2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from .errors import DosekitError, ValidationError
+from .phantom import builtin_site, generate_patient, load_patient, save_patient
+from .planner import BeamConfig, generate_plans, save_plan
+
+
+def _phantom(args) -> None:
+    case = generate_patient(builtin_site(args.site), args.seed)
+    save_patient(args.out, case)
+    print(f"{case.id} {'x'.join(map(str, case.dims))} -> {args.out}")
+
+
+def _plan(args) -> None:
+    case = load_patient(args.case)
+    plans = generate_plans(case, BeamConfig(), args.count, args.seed)
+    for plan in plans:
+        save_plan(Path(args.out) / f"plan{plan.index}", plan)
+    print(f"{case.id}: {len(plans)} plans -> {args.out}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="dosekit", description=__doc__.split("\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    phantom = commands.add_parser("phantom", help="generate and save one patient")
+    phantom.add_argument("--site", required=True, help="builtin site preset (siteA, siteB)")
+    phantom.add_argument("--seed", type=int, required=True, help="patient seed")
+    phantom.add_argument("--out", required=True, help="patient directory to write")
+    phantom.set_defaults(run=_phantom)
+
+    plan = commands.add_parser("plan", help="generate and save Pareto plans for a patient")
+    plan.add_argument("--case", required=True, help="patient directory to read")
+    plan.add_argument("--count", type=int, required=True, help="number of plans")
+    plan.add_argument("--seed", type=int, required=True, help="seed of the weight draws")
+    plan.add_argument("--out", required=True, help="directory to write the plans under")
+    plan.set_defaults(run=_plan)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+    except ValidationError as exc:
+        print(f"dosekit: {exc}", file=sys.stderr)
+        return 2
+    except DosekitError as exc:
+        print(f"dosekit: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

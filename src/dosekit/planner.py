@@ -145,13 +145,24 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
 
     A voxel's depth along beam direction d is ``ray_step_mm`` times the number
     of samples ``center - s*d`` (s = ray_step_mm, 2*ray_step_mm, ...) whose cell
-    ``floor(pos / spacing)`` is a body voxel. All body voxels march together,
-    one step at a time, and a voxel leaves the march once its sample leaves the
-    body mask's bounding box: each axis of the sampled cell moves monotonically
-    with s, so a ray never re-enters the (convex) box, and no body cell lies
-    outside it. Lateral entries are formed only within ``lateral_cutoff`` and
-    collected as (row, column, value) triples. Working memory is therefore
-    O(body voxels x beamlets per beam), plus the triples of the result.
+    ``floor(pos / spacing)`` is a body voxel.
+
+    Precondition: every beam is coplanar, d = (cos phi, sin phi, 0). A sample
+    then keeps its voxel's z cell, and all body voxels of one (x, y) column
+    visit the same (x, y) cells at the same steps. So the march runs over the
+    body's (x, y) columns, not its voxels: at each step a column adds the body
+    mask along its sampled cell's z line into a (columns x box z-extent) count,
+    and a voxel's depth is ``ray_step_mm`` times its column's count at its own
+    z. A column leaves the march once its sample leaves the body mask's
+    bounding box: each axis of the sampled cell moves monotonically with s, so
+    a ray never re-enters the (convex) box, and no body cell lies outside it.
+
+    Lateral entries are formed only within ``lateral_cutoff`` and collected as
+    (row, column, value) triples. Per beam, only rows whose distance to the
+    rectangle spanned by the beamlet centres is within the cutoff (plus a 1 %
+    margin) are tested beamlet by beamlet; no other row can be within the
+    cutoff of any centre. Working memory is therefore O(body voxels x beamlets
+    per beam), plus the triples of the result.
     """
     structures = case.structures
     dims = structures.dims
@@ -167,6 +178,12 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     cells = np.stack([gx, gy, gz], axis=1)
     centers = (cells.astype(np.float64) + 0.5) * spacing
     box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
+
+    # the body's (x, y) columns, and the column of each body voxel
+    col_keys, col_of = np.unique(gx + nx * gy, return_inverse=True)
+    col_centers = (np.stack([col_keys % nx, col_keys // nx], axis=1) + 0.5) * spacing[:2]
+    body_z = body_arr[:, :, box_lo[2]:box_hi[2] + 1]
+    z_in_box = gz - box_lo[2]
 
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
@@ -184,6 +201,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     z_offsets = np.linspace(z_lo, z_hi, nv)
     pz = centers[:, 2] - iso[2]
     dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
+    field_dz = np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0)
+    near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
 
     rows, cols, vals = [], [], []
     for b in range(cfg.n_beams):
@@ -195,26 +214,28 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         u_lo, u_hi = pu_ptv.min() - cfg.field_margin_mm, pu_ptv.max() + cfg.field_margin_mm
         u_offsets = np.linspace(u_lo, u_hi, nu)
 
-        # material path length upstream of each voxel along -d
-        count = np.zeros(body_idx.size, dtype=np.int64)
-        active = np.arange(body_idx.size)
+        # material path length upstream of each voxel along -d, counted per column
+        count = np.zeros((col_keys.size, body_z.shape[2]), dtype=np.int64)
+        active = np.arange(col_keys.size)
         for s in steps:
-            cell = np.floor((centers[active] - s * d) / spacing).astype(np.int64)
-            in_box = np.all((cell >= box_lo) & (cell <= box_hi), axis=1)
+            cell = np.floor((col_centers[active] - s * d[:2]) / spacing[:2]).astype(np.int64)
+            in_box = np.all((cell >= box_lo[:2]) & (cell <= box_hi[:2]), axis=1)
             if not in_box.all():
                 active, cell = active[in_box], cell[in_box]
                 if not active.size:
                     break
-            count[active] += body_arr[cell[:, 0], cell[:, 1], cell[:, 2]]
-        depth = cfg.ray_step_mm * count.astype(np.float64)
+            count[active] += body_z[cell[:, 0], cell[:, 1]]
+        depth = cfg.ray_step_mm * count[col_of, z_in_box].astype(np.float64)
 
         pu = (centers - iso) @ u
-        r2 = ((pu[:, None] - u_offsets[None, :]) ** 2)[:, :, None] + dz2[:, None, :]
-        r2 = r2.reshape(body_idx.size, nu * nv)
+        field_du = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0)
+        near = np.flatnonzero(field_du**2 + field_dz**2 <= near_cutoff2)
+        r2 = ((pu[near, None] - u_offsets[None, :]) ** 2)[:, :, None] + dz2[near, None, :]
+        r2 = r2.reshape(near.size, nu * nv)
         row, col = np.nonzero(r2 <= cfg.lateral_cutoff**2)
-        rows.append(row)
+        rows.append(near[row])
         cols.append(col + b * nu * nv)
-        vals.append(beamlet_kernel(depth[row], r2[row, col], cfg))
+        vals.append(beamlet_kernel(depth[near[row]], r2[row, col], cfg))
 
     matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -288,14 +309,15 @@ class CpParams:
             raise ValidationError("tolerance must be positive")
 
 
-def estimate_operator_norm(matrix, seed: int, iters: int = 50) -> float:
-    """Power iteration on A^T A with a seed-fixed start vector."""
+def estimate_operator_norm(G, seed: int, iters: int = 50) -> float:
+    """||M|| = sqrt(largest eigenvalue of G = M^T M), by power iteration on G
+    from a seed-fixed start vector."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(matrix.shape[1])
+    v = rng.standard_normal(G.shape[1])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = matrix.T @ (matrix @ v)
+        w = G @ v
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0
@@ -337,7 +359,15 @@ def _residual_sq(M, b, x) -> float:
     return float(r @ r)
 
 
-def solve_stacked(M, b, params: CpParams):
+def _gram(M, b):
+    """G = M^T M (dense, 8 n^2 bytes for n beamlets: 0.9 MB at 336) and c = M^T b.
+
+    Forming G densifies M once, 8 n bytes per row of M."""
+    dense = M.toarray()
+    return dense.T @ dense, dense.T @ b
+
+
+def solve_stacked(M, b, G, c, params: CpParams):
     """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2, run in beamlet space.
 
     With f(v) = ||v - b||^2 the dual prox is
@@ -347,22 +377,17 @@ def solve_stacked(M, b, params: CpParams):
     The dual y (one entry per row of M) enters the primal step only as M^T y, so
     the loop carries z = M^T y (one entry per beamlet) instead. Applying M^T to
     the dual step gives z <- (z + s (G xbar - c)) / (1 + s/2), with G = M^T M and
-    c = M^T b formed once per solve: the iterates, the stop rule and the
-    diagnostics are those of the row-space iteration in exact arithmetic, and an
-    iteration costs one dense n x n product instead of two sparse products with
-    M. G takes 8 n^2 bytes for n beamlets (0.9 MB at 336); forming it densifies
-    M once, 8 n bytes per row of M. The objectives are ||M x - b||^2 from M, not
-    x^T G x - 2 c^T x + b^T b, which cancels near the optimum.
+    c = M^T b from `_gram`: the iterates, the stop rule and the diagnostics are
+    those of the row-space iteration in exact arithmetic, and an iteration costs
+    one dense n x n product instead of two sparse products with M. The
+    objectives are ||M x - b||^2 from M, not x^T G x - 2 c^T x + b^T b, which
+    cancels near the optimum.
 
     Unlike y, whose zero-residual entries decayed to subnormals that slowed every
     step, z needs no subnormal flush: no entry of z, x or xbar was subnormal in
     any benchmark plan or in the 20 000-iteration Pareto-monotonicity solves.
     """
     s = 0.95 / max(params.operator_norm, 1e-12)
-    dense = M.toarray()
-    G = dense.T @ dense
-    c = dense.T @ b
-    del dense
     x = np.zeros(M.shape[1])
     xbar = x.copy()
     z = np.zeros(M.shape[1])
@@ -456,10 +481,12 @@ def solve_fluence(
     patient_id: str = "",
     index: int = 0,
 ) -> Plan:
-    """One plan: build M and b for `weights`, estimate ||M||, run the CP solve."""
+    """One plan: build M and b for `weights` and G = M^T M, c = M^T b from them,
+    estimate ||M|| on G, run the CP solve."""
     M, b = _objective_blocks(infl, structures, weights)
-    norm = estimate_operator_norm(M, derive_seed(seed, "operator-norm"))
-    x, diagnostics = solve_stacked(M, b, CpParams(norm, max_iters, tolerance))
+    G, c = _gram(M, b)
+    norm = estimate_operator_norm(G, derive_seed(seed, "operator-norm"))
+    x, diagnostics = solve_stacked(M, b, G, c, CpParams(norm, max_iters, tolerance))
     return Plan(
         patient_id=patient_id,
         index=index,

@@ -1,0 +1,61 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dosekit.phantom import load_patient
+from dosekit.planner import load_plan
+from dosekit.volume import MANIFEST_NAME
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def dosekit(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dosekit.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def patient_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "siteA-1"
+    done = dosekit("phantom", "--site", "siteA", "--seed", 1, "--out", out)
+    assert done.returncode == 0, done.stderr
+    return out
+
+
+def test_phantom_writes_patient(patient_dir):
+    case = load_patient(patient_dir)
+    assert (case.id, case.site_id, case.seed) == ("siteA-p0001", "siteA", 1)
+
+
+def test_plan_writes_plans(patient_dir, tmp_path):
+    done = dosekit("plan", "--case", patient_dir, "--count", 2, "--seed", 0, "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    plans = [load_plan(tmp_path / f"plan{i}") for i in range(2)]
+    assert [p.index for p in plans] == [0, 1]
+    assert all(p.patient_id == "siteA-p0001" for p in plans)
+
+
+@pytest.mark.parametrize("args", [
+    ("phantom", "--site", "siteZ", "--seed", 1),  # unknown site preset
+    ("plan", "--case", "PATIENT", "--count", 0, "--seed", 0),  # plan_count must be >= 1
+    ("plan", "--case", "MISSING", "--count", 1, "--seed", 0),  # no structures.json
+], ids=["unknown-site", "zero-plans", "missing-case"])
+def test_validation_error_exits_2(patient_dir, tmp_path, args):
+    paths = {"PATIENT": patient_dir, "MISSING": tmp_path / "missing"}
+    args = [paths.get(a, a) for a in args]
+    done = dosekit(*args, "--out", tmp_path / "out")
+    assert done.returncode == 2
+    assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
+
+
+def test_other_dosekit_error_exits_3(tmp_path):
+    (tmp_path / MANIFEST_NAME).write_text("{")
+    done = dosekit("plan", "--case", tmp_path, "--count", 1, "--seed", 0,
+                   "--out", tmp_path / "out")
+    assert done.returncode == 3  # ManifestError is a DosekitError, not a ValidationError
+    assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr

@@ -23,6 +23,7 @@ from dosekit.planner import (
     PlannerGeometryError,
     PlanWeights,
     SolverDivergenceError,
+    _gram,
     _residual_sq,
     _objective_blocks,
     beamlet_weight,
@@ -85,6 +86,22 @@ def row_space_cp_reference(M, b, params):
             converged = True
             break
     return x, iterations, converged, _residual_sq(M, b, x)
+
+
+def sparse_power_norm_reference(M, seed, iters=50):
+    """The power iteration `estimate_operator_norm` replaced: one product each with
+    M and M^T per step instead of one with G = M^T M."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(M.shape[1])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = M.T @ (M @ v)
+        lam = float(np.linalg.norm(w))
+        if lam == 0.0:
+            return 0.0
+        v = w / lam
+    return float(np.sqrt(lam))
 
 
 def tight_params(norm, max_iters=50_000):
@@ -227,6 +244,27 @@ def with_full_grid_body(case):
     return PatientCase(case.id, structures, case.site_id, case.seed)
 
 
+def with_body_cavity(case):
+    """`case` with an air cavity carved out of the body on the -x side of the PTVs, in
+    four z-slices only and clear of every PTV and OAR voxel. Rays of beams from -x
+    leave the body and re-enter it, so one (x, y) column's depth differs by z."""
+    structures = case.structures
+    body = structures.body
+    body_arr = body.bool_array()
+    targets = np.zeros(case.dims, dtype=bool)
+    for s in (*structures.ptvs, *structures.oars):
+        targets |= s.bool_array()
+    cavity = np.zeros(case.dims, dtype=bool)
+    cavity[6:11, 8:21, 6:10] = True
+    cavity &= body_arr & ~targets & body_arr[5][None]  # body upstream of the slab
+    assert cavity.any()
+    carved = VoxelGrid(body.mask.dims, body.mask.spacing,
+                       (body_arr & ~cavity).astype(np.float32))
+    others = tuple(s for s in structures.structures if s is not body)
+    return PatientCase(case.id, StructureSet((StructureMask(body.name, body.kind, carved), *others)),
+                       case.site_id, case.seed)
+
+
 def scaled_site(spec, factor):
     """`spec` with kernel dims, shape radii and jitter scaled by `factor`; spacing kept."""
     pal = spec.shape_palette
@@ -262,6 +300,15 @@ class TestInfluenceMatchesDenseReference:
                         dense_influence_reference(case, cfg))
 
     @pytest.mark.parametrize("cfg", [
+        BeamConfig(),
+        BeamConfig(n_beams=4, beamlet_grid=(5, 3), ray_step_mm=4.0),
+    ], ids=["default", "four-beams-long-step"])
+    def test_body_with_cavity(self, cfg):
+        case = with_body_cavity(generate_patient(builtin_site("siteB"), 1))
+        assert_same_csr(build_influence_matrix(case, cfg).matrix,
+                        dense_influence_reference(case, cfg))
+
+    @pytest.mark.parametrize("cfg", [
         # cos(pi/2) is about 6e-17, not 0: rays of beam 1 drift across x very slowly
         BeamConfig(n_beams=4, beamlet_grid=(5, 3), ray_step_mm=4.0),
         # entries beyond about 39 mm inside the cutoff underflow to 0 and are dropped
@@ -290,8 +337,12 @@ def python_ray_depth(case, voxel, d, step_mm):
 
 
 class TestInfluenceEntries:
-    def test_entries_match_beamlet_weight(self):
-        case = generate_patient(builtin_site("siteA"), 1)
+    @pytest.mark.parametrize("spec", [
+        builtin_site("siteA"),
+        scaled_site(builtin_site("siteA"), 2),  # the dense oracle would need about 885 MB
+    ], ids=["desk", "64x64x32"])
+    def test_entries_match_beamlet_weight(self, spec):
+        case = generate_patient(spec, 1)
         cfg = BeamConfig()
         infl = build_influence_matrix(case, cfg)
         spacing = np.asarray(case.spacing)
@@ -400,7 +451,7 @@ class TestSolveFluence:
         bad = CpParams(operator_norm=1e-3, max_iters=5000)
         M, b = _objective_blocks(infl, sset, w)
         with pytest.raises(SolverDivergenceError) as exc:
-            solve_stacked(M, b, bad)
+            solve_stacked(M, b, *_gram(M, b), bad)
         assert exc.value.iteration >= 1
 
     def test_descent_diagnostics(self):
@@ -433,8 +484,10 @@ class TestOracleEquivalence:
             c[lo:hi] = w / (hi - lo)
             p[lo:hi] = float(rng.uniform(0.5, 1.0)) if bi == 0 else 0.0
         M = sp.csr_matrix(np.sqrt(c)[:, None] * A)
-        norm = estimate_operator_norm(M, seed=seed)
-        x_cp, diag = solve_stacked(M, np.sqrt(c) * p, tight_params(norm, max_iters=100_000))
+        b = np.sqrt(c) * p
+        G, Mtb = _gram(M, b)
+        norm = estimate_operator_norm(G, seed=seed)
+        x_cp, diag = solve_stacked(M, b, G, Mtb, tight_params(norm, max_iters=100_000))
         _, obj_pg = pg_oracle(A, c, p)
         assert diag.final_objective == pytest.approx(obj_pg, rel=1e-6, abs=1e-12)
 
@@ -447,12 +500,33 @@ class TestGramFormMatchesRowSpace:
         for i in range(3):
             weights = sample_weights(case.structures, seed=derive_seed(0, "weights", i))
             M, b = _objective_blocks(infl, case.structures, weights)
-            params = CpParams(estimate_operator_norm(M, derive_seed(0, "operator-norm")), 2000)
-            x, diag = solve_stacked(M, b, params)
+            G, c = _gram(M, b)
+            params = CpParams(estimate_operator_norm(G, derive_seed(0, "operator-norm")), 2000)
+            x, diag = solve_stacked(M, b, G, c, params)
             x_ref, iterations, converged, obj_ref = row_space_cp_reference(M, b, params)
             assert (diag.iterations, diag.converged) == (iterations, converged)
             assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
             assert diag.final_objective == pytest.approx(obj_ref, rel=1e-10, abs=0.0)
+
+
+class TestOperatorNorm:
+    @pytest.mark.parametrize("site", ["siteA", "siteB"])
+    def test_gram_power_iteration_matches_sparse(self, site):
+        case = generate_patient(builtin_site(site), 1)
+        infl = build_influence_matrix(case, BeamConfig())
+        for i in range(3):
+            weights = sample_weights(case.structures, seed=derive_seed(0, "weights", i))
+            M, b = _objective_blocks(infl, case.structures, weights)
+            G, _ = _gram(M, b)
+            seed = derive_seed(i, "operator-norm")
+            norm = estimate_operator_norm(G, seed)
+            assert norm == pytest.approx(sparse_power_norm_reference(M, seed), rel=1e-12, abs=0.0)
+            assert norm == pytest.approx(np.sqrt(np.linalg.eigvalsh(G).max()), rel=1e-6, abs=0.0)
+
+    def test_zero_matrix(self):
+        M = sp.csr_matrix((4, 3))
+        G, _ = _gram(M, np.zeros(4))
+        assert estimate_operator_norm(G, seed=0) == 0.0
 
 
 class TestSampleWeights:
