@@ -7,7 +7,7 @@ relative to the case's highest PTV prescription.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DosekitError, ValidationError
-from .volume import BODY, OAR, PTV, StructureMask, StructureSet, VoxelGrid
+from .volume import (BODY, OAR, PTV, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
+                     write_manifest)
 
 D98 = "D98"
 D95 = "D95"
@@ -201,19 +202,24 @@ class MetricsReport:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        write_manifest(path, self.to_json_dict())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["structure", "kind", "impact", "metric", "predicted", "ground_truth", "percent_error"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [r.structure, r.kind, r.impact or "", r.metric,
-                     repr(r.predicted), repr(r.ground_truth), repr(r.percent_error)]
-                )
+        _write_csv(
+            path,
+            ["structure", "kind", "impact", "metric", "predicted", "ground_truth", "percent_error"],
+            ([r.structure, r.kind, r.impact or "", r.metric,
+              repr(r.predicted), repr(r.ground_truth), repr(r.percent_error)] for r in self.rows),
+        )
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write `header` and `rows` with the csv module's defaults, in one atomic replace."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write_bytes(Path(path), text.getvalue().encode("utf-8"))
 
 
 def metrics_for_kind(kind: str) -> tuple[str, ...]:
@@ -261,8 +267,5 @@ def evaluate_plan(pred_dose: VoxelGrid, gt, structures: StructureSet) -> Metrics
 
 def write_dvh_csv(curve: DvhCurve, path) -> None:
     """One (dose, volume_fraction) row per voxel rank, descending dose."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dose", "volume_fraction"])
-        for dose, frac in curve.table():
-            writer.writerow([repr(float(dose)), repr(float(frac))])
+    _write_csv(path, ["dose", "volume_fraction"],
+               ([repr(float(dose)), repr(float(frac))] for dose, frac in curve.table()))

@@ -9,9 +9,7 @@ generation exactly reproducible from (site, seed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,10 +24,10 @@ from .volume import (
     StructureMask,
     StructureSet,
     VoxelGrid,
-    _atomic_write_bytes,
     load_structure_set,
     read_manifest,
     save_structure_set,
+    write_manifest,
 )
 
 DEFAULT_NORMALIZATION = 70.0
@@ -144,8 +142,7 @@ class SiteSpec:
         )
 
     def save(self, path) -> None:
-        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        _atomic_write_bytes(Path(path), text.encode("utf-8"))
+        write_manifest(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "SiteSpec":

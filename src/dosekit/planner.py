@@ -13,7 +13,6 @@ weights sweeps the Pareto surface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
 from .volume import (ManifestError, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
-                     read_manifest, read_volume, write_volume)
+                     read_manifest, read_volume, write_manifest, write_volume)
 
 DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
 
@@ -121,10 +120,6 @@ class InfluenceMatrix:
             raise ValidationError("row count must match the voxel index map")
         if self.matrix.nnz and self.matrix.data.min() < 0:
             raise ValidationError("influence entries must be nonnegative")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
 
     @property
     def n_beamlets(self) -> int:
@@ -296,27 +291,23 @@ def sample_weights(
     return PlanWeights(weights=weights, bounds=(float(lo), float(hi)))
 
 
-@dataclass(frozen=True)
-class CpParams:
-    """Chambolle-Pock settings; both step sizes are 0.95 / operator_norm."""
-
-    operator_norm: float
-    max_iters: int = 2000
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+# Power steps of `estimate_operator_norm`.
+POWER_STEPS = 50
+# `solve_stacked` reports a plan converged when its KKT residual is at most this
+# share of ||2c||, the gradient norm at x = 0.
+KKT_RTOL = 1e-9
 
 
-def estimate_operator_norm(G, seed: int, iters: int = 50) -> float:
-    """||M|| = sqrt(largest eigenvalue of G = M^T M), by power iteration on G
-    from a seed-fixed start vector."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(G.shape[1])
-    v /= np.linalg.norm(v)
+def estimate_operator_norm(G) -> float:
+    """||M|| = sqrt(largest eigenvalue of G = M^T M), by POWER_STEPS power steps on G
+    from the all-ones vector.
+
+    G is entrywise nonnegative, so by Perron-Frobenius it has a nonnegative
+    eigenvector for its largest eigenvalue, and the all-ones start overlaps it.
+    """
+    v = np.ones(G.shape[1]) / np.sqrt(G.shape[1])
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_STEPS):
         w = G @ v
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
@@ -331,9 +322,8 @@ class PlanDiagnostics:
     converged: bool
     final_objective: float
     objective_at_zero: float
-    objective_at_mid: float
     operator_norm: float
-    # ||x - max(x - grad f(x), 0)||, zero exactly at the optimum; report-only
+    # ||x - max(x - grad f(x), 0)||, zero exactly at the optimum
     kkt_residual: float
 
     def to_json_dict(self) -> dict:
@@ -367,8 +357,9 @@ def _gram(M, b):
     return dense.T @ dense, dense.T @ b
 
 
-def solve_stacked(M, b, G, c, params: CpParams):
-    """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2, run in beamlet space.
+def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
+    """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2, run in beamlet space
+    for exactly `max_iters` iterations.
 
     With f(v) = ||v - b||^2 the dual prox is
     prox_{s f*}(v) = (v - s b) / (1 + s/2); the primal prox is projection onto
@@ -377,56 +368,42 @@ def solve_stacked(M, b, G, c, params: CpParams):
     The dual y (one entry per row of M) enters the primal step only as M^T y, so
     the loop carries z = M^T y (one entry per beamlet) instead. Applying M^T to
     the dual step gives z <- (z + s (G xbar - c)) / (1 + s/2), with G = M^T M and
-    c = M^T b from `_gram`: the iterates, the stop rule and the diagnostics are
-    those of the row-space iteration in exact arithmetic, and an iteration costs
-    one dense n x n product instead of two sparse products with M. The
-    objectives are ||M x - b||^2 from M, not x^T G x - 2 c^T x + b^T b, which
-    cancels near the optimum.
+    c = M^T b from `_gram`: the iterates are those of the row-space iteration in
+    exact arithmetic, and an iteration costs one dense n x n product instead of
+    two sparse products with M. The final objective is ||M x - b||^2 from M, not
+    x^T G x - 2 c^T x + b^T b, which cancels near the optimum.
+
+    `converged` means kkt_residual <= KKT_RTOL * ||2c||, KKT_RTOL = 1e-9. The KKT
+    residual ||x - max(x - 2(G x - c), 0)|| is zero exactly at the optimum, and
+    2c = -grad f(0) is the gradient at x = 0, so KKT_RTOL has no units.
 
     Unlike y, whose zero-residual entries decayed to subnormals that slowed every
     step, z needs no subnormal flush: no entry of z, x or xbar was subnormal in
     any benchmark plan or in the 20 000-iteration Pareto-monotonicity solves.
     """
-    s = 0.95 / max(params.operator_norm, 1e-12)
+    s = 0.95 / max(operator_norm, 1e-12)
     x = np.zeros(M.shape[1])
     xbar = x.copy()
     z = np.zeros(M.shape[1])
-    obj0 = _residual_sq(M, b, x)
-    obj_mid = obj0
-    mid_iter = max(params.max_iters // 2, 1)
-    iterations = 0
-    converged = False
-    for it in range(1, params.max_iters + 1):
-        iterations = it
+    for it in range(1, max_iters + 1):
+        # a diverging iterate overflows to inf here; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             z = (z + s * (G @ xbar - c)) / (1.0 + s / 2.0)
             x_old = x
             x = x - s * z
             np.maximum(x, 0.0, out=x)
-            dx = x - x_old
-            xbar = x + dx
-            # a diverging iterate overflows these norms before it turns non-finite
-            step = float(np.sqrt(dx @ dx))
-            scale = max(float(np.sqrt(x @ x)), 1e-30)
+            xbar = x + (x - x_old)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
             raise SolverDivergenceError(it)
-        if it == mid_iter:
-            obj_mid = _residual_sq(M, b, x)
-        if step / scale < params.tolerance:
-            converged = True
-            break
-    obj_final = _residual_sq(M, b, x)
-    if iterations < mid_iter:
-        obj_mid = obj_final
     grad = 2.0 * (G @ x - c)
+    kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
     return x, PlanDiagnostics(
-        iterations=iterations,
-        converged=converged,
-        final_objective=obj_final,
-        objective_at_zero=obj0,
-        objective_at_mid=obj_mid,
-        operator_norm=params.operator_norm,
-        kkt_residual=float(np.linalg.norm(x - np.maximum(x - grad, 0.0))),
+        iterations=max_iters,
+        converged=kkt <= KKT_RTOL * float(np.linalg.norm(2.0 * c)),
+        final_objective=_residual_sq(M, b, x),
+        objective_at_zero=float(b @ b),
+        operator_norm=operator_norm,
+        kkt_residual=kkt,
     )
 
 
@@ -476,8 +453,6 @@ def solve_fluence(
     structures: StructureSet,
     weights: PlanWeights,
     max_iters: int = 2000,
-    tolerance: float = 1e-6,
-    seed: int = 0,
     patient_id: str = "",
     index: int = 0,
 ) -> Plan:
@@ -485,8 +460,7 @@ def solve_fluence(
     estimate ||M|| on G, run the CP solve."""
     M, b = _objective_blocks(infl, structures, weights)
     G, c = _gram(M, b)
-    norm = estimate_operator_norm(G, derive_seed(seed, "operator-norm"))
-    x, diagnostics = solve_stacked(M, b, G, c, CpParams(norm, max_iters, tolerance))
+    x, diagnostics = solve_stacked(M, b, G, c, estimate_operator_norm(G), max_iters)
     return Plan(
         patient_id=patient_id,
         index=index,
@@ -504,7 +478,6 @@ def generate_plans(
     seed: int,
     weight_bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS,
     max_iters: int = 2000,
-    tolerance: float = 1e-6,
 ) -> list[Plan]:
     """Pseudo-random Pareto samples: one weight draw and one solve per plan."""
     if plan_count < 1:
@@ -514,8 +487,8 @@ def generate_plans(
     for i in range(plan_count):
         weights = sample_weights(case.structures, weight_bounds, derive_seed(seed, "weights", i))
         try:
-            plans.append(solve_fluence(infl, case.structures, weights, max_iters, tolerance,
-                                       seed=seed, patient_id=case.id, index=i))
+            plans.append(solve_fluence(infl, case.structures, weights, max_iters,
+                                       patient_id=case.id, index=i))
         except PlannerError as exc:
             raise PlannerError(f"plan {i} for {case.id}: {exc}") from exc
     return plans
@@ -524,29 +497,33 @@ def generate_plans(
 PLAN_JSON = "plan.json"
 DOSE_FILE = "dose.dvol"
 FLUENCE_FILE = "fluence.f32"
-PLAN_SCHEMA = {"patient_id": str, "index": int, "weights": dict, "weight_bounds": list,
-               "diagnostics": dict, "n_beamlets": int}
+# 2: the diagnostics changed shape, and `converged` became the KKT-residual bound
+PLAN_SCHEMA_VERSION = 2
+PLAN_SCHEMA = {"schema_version": int, "patient_id": str, "index": int, "weights": dict,
+               "weight_bounds": list, "diagnostics": dict, "n_beamlets": int}
 
 
 def save_plan(directory, plan: Plan) -> None:
     directory = Path(directory)
     write_volume(plan.dose, directory / DOSE_FILE)
     _atomic_write_bytes(directory / FLUENCE_FILE, np.asarray(plan.fluence, dtype="<f4").tobytes())
-    meta = {
+    write_manifest(directory / PLAN_JSON, {
+        "schema_version": PLAN_SCHEMA_VERSION,
         "patient_id": plan.patient_id,
         "index": plan.index,
         "weights": plan.weights.weights,
         "weight_bounds": list(plan.weights.bounds),
         "diagnostics": plan.diagnostics.to_json_dict(),
         "n_beamlets": int(plan.fluence.size),
-    }
-    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(directory / PLAN_JSON, text.encode("utf-8"))
+    })
 
 
 def load_plan(directory) -> Plan:
     directory = Path(directory)
     meta = read_manifest(directory / PLAN_JSON, PLAN_SCHEMA)
+    if meta["schema_version"] != PLAN_SCHEMA_VERSION:
+        raise ManifestError(f"{directory / PLAN_JSON}: schema_version {meta['schema_version']}, "
+                            f"expected {PLAN_SCHEMA_VERSION}")
     raw = (directory / FLUENCE_FILE).read_bytes()
     if len(raw) != 4 * meta["n_beamlets"]:
         raise FluenceFileError(f"{directory / FLUENCE_FILE}: {len(raw)} bytes, "

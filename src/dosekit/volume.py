@@ -303,6 +303,19 @@ def kernel_offset_for(body: StructureMask, kernel: KernelSpec) -> CropOffset:
     return CropOffset(tuple(origin), body.mask.dims, kernel.dims)
 
 
+def _overlap(offset: CropOffset):
+    """(source slices, kernel slices) of the kernel window's overlap with the source
+    grid, one slice per axis; None when the two do not overlap."""
+    src, ker = [], []
+    for o, k, n in zip(offset.origin, offset.kernel_dims, offset.source_dims):
+        s0, s1 = max(0, o), min(n, o + k)
+        if s0 >= s1:
+            return None
+        src.append(slice(s0, s1))
+        ker.append(slice(s0 - o, s1 - o))
+    return tuple(src), tuple(ker)
+
+
 def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
     """Extract the kernel window; voxels outside the source grid become zero."""
     if grid.dims != offset.source_dims:
@@ -310,21 +323,10 @@ def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
             f"grid dims {grid.dims} do not match crop source dims {offset.source_dims}"
         )
     out = np.zeros(offset.kernel_dims, dtype=np.float32)
-    src_lo, src_hi, dst_lo, dst_hi = [], [], [], []
-    for axis in range(3):
-        o = offset.origin[axis]
-        k = offset.kernel_dims[axis]
-        n = offset.source_dims[axis]
-        s0, s1 = max(0, o), min(n, o + k)
-        if s0 >= s1:
-            return VoxelGrid(offset.kernel_dims, grid.spacing, out)
-        src_lo.append(s0)
-        src_hi.append(s1)
-        dst_lo.append(s0 - o)
-        dst_hi.append(s1 - o)
-    out[dst_lo[0]:dst_hi[0], dst_lo[1]:dst_hi[1], dst_lo[2]:dst_hi[2]] = grid.data[
-        src_lo[0]:src_hi[0], src_lo[1]:src_hi[1], src_lo[2]:src_hi[2]
-    ]
+    overlap = _overlap(offset)
+    if overlap is not None:
+        src, ker = overlap
+        out[ker] = grid.data[src]
     return VoxelGrid(offset.kernel_dims, grid.spacing, out)
 
 
@@ -343,14 +345,10 @@ def uncrop(kernel_grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
             f"grid dims {kernel_grid.dims} do not match kernel dims {offset.kernel_dims}"
         )
     out = np.zeros(offset.source_dims, dtype=np.float32)
-    src_lo = [max(0, offset.origin[a]) for a in range(3)]
-    src_hi = [min(offset.source_dims[a], offset.origin[a] + offset.kernel_dims[a]) for a in range(3)]
-    if all(src_lo[a] < src_hi[a] for a in range(3)):
-        dst = tuple(slice(src_lo[a], src_hi[a]) for a in range(3))
-        src = tuple(
-            slice(src_lo[a] - offset.origin[a], src_hi[a] - offset.origin[a]) for a in range(3)
-        )
-        out[dst] = kernel_grid.data[src]
+    overlap = _overlap(offset)
+    if overlap is not None:
+        src, ker = overlap
+        out[src] = kernel_grid.data[ker]
     return VoxelGrid(offset.source_dims, kernel_grid.spacing, out)
 
 
@@ -424,10 +422,14 @@ def save_structure_set(directory, structures: StructureSet, extra: dict | None =
             "structures": entries,
         }
     )
-    _atomic_write_bytes(
-        directory / MANIFEST_NAME,
-        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n",
-    )
+    write_manifest(directory / MANIFEST_NAME, manifest)
+
+
+def write_manifest(path, manifest: dict) -> None:
+    """Write `manifest` as JSON (sorted keys, indent 2, trailing newline) atomically;
+    `read_manifest` reads it back."""
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
 def read_manifest(path, schema: dict[str, type]) -> dict:

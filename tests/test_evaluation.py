@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -281,3 +282,32 @@ class TestDvhCsv:
         lines = (tmp_path / "s.csv").read_text().strip().splitlines()
         assert lines[0] == "dose,volume_fraction"
         assert len(lines) == 4
+
+
+def _report_writer(method):
+    def write(level, path):
+        sset = _tiny_case()
+        dose = VoxelGrid.from_array(np.full((3, 3, 3), level, dtype=np.float32))
+        getattr(evaluate_plan(dose, dose, sset), method)(path)
+    return write
+
+
+def _dvh_writer(level, path):
+    write_dvh_csv(DvhCurve("s", np.array([level, 0.5, 0.1], dtype=np.float32)), path)
+
+
+@pytest.mark.parametrize("write", [_report_writer("write_json"), _report_writer("write_csv"),
+                                   _dvh_writer], ids=["write_json", "write_csv", "write_dvh_csv"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    write(0.9, path)
+    before = path.read_bytes()
+
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        write(0.7, path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))

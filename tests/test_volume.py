@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosekit.errors import ValidationError
 from dosekit.volume import (
     MANIFEST_NAME,
     BadMagicError,
+    CropOffset,
     KernelSpec,
     KernelTooSmallError,
     ManifestError,
@@ -24,9 +25,11 @@ from dosekit.volume import (
     crop_with_offset,
     linear_index,
     load_structure_set,
+    read_manifest,
     read_volume,
     save_structure_set,
     uncrop,
+    write_manifest,
     write_volume,
 )
 
@@ -263,6 +266,23 @@ class TestCrop:
         assert out.data.sum() == 64.0
         assert out.data[0, 0, 0] == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(source=st.tuples(*[st.integers(1, 6)] * 3), kernel=st.tuples(*[st.integers(1, 6)] * 3),
+           origin=st.tuples(*[st.integers(-8, 8)] * 3), seed=st.integers(0, 2**16))
+    @example(source=(4, 4, 4), kernel=(3, 3, 3), origin=(1, 4, 0), seed=0)  # disjoint along y
+    @example(source=(4, 4, 4), kernel=(3, 3, 3), origin=(-3, 0, 0), seed=0)  # disjoint along x
+    def test_uncrop_of_crop_keeps_the_overlap(self, source, kernel, origin, seed):
+        values = np.random.default_rng(seed).random(source, dtype=np.float32) + 1.0
+        grid = VoxelGrid.from_array(values)
+        offset = CropOffset(origin, source, kernel)
+        restored = uncrop(crop_with_offset(grid, offset), offset)
+        overlap = np.ones(source, dtype=bool)
+        for axis, (o, k, n) in enumerate(zip(origin, kernel, source)):
+            shape = [1, 1, 1]
+            shape[axis] = n
+            overlap &= ((np.arange(n) >= o) & (np.arange(n) < o + k)).reshape(shape)
+        assert np.array_equal(restored.data, np.where(overlap, values, 0.0))
+
     def test_crop_with_offset_rejects_wrong_dims(self):
         body = self._body((4, 4, 4), (0, 0, 0), (3, 3, 3))
         _, off = crop_to_kernel(body.mask, body, KernelSpec((4, 4, 4)))
@@ -271,6 +291,14 @@ class TestCrop:
 
 
 class TestManifest:
+    def test_write_manifest_format(self, tmp_path):
+        manifest = {"b": [1, 2], "a": {"y": 1.5, "x": None}}
+        write_manifest(tmp_path / "m.json", manifest)
+        text = (tmp_path / "m.json").read_text()
+        assert text == '{\n  "a": {\n    "x": null,\n    "y": 1.5\n  },\n  "b": [\n    1,\n    2\n  ]\n}\n'
+        assert read_manifest(tmp_path / "m.json", {"a": dict, "b": list}) == manifest
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_round_trip(self, tmp_path):
         body = make_mask((3, 3, 3), [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv70", prescription=1.0)
