@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DosekitError, ValidationError
-from .volume import (BODY, OAR, PTV, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
-                     write_manifest)
+from .volume import (BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid,
+                     _atomic_write_bytes, write_manifest)
 
 D98 = "D98"
 D95 = "D95"
@@ -26,6 +26,7 @@ DMEAN = "Dmean"
 DMAX = "Dmax"
 PTV_METRICS = (DMEAN, DMAX, D98, D95, D02)
 OAR_METRICS = (DMEAN, DMAX)
+REPORT_VERSION = 1
 
 
 class EvaluationError(DosekitError):
@@ -174,7 +175,7 @@ _IMPACT_ORDER = {"high": 0, "low": 1, None: 2}
 
 
 @dataclass(frozen=True)
-class MetricValue:
+class MetricValue(Record):
     structure: str
     kind: str
     impact: str | None
@@ -189,20 +190,14 @@ class MetricValue:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
     """Per-structure DVH-metric comparison of a predicted dose to ground truth."""
 
-    rows: tuple[MetricValue, ...]
     prescription: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prescription": self.prescription,
-            "rows": [vars(r) for r in self.rows],
-        }
+    rows: tuple[MetricValue, ...]
 
     def write_json(self, path) -> None:
-        write_manifest(path, self.to_json_dict())
+        write_manifest(path, self.to_json_dict(), REPORT_VERSION)
 
     def write_csv(self, path) -> None:
         _write_csv(

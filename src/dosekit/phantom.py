@@ -21,6 +21,7 @@ from .volume import (
     PTV,
     KernelSpec,
     ManifestError,
+    Record,
     StructureMask,
     StructureSet,
     VoxelGrid,
@@ -39,7 +40,7 @@ class PhantomGenerationError(DosekitError):
 
 
 @dataclass(frozen=True)
-class ShapePalette:
+class ShapePalette(Record):
     """Millimeter ranges for the ellipsoid sampler."""
 
     body_radius_mm: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
@@ -50,41 +51,15 @@ class ShapePalette:
     oar_radius_mm: tuple[float, float]
     max_attempts: int = 200
 
-    def to_json_dict(self) -> dict:
-        return {
-            "body_radius_mm": [list(r) for r in self.body_radius_mm],
-            "body_center_jitter_mm": self.body_center_jitter_mm,
-            "ptv_radius_mm": list(self.ptv_radius_mm),
-            "ptv_center_jitter_mm": self.ptv_center_jitter_mm,
-            "ptv_level_growth": self.ptv_level_growth,
-            "oar_radius_mm": list(self.oar_radius_mm),
-            "max_attempts": self.max_attempts,
-        }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ShapePalette":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown shape_palette keys: {sorted(unknown)}")
-        return cls(
-            body_radius_mm=tuple(tuple(r) for r in d["body_radius_mm"]),
-            body_center_jitter_mm=float(d["body_center_jitter_mm"]),
-            ptv_radius_mm=tuple(d["ptv_radius_mm"]),
-            ptv_center_jitter_mm=float(d["ptv_center_jitter_mm"]),
-            ptv_level_growth=float(d["ptv_level_growth"]),
-            oar_radius_mm=tuple(d["oar_radius_mm"]),
-            max_attempts=int(d.get("max_attempts", 200)),
-        )
-
-
-SITE_SCHEMA = {"site_id": str, "kernel": list, "ptv_levels": list, "oar_count_range": list,
+SITE_SCHEMA = {"site_id": str, "kernel": dict, "ptv_levels": list, "oar_count_range": list,
                "shape_palette": dict}
+SITE_VERSION = 1
 PATIENT_SCHEMA = {"id": str, "site_id": str, "seed": int}
 
 
 @dataclass(frozen=True)
-class SiteSpec:
+class SiteSpec(Record):
     """Everything needed to synthesize patients for one treatment 'site'."""
 
     site_id: str
@@ -111,42 +86,12 @@ class SiteSpec:
         object.__setattr__(self, "oar_count_range", (int(lo), int(hi)))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "kernel": list(self.kernel.dims),
-            "ptv_levels": list(self.ptv_levels),
-            "oar_count_range": list(self.oar_count_range),
-            "shape_palette": self.shape_palette.to_json_dict(),
-            "normalization_constant": self.normalization_constant,
-            "spacing_mm": list(self.spacing_mm),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SiteSpec":
-        known = {
-            "site_id", "kernel", "ptv_levels", "oar_count_range",
-            "shape_palette", "normalization_constant", "spacing_mm",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown site spec keys: {sorted(unknown)}")
-        return cls(
-            site_id=d["site_id"],
-            kernel=KernelSpec(tuple(d["kernel"])),
-            ptv_levels=tuple(d["ptv_levels"]),
-            oar_count_range=tuple(d["oar_count_range"]),
-            shape_palette=ShapePalette.from_json_dict(d["shape_palette"]),
-            normalization_constant=float(d.get("normalization_constant", DEFAULT_NORMALIZATION)),
-            spacing_mm=tuple(d.get("spacing_mm", (5.0, 5.0, 5.0))),
-        )
-
     def save(self, path) -> None:
-        write_manifest(path, self.to_json_dict())
+        write_manifest(path, self.to_json_dict(), SITE_VERSION)
 
     @classmethod
     def load(cls, path) -> "SiteSpec":
-        d = read_manifest(path, SITE_SCHEMA)
+        d = read_manifest(path, SITE_SCHEMA, SITE_VERSION)
         try:
             return cls.from_json_dict(d)
         except (KeyError, TypeError, ValueError) as exc:
@@ -229,6 +174,15 @@ def _uniform(rng, lo, hi) -> float:
     return float(rng.uniform(lo, hi))
 
 
+def _place(attempts: int, what: str, draw):
+    """The first non-None result of up to `attempts` calls of `draw`."""
+    for _ in range(attempts):
+        placed = draw()
+        if placed is not None:
+            return placed
+    raise PhantomGenerationError(f"could not place {what} after {attempts} attempts")
+
+
 def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     """Synthesize one case; bit-identical for identical (spec, seed)."""
     rng = rng_for("phantom", spec.site_id, patient_seed)
@@ -237,109 +191,69 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     pal = spec.shape_palette
     grid_center = tuple(dims[a] * spacing[a] / 2.0 for a in range(3))
 
-    body_arr = None
-    for _ in range(pal.max_attempts):
-        center = tuple(
-            grid_center[a] + _uniform(rng, -pal.body_center_jitter_mm, pal.body_center_jitter_mm)
-            for a in range(3)
-        )
+    def jittered(anchor, jitter):
+        return tuple(anchor[a] + _uniform(rng, -jitter, jitter) for a in range(3))
+
+    def draw_body():
+        center = jittered(grid_center, pal.body_center_jitter_mm)
         radii = tuple(_uniform(rng, *pal.body_radius_mm[a]) for a in range(3))
         candidate = _ellipsoid(dims, spacing, center, radii)
-        if candidate.sum() >= MIN_BODY_COVERAGE * np.prod(dims):
-            body_arr = candidate
-            body_center = center
-            break
-    if body_arr is None:
-        raise PhantomGenerationError(
-            f"could not place a body covering {MIN_BODY_COVERAGE:.0%} of the kernel"
-        )
-    body = StructureMask(
-        name="body", kind=BODY, mask=VoxelGrid(dims, spacing, body_arr.astype(np.float32))
-    )
+        return (center, candidate) if candidate.sum() >= MIN_BODY_COVERAGE * np.prod(dims) else None
 
-    # Highest prescription first (the boost); lower levels grow around it.
-    levels = sorted(spec.ptv_levels, reverse=True)
+    def grid(arr):
+        return VoxelGrid(dims, spacing, arr.astype(np.float32))
+
+    body_center, body_arr = _place(
+        pal.max_attempts, f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
+    )
+    body = StructureMask("body", BODY, grid(body_arr))
+
+    # Highest prescription first (the boost); lower levels grow around its center.
     ptvs: list[StructureMask] = []
-    boost_center = None
-    for rank, level in enumerate(levels):
-        placed = False
-        for _ in range(pal.max_attempts):
-            if boost_center is None:
-                center = tuple(
-                    body_center[a]
-                    + _uniform(rng, -pal.ptv_center_jitter_mm, pal.ptv_center_jitter_mm)
-                    for a in range(3)
-                )
-            else:
-                center = tuple(
-                    boost_center[a] + _uniform(rng, -4.0, 4.0) for a in range(3)
-                )
+    anchor, jitter = body_center, pal.ptv_center_jitter_mm
+    for rank, level in enumerate(sorted(spec.ptv_levels, reverse=True)):
+
+        def draw_ptv():
+            center = jittered(anchor, jitter)
             scale = pal.ptv_level_growth**rank
             radii = tuple(_uniform(rng, *pal.ptv_radius_mm) * scale for _ in range(3))
             candidate = _ellipsoid(dims, spacing, center, radii)
-            if candidate.any() and not np.any(candidate & ~body_arr):
-                ptvs.append(
-                    StructureMask(
-                        name=ptv_name(level, spec.normalization_constant),
-                        kind=PTV,
-                        mask=VoxelGrid(dims, spacing, candidate.astype(np.float32)),
-                        prescription=float(level),
-                    )
-                )
-                if boost_center is None:
-                    boost_center = center
-                placed = True
-                break
-        if not placed:
-            raise PhantomGenerationError(
-                f"could not place PTV level {level} inside the body "
-                f"after {pal.max_attempts} attempts"
-            )
+            inside = candidate.any() and not np.any(candidate & ~body_arr)
+            return (center, candidate) if inside else None
+
+        center, candidate = _place(pal.max_attempts, f"PTV level {level} inside the body", draw_ptv)
+        ptvs.append(StructureMask(ptv_name(level, spec.normalization_constant), PTV,
+                                  grid(candidate), prescription=float(level)))
+        if rank == 0:
+            boost_center = anchor = center
+            jitter = 4.0
 
     lo, hi = spec.oar_count_range
     n_oars = int(rng.integers(lo, hi + 1))
     body_idx = np.nonzero(body_arr)
     bbox_lo = [float(body_idx[a].min()) for a in range(3)]
     bbox_hi = [float(body_idx[a].max()) for a in range(3)]
-    ptv_centers = [boost_center] if boost_center else []
     occupied = np.zeros(dims, dtype=bool)
+
+    def draw_oar():
+        center = tuple(
+            _uniform(rng, (bbox_lo[a] + 0.5) * spacing[a], (bbox_hi[a] + 0.5) * spacing[a])
+            for a in range(3)
+        )
+        radii = tuple(_uniform(rng, *pal.oar_radius_mm) for _ in range(3))
+        candidate = _ellipsoid(dims, spacing, center, radii)
+        if (not candidate.any() or np.any(candidate & ~body_arr) or np.any(candidate & occupied)
+                # an organ centered on the boost PTV's center is disallowed
+                or all(abs(center[a] - boost_center[a]) < spacing[a] for a in range(3))):
+            return None
+        return candidate
+
     oars: list[StructureMask] = []
     for i in range(n_oars):
-        placed = False
-        for _ in range(pal.max_attempts):
-            center = tuple(
-                _uniform(rng, (bbox_lo[a] + 0.5) * spacing[a], (bbox_hi[a] + 0.5) * spacing[a])
-                for a in range(3)
-            )
-            radii = tuple(_uniform(rng, *pal.oar_radius_mm) for _ in range(3))
-            candidate = _ellipsoid(dims, spacing, center, radii)
-            if not candidate.any():
-                continue
-            if np.any(candidate & ~body_arr):
-                continue
-            if np.any(candidate & occupied):
-                continue
-            if any(
-                all(abs(center[a] - pc[a]) < spacing[a] for a in range(3))
-                for pc in ptv_centers
-            ):
-                continue  # organ centered on a PTV center is disallowed
-            impact = "high" if rng.random() < 0.5 else "low"
-            oars.append(
-                StructureMask(
-                    name=f"oar{i + 1:02d}",
-                    kind=OAR,
-                    mask=VoxelGrid(dims, spacing, candidate.astype(np.float32)),
-                    impact=impact,
-                )
-            )
-            occupied |= candidate
-            placed = True
-            break
-        if not placed:
-            raise PhantomGenerationError(
-                f"could not place organ {i + 1}/{n_oars} after {pal.max_attempts} attempts"
-            )
+        candidate = _place(pal.max_attempts, f"organ {i + 1}/{n_oars}", draw_oar)
+        impact = "high" if rng.random() < 0.5 else "low"
+        oars.append(StructureMask(f"oar{i + 1:02d}", OAR, grid(candidate), impact=impact))
+        occupied |= candidate
 
     structures = StructureSet(tuple([body, *ptvs, *oars]))
     return PatientCase(

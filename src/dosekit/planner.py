@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import (ManifestError, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
-                     read_manifest, read_volume, write_manifest, write_volume)
+from .volume import (ManifestError, Record, StructureMask, StructureSet, VoxelGrid,
+                     _atomic_write_bytes, read_manifest, read_volume, write_manifest, write_volume)
 
 DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
 
@@ -47,7 +47,7 @@ class SolverDivergenceError(PlannerError):
 
 
 @dataclass(frozen=True)
-class BeamConfig:
+class BeamConfig(Record):
     """Equispaced coplanar beams with Gaussian beamlet falloff."""
 
     n_beams: int = 7
@@ -66,28 +66,6 @@ class BeamConfig:
                                 self.field_margin_mm, self.ray_step_mm)):
             raise ValidationError("beam parameters must be strictly positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_beams": self.n_beams,
-            "beamlet_grid": list(self.beamlet_grid),
-            "attenuation_mu": self.attenuation_mu,
-            "lateral_sigma": self.lateral_sigma,
-            "lateral_cutoff": self.lateral_cutoff,
-            "field_margin_mm": self.field_margin_mm,
-            "ray_step_mm": self.ray_step_mm,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BeamConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown beam config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "beamlet_grid" in kwargs:
-            kwargs["beamlet_grid"] = tuple(kwargs["beamlet_grid"])
-        return cls(**kwargs)
-
 
 def beamlet_kernel(depth_mm, lateral_sq_mm2, cfg: BeamConfig) -> np.ndarray:
     """exp(-mu*depth) * exp(-r^2 / (2 sigma^2)) elementwise, zero where r^2 > cutoff^2."""
@@ -95,11 +73,6 @@ def beamlet_kernel(depth_mm, lateral_sq_mm2, cfg: BeamConfig) -> np.ndarray:
         -lateral_sq_mm2 / (2.0 * cfg.lateral_sigma**2)
     )
     return np.where(lateral_sq_mm2 <= cfg.lateral_cutoff**2, value, 0.0)
-
-
-def beamlet_weight(depth_mm: float, lateral_mm: float, cfg: BeamConfig) -> float:
-    """Scalar `beamlet_kernel` at lateral distance `lateral_mm`."""
-    return float(beamlet_kernel(depth_mm, lateral_mm**2, cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +290,7 @@ def estimate_operator_norm(G) -> float:
 
 
 @dataclass(frozen=True)
-class PlanDiagnostics:
+class PlanDiagnostics(Record):
     iterations: int
     converged: bool
     final_objective: float
@@ -325,9 +298,6 @@ class PlanDiagnostics:
     operator_norm: float
     # ||x - max(x - grad f(x), 0)||, zero exactly at the optimum
     kkt_residual: float
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +446,6 @@ def generate_plans(
     cfg: BeamConfig,
     plan_count: int,
     seed: int,
-    weight_bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS,
     max_iters: int = 2000,
 ) -> list[Plan]:
     """Pseudo-random Pareto samples: one weight draw and one solve per plan."""
@@ -485,7 +454,7 @@ def generate_plans(
     infl = build_influence_matrix(case, cfg)
     plans = []
     for i in range(plan_count):
-        weights = sample_weights(case.structures, weight_bounds, derive_seed(seed, "weights", i))
+        weights = sample_weights(case.structures, seed=derive_seed(seed, "weights", i))
         try:
             plans.append(solve_fluence(infl, case.structures, weights, max_iters,
                                        patient_id=case.id, index=i))
@@ -499,8 +468,8 @@ DOSE_FILE = "dose.dvol"
 FLUENCE_FILE = "fluence.f32"
 # 2: the diagnostics changed shape, and `converged` became the KKT-residual bound
 PLAN_SCHEMA_VERSION = 2
-PLAN_SCHEMA = {"schema_version": int, "patient_id": str, "index": int, "weights": dict,
-               "weight_bounds": list, "diagnostics": dict, "n_beamlets": int}
+PLAN_SCHEMA = {"patient_id": str, "index": int, "weights": dict, "weight_bounds": list,
+               "diagnostics": dict, "n_beamlets": int}
 
 
 def save_plan(directory, plan: Plan) -> None:
@@ -508,22 +477,18 @@ def save_plan(directory, plan: Plan) -> None:
     write_volume(plan.dose, directory / DOSE_FILE)
     _atomic_write_bytes(directory / FLUENCE_FILE, np.asarray(plan.fluence, dtype="<f4").tobytes())
     write_manifest(directory / PLAN_JSON, {
-        "schema_version": PLAN_SCHEMA_VERSION,
         "patient_id": plan.patient_id,
         "index": plan.index,
         "weights": plan.weights.weights,
         "weight_bounds": list(plan.weights.bounds),
         "diagnostics": plan.diagnostics.to_json_dict(),
         "n_beamlets": int(plan.fluence.size),
-    })
+    }, PLAN_SCHEMA_VERSION)
 
 
 def load_plan(directory) -> Plan:
     directory = Path(directory)
-    meta = read_manifest(directory / PLAN_JSON, PLAN_SCHEMA)
-    if meta["schema_version"] != PLAN_SCHEMA_VERSION:
-        raise ManifestError(f"{directory / PLAN_JSON}: schema_version {meta['schema_version']}, "
-                            f"expected {PLAN_SCHEMA_VERSION}")
+    meta = read_manifest(directory / PLAN_JSON, PLAN_SCHEMA, PLAN_SCHEMA_VERSION)
     raw = (directory / FLUENCE_FILE).read_bytes()
     if len(raw) != 4 * meta["n_beamlets"]:
         raise FluenceFileError(f"{directory / FLUENCE_FILE}: {len(raw)} bytes, "

@@ -1,4 +1,5 @@
-"""Voxel grids, structure sets, kernel cropping, and the .dvol binary format.
+"""Voxel grids, structure sets, kernel cropping, the .dvol binary format, and the
+JSON form of records and versioned manifests.
 
 Conventions used everywhere in this package:
 
@@ -14,7 +15,8 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,49 @@ class PayloadSizeError(VolumeFormatError):
 
 class ManifestError(DosekitError):
     """Malformed or incomplete JSON manifest."""
+
+
+class Record:
+    """Mixin giving a frozen dataclass a JSON form: one key per field.
+
+    ``to_json_dict`` writes a nested Record as its own dict and a tuple as a
+    list. ``from_json_dict`` inverts it, led by the field type hints: a field
+    typed as a Record, or as ``tuple[R, ...]`` of them, is rebuilt from JSON
+    objects, and any other list becomes a tuple. A missing key takes the
+    field's default through the constructor; an unknown key is a
+    ValidationError.
+    """
+
+    def to_json_dict(self) -> dict:
+        return _encode(self)
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValidationError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{k: _decode(hints[k], v) for k, v in d.items()})
+
+
+def _encode(value):
+    if isinstance(value, Record):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(hint, value):
+    if isinstance(hint, type) and issubclass(hint, Record):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{hint.__name__} must be a JSON object, got {value!r}")
+        return hint.from_json_dict(value)
+    if isinstance(value, list):
+        args = typing.get_args(hint)
+        item = args[0] if args[-1:] == (Ellipsis,) else None
+        return tuple(_decode(item, v) for v in value)
+    return value
 
 
 class KernelTooSmallError(ValidationError):
@@ -245,7 +290,7 @@ class StructureSet:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Record):
     """Fixed crop size fed to the model."""
 
     dims: tuple[int, int, int]
@@ -395,6 +440,7 @@ def read_volume(path) -> VoxelGrid:
 
 
 MANIFEST_NAME = "structures.json"
+MANIFEST_VERSION = 1
 MASK_DIR = "masks"
 
 
@@ -422,24 +468,28 @@ def save_structure_set(directory, structures: StructureSet, extra: dict | None =
             "structures": entries,
         }
     )
-    write_manifest(directory / MANIFEST_NAME, manifest)
+    write_manifest(directory / MANIFEST_NAME, manifest, MANIFEST_VERSION)
 
 
-def write_manifest(path, manifest: dict) -> None:
-    """Write `manifest` as JSON (sorted keys, indent 2, trailing newline) atomically;
-    `read_manifest` reads it back."""
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+def write_manifest(path, manifest: dict, version: int) -> None:
+    """Write `manifest` stamped with ``"schema_version": version`` as JSON (sorted
+    keys, indent 2, trailing newline) atomically; `read_manifest` reads it back."""
+    text = json.dumps({**manifest, "schema_version": version}, indent=2, sort_keys=True) + "\n"
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def read_manifest(path, schema: dict[str, type]) -> dict:
-    """Parse a JSON object in which each key of `schema` holds a value of that key's type."""
+def read_manifest(path, schema: dict[str, type], version: int) -> dict:
+    """Parse a JSON object stamped with `version` in which each key of `schema` holds
+    a value of that key's type; returns it without the stamp."""
     try:
         manifest = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: expected a JSON object")
+    found = manifest.pop("schema_version", None)
+    if type(found) is not int or found != version:  # JSON true and 1.0 equal 1 in Python
+        raise ManifestError(f"{path}: schema_version {found}, expected {version}")
     bad = [k for k, kind in schema.items() if not isinstance(manifest.get(k), kind)]
     if bad:
         raise ManifestError(f"{path}: missing or mistyped keys {bad}")
@@ -456,7 +506,8 @@ def load_structure_set(directory, extra_schema: dict[str, type] | None = None
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValidationError(f"{directory}: no {MANIFEST_NAME}")
-    manifest = read_manifest(manifest_path, {"structures": list, **(extra_schema or {})})
+    manifest = read_manifest(manifest_path, {"structures": list, **(extra_schema or {})},
+                             MANIFEST_VERSION)
     masks = []
     for entry in manifest["structures"]:
         try:

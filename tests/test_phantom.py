@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from dosekit.errors import ValidationError
 from dosekit.phantom import (
+    SITE_VERSION,
     PhantomGenerationError,
     ShapePalette,
     SiteSpec,
@@ -15,6 +17,8 @@ from dosekit.phantom import (
     save_patient,
 )
 from dosekit.volume import MANIFEST_NAME, KernelSpec, ManifestError
+
+from test_volume import stamped, without_version
 
 
 class TestBuiltinSites:
@@ -45,13 +49,22 @@ class TestBuiltinSites:
         '{"kernel": [32, 32, 16]}',
         '{"site_id": "x", "kernel": 32, "ptv_levels": [1.0], "oar_count_range": [1, 2], '
         '"shape_palette": {}}',
-        '{"site_id": "x", "kernel": [32, 32, 16], "ptv_levels": [1.0], '
+        '{"site_id": "x", "kernel": {"dims": [32, 32, 16]}, "ptv_levels": [1.0], '
         '"oar_count_range": [1, 2], "shape_palette": {}}',
     ], ids=["truncated", "not-an-object", "missing-keys", "mistyped-kernel", "empty-palette"])
     def test_corrupt_preset_is_typed(self, tmp_path, text):
         path = tmp_path / "site.json"
-        path.write_text(text)
+        # stamped, so a JSON object fails on the fault its id names, not on the version
+        path.write_text(stamped(text, SITE_VERSION))
         with pytest.raises(ManifestError):
+            SiteSpec.load(path)
+
+    @pytest.mark.parametrize("version", [None, SITE_VERSION + 1], ids=["missing", "wrong"])
+    def test_preset_version_is_checked(self, tmp_path, version):
+        path = tmp_path / "site.json"
+        builtin_site("siteA").save(path)
+        without_version(path, version)
+        with pytest.raises(ManifestError, match="schema_version"):
             SiteSpec.load(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -77,6 +90,16 @@ class TestBuiltinSites:
 
 
 class TestGeneratePatient:
+    def test_golden_digest(self):
+        # pins generate_patient's RNG draw order and arithmetic, not just its determinism
+        h = hashlib.sha256()
+        for site in ("siteA", "siteB"):
+            for seed in (1, 2):
+                for s in generate_patient(builtin_site(site), seed).structures.structures:
+                    h.update(repr((s.name, s.kind, s.prescription, s.impact)).encode())
+                    h.update(s.mask.data.tobytes())
+        assert h.hexdigest() == "373a7ac207a4956b042ad12dc8f1b064afbac9c060aa99f3ba642969ff85f76b"
+
     def test_deterministic(self):
         spec = builtin_site("siteA")
         a = generate_patient(spec, 7)

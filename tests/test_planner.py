@@ -16,6 +16,7 @@ from dosekit.seeds import derive_seed
 from dosekit.planner import (
     FLUENCE_FILE,
     PLAN_JSON,
+    PLAN_SCHEMA_VERSION,
     KKT_RTOL,
     BeamConfig,
     FluenceFileError,
@@ -26,7 +27,7 @@ from dosekit.planner import (
     _gram,
     _residual_sq,
     _objective_blocks,
-    beamlet_weight,
+    beamlet_kernel,
     build_influence_matrix,
     estimate_operator_norm,
     generate_plans,
@@ -39,7 +40,7 @@ from dosekit.planner import (
 )
 from dosekit.volume import KernelSpec, ManifestError, StructureMask, StructureSet, VoxelGrid
 
-from test_volume import make_mask
+from test_volume import make_mask, without_version
 
 
 def pg_oracle(A, c, p, max_iters=300_000, tol=1e-14):
@@ -65,28 +66,22 @@ def pg_oracle(A, c, p, max_iters=300_000, tol=1e-14):
 def row_space_cp_reference(M, b, operator_norm, max_iters):
     """The row-space Chambolle-Pock loop that `solve_stacked` replaced: it carries
     the dual y (one entry per row of M) and makes one product each with M and M^T
-    per iteration, and stops once the relative step falls below 1e-6.
-    Returns (x, iterations, converged, final objective)."""
+    per iteration, for exactly `max_iters` iterations, as `solve_stacked` does.
+    Returns (x, iterations run, final objective)."""
     s = 0.95 / max(operator_norm, 1e-12)
     Mt = M.T.tocsr()
     x = np.zeros(M.shape[1])
     xbar = x.copy()
     y = np.zeros(M.shape[0])
     iterations = 0
-    converged = False
-    for it in range(1, max_iters + 1):
-        iterations = it
+    for _ in range(max_iters):
+        iterations += 1
         y = (y + s * (M @ xbar - b)) / (1.0 + s / 2.0)
         y[np.abs(y) < np.finfo(np.float64).tiny] = 0.0
         x_old = x
         x = np.maximum(x - s * (Mt @ y), 0.0)
         xbar = 2.0 * x - x_old
-        step = float(np.linalg.norm(x - x_old))
-        scale = max(float(np.linalg.norm(x)), 1e-30)
-        if step / scale < 1e-6:
-            converged = True
-            break
-    return x, iterations, converged, _residual_sq(M, b, x)
+    return x, iterations, _residual_sq(M, b, x)
 
 
 def sparse_power_norm_reference(M, iters=50):
@@ -121,18 +116,18 @@ def single_voxel_case(ptv_prescription=2.0, with_oar=False):
 
 class TestBeamletWeight:
     def test_surface_axis_voxel(self):
-        assert beamlet_weight(0.0, 0.0, BeamConfig()) == 1.0
+        assert beamlet_kernel(0.0, 0.0, BeamConfig()) == 1.0
 
     def test_depth_attenuation(self):
-        assert beamlet_weight(200.0, 0.0, BeamConfig()) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert beamlet_kernel(200.0, 0.0, BeamConfig()) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_beyond_cutoff(self):
         cfg = BeamConfig()
-        assert beamlet_weight(0.0, cfg.lateral_cutoff + 1.0, cfg) == 0.0
+        assert beamlet_kernel(0.0, (cfg.lateral_cutoff + 1.0)**2, cfg) == 0.0
 
     def test_at_cutoff_included(self):
         cfg = BeamConfig()
-        assert beamlet_weight(0.0, cfg.lateral_cutoff, cfg) > 0.0
+        assert beamlet_kernel(0.0, cfg.lateral_cutoff**2, cfg) > 0.0
 
 
 class TestInfluenceMatrix:
@@ -367,7 +362,7 @@ class TestInfluenceEntries:
             rel = (np.asarray(voxel) + 0.5) * spacing - iso
             lateral = math.hypot(rel @ u - u_offset, rel[2] - z_offsets[iv])
             depth = python_ray_depth(case, voxel, d, cfg.ray_step_mm)
-            assert value == pytest.approx(beamlet_weight(depth, lateral, cfg), rel=1e-12)
+            assert value == pytest.approx(beamlet_kernel(depth, lateral**2, cfg), rel=1e-12)
 
 
 def test_influence_build_memory_at_64x64x32():
@@ -512,8 +507,12 @@ class TestGramFormMatchesRowSpace:
             G, c = _gram(M, b)
             norm = estimate_operator_norm(G)
             x, diag = solve_stacked(M, b, G, c, norm, 2000)
-            x_ref, iterations, converged, obj_ref = row_space_cp_reference(M, b, norm, 2000)
-            assert (diag.iterations, diag.converged) == (iterations, converged)
+            x_ref, iterations, obj_ref = row_space_cp_reference(M, b, norm, 2000)
+            assert diag.iterations == iterations == 2000
+            # the KKT bound of `solve_stacked`, formed here from M, b and x_ref alone
+            grad = 2.0 * (M.T @ (M @ x_ref - b))
+            kkt_ref = np.linalg.norm(x_ref - np.maximum(x_ref - grad, 0.0))
+            assert diag.converged == (kkt_ref <= KKT_RTOL * np.linalg.norm(2.0 * (M.T @ b)))
             assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
             assert diag.final_objective == pytest.approx(obj_ref, rel=1e-10, abs=0.0)
 
@@ -705,7 +704,12 @@ def broken_json(directory):
 
 
 def empty_object(directory):
-    (directory / PLAN_JSON).write_text("{}")
+    # stamped, so the fault is the missing keys, not the version
+    (directory / PLAN_JSON).write_text(f'{{"schema_version": {PLAN_SCHEMA_VERSION}}}')
+
+
+def no_schema_version(directory):
+    without_version(directory / PLAN_JSON)
 
 
 def schema_version_1(directory):
@@ -732,6 +736,7 @@ class TestCorruptPlanFiles:
         (empty_object, ManifestError),
         (bad_diagnostics, ManifestError),
         (schema_version_1, ManifestError),
+        (no_schema_version, ManifestError),
     ], ids=lambda v: getattr(v, "__name__", ""))
     def test_maps_to_typed_error(self, plan, tmp_path, corrupt, error):
         save_plan(tmp_path, plan)

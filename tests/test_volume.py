@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,8 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosekit.errors import ValidationError
+from dosekit.evaluation import MetricsReport, MetricValue
+from dosekit.phantom import SiteSpec, builtin_site
+from dosekit.planner import BeamConfig, PlanDiagnostics
 from dosekit.volume import (
     MANIFEST_NAME,
+    MANIFEST_VERSION,
     BadMagicError,
     CropOffset,
     KernelSpec,
@@ -40,6 +45,24 @@ def make_mask(shape, coords, kind="BODY", name=None, **kw):
         arr[c] = 1.0
     name = name or kind.lower()
     return StructureMask(name=name, kind=kind, mask=VoxelGrid.from_array(arr), **kw)
+
+
+def stamped(text, version):
+    """`text` with ``"schema_version": version`` added when it is a JSON object."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    return json.dumps({**value, "schema_version": version}) if isinstance(value, dict) else text
+
+
+def without_version(path, version=None):
+    """Rewrite the manifest at `path` with its schema_version dropped, or set to `version`."""
+    manifest = json.loads(path.read_text())
+    manifest.pop("schema_version")
+    if version is not None:
+        manifest["schema_version"] = version
+    path.write_text(json.dumps(manifest))
 
 
 class TestLinearIndex:
@@ -293,10 +316,11 @@ class TestCrop:
 class TestManifest:
     def test_write_manifest_format(self, tmp_path):
         manifest = {"b": [1, 2], "a": {"y": 1.5, "x": None}}
-        write_manifest(tmp_path / "m.json", manifest)
+        write_manifest(tmp_path / "m.json", manifest, 3)
         text = (tmp_path / "m.json").read_text()
-        assert text == '{\n  "a": {\n    "x": null,\n    "y": 1.5\n  },\n  "b": [\n    1,\n    2\n  ]\n}\n'
-        assert read_manifest(tmp_path / "m.json", {"a": dict, "b": list}) == manifest
+        assert text == ('{\n  "a": {\n    "x": null,\n    "y": 1.5\n  },\n  "b": [\n    1,\n    2\n  ],\n'
+                        '  "schema_version": 3\n}\n')
+        assert read_manifest(tmp_path / "m.json", {"a": dict, "b": list}, 3) == manifest
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_round_trip(self, tmp_path):
@@ -313,12 +337,90 @@ class TestManifest:
             assert a.mask.identical(b.mask)
             assert (a.kind, a.prescription, a.impact) == (b.kind, b.prescription, b.impact)
 
+    @staticmethod
+    def _saved(directory):
+        body = make_mask((3, 3, 3), [(1, 1, 1)])
+        ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv", prescription=1.0)
+        save_structure_set(directory, StructureSet((body, ptv)))
+        return directory / MANIFEST_NAME
+
     @pytest.mark.parametrize("text", ['{"dims": [3, 3', "{}", '{"structures": 3}',
                                       '{"structures": [{"name": "body"}]}'])
     def test_corrupt_manifest_is_typed(self, tmp_path, text):
-        body = make_mask((3, 3, 3), [(1, 1, 1)])
-        ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv", prescription=1.0)
-        save_structure_set(tmp_path, StructureSet((body, ptv)))
-        (tmp_path / MANIFEST_NAME).write_text(text)
+        # stamped, so a JSON object fails on the fault its text shows, not on the version
+        self._saved(tmp_path).write_text(stamped(text, MANIFEST_VERSION))
         with pytest.raises(ManifestError):
             load_structure_set(tmp_path)
+
+    @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True, 1.0],
+                             ids=["missing", "wrong", "bool", "float"])
+    def test_manifest_version_is_checked(self, tmp_path, version):
+        without_version(self._saved(tmp_path), version)
+        with pytest.raises(ManifestError, match="schema_version"):
+            load_structure_set(tmp_path)
+
+
+class TestKernelSpec:
+    def test_rejects_bad_dims(self):
+        for dims in [(32, 32), (32, 0, 16), (32, -2, 16)]:
+            with pytest.raises(ValidationError):
+                KernelSpec(dims)
+
+    def test_check_pooling(self):
+        kernel = KernelSpec((32, 32, 16))
+        for pools in range(5):  # 16 = 2^4 survives four halvings
+            kernel.check_pooling(pools)
+        with pytest.raises(ValidationError, match="axis z=16 not divisible by 2\\^5"):
+            kernel.check_pooling(5)
+        with pytest.raises(ValidationError, match="axis x=12"):
+            KernelSpec((12, 16, 16)).check_pooling(3)
+
+
+_ROW = MetricValue("ptv70", "PTV", None, "D95", 0.93, 0.95, 2.0)
+RECORDS = [
+    KernelSpec((32, 32, 16)),
+    BeamConfig(n_beams=5, beamlet_grid=(4, 3)),
+    builtin_site("siteB").shape_palette,
+    builtin_site("siteB"),
+    PlanDiagnostics(iterations=2000, converged=False, final_objective=0.25,
+                    objective_at_zero=2.5, operator_norm=1.75, kkt_residual=3e-4),
+    _ROW,
+    MetricsReport(prescription=1.0, rows=(_ROW, MetricValue("oar01", "OAR", "high", "Dmax",
+                                                            0.4, 0.5, 10.0))),
+]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_json_round_trip(self, record):
+        d = json.loads(json.dumps(record.to_json_dict()))
+        assert d == record.to_json_dict()
+        assert type(record).from_json_dict(d) == record
+
+    def test_unknown_nested_key_is_named(self):
+        d = builtin_site("siteA").to_json_dict()
+        d["shape_palette"]["sneaky"] = 1
+        with pytest.raises(ValidationError, match="sneaky"):
+            SiteSpec.from_json_dict(d)
+
+    def test_missing_key_takes_default(self):
+        site = builtin_site("siteA")
+        d = site.to_json_dict()
+        del d["spacing_mm"], d["normalization_constant"], d["shape_palette"]["max_attempts"]
+        assert SiteSpec.from_json_dict(d) == site
+        assert (site.spacing_mm, site.normalization_constant) == ((5.0, 5.0, 5.0), 70.0)
+        assert site.shape_palette.max_attempts == 200
+        assert BeamConfig.from_json_dict({}) == BeamConfig()
+
+    @pytest.mark.parametrize("kernel", [[32, 32, 16], 32, None])
+    def test_non_object_record_field_is_typed(self, kernel):
+        d = builtin_site("siteA").to_json_dict()
+        d["kernel"] = kernel
+        with pytest.raises(ValidationError, match="KernelSpec must be a JSON object"):
+            SiteSpec.from_json_dict(d)
+
+    def test_non_object_row_is_typed(self):
+        d = RECORDS[-1].to_json_dict()
+        d["rows"][0] = "ptv70"
+        with pytest.raises(ValidationError, match="MetricValue must be a JSON object"):
+            MetricsReport.from_json_dict(d)
