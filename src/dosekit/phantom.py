@@ -94,8 +94,8 @@ class SiteSpec(Record):
         d = read_manifest(path, SITE_SCHEMA, SITE_VERSION)
         try:
             return cls.from_json_dict(d)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"{path}: bad site spec ({exc!r})") from exc
+        except ValidationError as exc:
+            raise ManifestError(f"{path}: bad site spec ({exc})") from exc
 
 
 @dataclass(frozen=True, eq=False)

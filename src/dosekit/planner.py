@@ -7,8 +7,11 @@ structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
 solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
 beamlet space: it carries M^T y instead of the dual y, so each step is one
 product with the dense Gram matrix G = M^T M (8 n^2 bytes for n beamlets)
-instead of one product each with M and M^T. Sampling the structure tradeoff
-weights sweeps the Pareto surface.
+instead of one product each with M and M^T. The iterates are checked for
+finiteness once per block of 64 iterations, and a block that ends non-finite is
+replayed with a check after every iteration, so a divergence is still reported
+at its exact first iteration. Sampling the structure tradeoff weights sweeps the
+Pareto surface.
 """
 
 from __future__ import annotations
@@ -269,6 +272,8 @@ POWER_STEPS = 50
 # `solve_stacked` reports a plan converged when its KKT residual is at most this
 # share of ||2c||, the gradient norm at x = 0.
 KKT_RTOL = 1e-9
+# Iterations of `solve_stacked` between two finiteness checks of its iterates.
+_BLOCK = 64
 
 
 def estimate_operator_norm(G) -> float:
@@ -327,6 +332,31 @@ def _gram(M, b):
     return dense.T @ dense, dense.T @ b
 
 
+def _cp_step(G, c, s, x, xbar, z, g, t):
+    """One iteration of `solve_stacked` in place, with g as scratch: z and xbar are
+    updated and the new x is written into t. Returns (new x, old x), the old x's
+    buffer to be the next call's t.
+
+    The operations are those of z = (z + s * (G @ xbar - c)) / (1 + s/2),
+    x_new = max(x - s * z, 0), xbar = x_new + (x_new - x), in the same order (+ and
+    * commute bitwise), so the iterates are bit-identical to those expressions."""
+    np.matmul(G, xbar, out=g)
+    g -= c
+    g *= s
+    g += z
+    np.divide(g, 1.0 + s / 2.0, out=z)
+    np.multiply(z, s, out=t)
+    np.subtract(x, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.subtract(t, x, out=xbar)
+    xbar += t
+    return t, x
+
+
+def _finite(x, z) -> bool:
+    return bool(np.all(np.isfinite(x)) and np.all(np.isfinite(z)))
+
+
 def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2, run in beamlet space
     for exactly `max_iters` iterations.
@@ -350,21 +380,35 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     Unlike y, whose zero-residual entries decayed to subnormals that slowed every
     step, z needs no subnormal flush: no entry of z, x or xbar was subnormal in
     any benchmark plan or in the 20 000-iteration Pareto-monotonicity solves.
+
+    A diverging iterate overflows to inf and raises SolverDivergenceError with the
+    first iteration whose x or z is not finite. The iterations run in blocks of
+    _BLOCK, and x and z are checked once at the end of each block: a non-finite
+    entry of x or z stays non-finite in every later iteration (inf and nan
+    survive +, *, / and np.maximum), so a block that ends finite had no
+    non-finite iterate. A block that ends non-finite is replayed from the x, xbar
+    and z saved at its start, checking after every iteration, so the reported
+    iteration is exact. Each iteration (`_cp_step`) runs in place in preallocated
+    buffers.
     """
     s = 0.95 / max(operator_norm, 1e-12)
-    x = np.zeros(M.shape[1])
-    xbar = x.copy()
-    z = np.zeros(M.shape[1])
-    for it in range(1, max_iters + 1):
-        # a diverging iterate overflows to inf here; the check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = (z + s * (G @ xbar - c)) / (1.0 + s / 2.0)
-            x_old = x
-            x = x - s * z
-            np.maximum(x, 0.0, out=x)
-            xbar = x + (x - x_old)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise SolverDivergenceError(it)
+    n = M.shape[1]
+    x, xbar, z = np.zeros(n), np.zeros(n), np.zeros(n)
+    g, t = np.empty(n), np.empty(n)
+    # a diverging iterate overflows to inf inside the loop; `_finite` reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, max_iters + 1, _BLOCK):
+            block = range(first, min(first + _BLOCK, max_iters + 1))
+            start = x.copy(), xbar.copy(), z.copy()
+            for _ in block:
+                x, t = _cp_step(G, c, s, x, xbar, z, g, t)
+            if _finite(x, z):
+                continue
+            x[:], xbar[:], z[:] = start
+            for it in block:
+                x, t = _cp_step(G, c, s, x, xbar, z, g, t)
+                if not _finite(x, z):
+                    raise SolverDivergenceError(it)
     grad = 2.0 * (G @ x - c)
     kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
     return x, PlanDiagnostics(
@@ -459,7 +503,10 @@ def generate_plans(
             plans.append(solve_fluence(infl, case.structures, weights, max_iters,
                                        patient_id=case.id, index=i))
         except PlannerError as exc:
-            raise PlannerError(f"plan {i} for {case.id}: {exc}") from exc
+            # re-raised as itself, so its class and attributes (a divergence's
+            # .iteration) reach the caller, with the plan named in its message
+            exc.args = (f"plan {i} for {case.id}: {exc}",)
+            raise
     return plans
 
 
@@ -496,8 +543,8 @@ def load_plan(directory) -> Plan:
     try:
         weights = PlanWeights({k: float(v) for k, v in meta["weights"].items()},
                               tuple(meta["weight_bounds"]))
-        diagnostics = PlanDiagnostics(**meta["diagnostics"])
-    except (TypeError, ValueError) as exc:
+        diagnostics = PlanDiagnostics.from_json_dict(meta["diagnostics"])
+    except (TypeError, ValueError, ValidationError) as exc:
         raise ManifestError(f"{directory / PLAN_JSON}: {exc}") from exc
     return Plan(
         patient_id=meta["patient_id"],

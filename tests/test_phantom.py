@@ -51,7 +51,9 @@ class TestBuiltinSites:
         '"shape_palette": {}}',
         '{"site_id": "x", "kernel": {"dims": [32, 32, 16]}, "ptv_levels": [1.0], '
         '"oar_count_range": [1, 2], "shape_palette": {}}',
-    ], ids=["truncated", "not-an-object", "missing-keys", "mistyped-kernel", "empty-palette"])
+        json.dumps({**builtin_site("siteA").to_json_dict(), "sneaky": 1}),
+    ], ids=["truncated", "not-an-object", "missing-keys", "mistyped-kernel", "empty-palette",
+            "unknown-key"])
     def test_corrupt_preset_is_typed(self, tmp_path, text):
         path = tmp_path / "site.json"
         # stamped, so a JSON object fails on the fault its id names, not on the version

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import nnls
 
+from dosekit import planner
 from dosekit.errors import ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.seeds import derive_seed
@@ -21,6 +22,7 @@ from dosekit.planner import (
     BeamConfig,
     FluenceFileError,
     InfluenceMatrix,
+    PlanDiagnostics,
     PlannerGeometryError,
     PlanWeights,
     SolverDivergenceError,
@@ -82,6 +84,41 @@ def row_space_cp_reference(M, b, operator_norm, max_iters):
         x = np.maximum(x - s * (Mt @ y), 0.0)
         xbar = 2.0 * x - x_old
     return x, iterations, _residual_sq(M, b, x)
+
+
+def plain_cp_reference(M, b, G, c, operator_norm, max_iters):
+    """`solve_stacked` as it was before it checked its iterates once per block:
+    out-of-place updates and a finiteness check after every iteration."""
+    s = 0.95 / max(operator_norm, 1e-12)
+    x = np.zeros(M.shape[1])
+    xbar = x.copy()
+    z = np.zeros(M.shape[1])
+    for it in range(1, max_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (z + s * (G @ xbar - c)) / (1.0 + s / 2.0)
+            x_old = x
+            x = x - s * z
+            np.maximum(x, 0.0, out=x)
+            xbar = x + (x - x_old)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            raise SolverDivergenceError(it)
+    grad = 2.0 * (G @ x - c)
+    kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
+    return x, PlanDiagnostics(
+        iterations=max_iters,
+        converged=kkt <= KKT_RTOL * float(np.linalg.norm(2.0 * c)),
+        final_objective=_residual_sq(M, b, x),
+        objective_at_zero=float(b @ b),
+        operator_norm=operator_norm,
+        kkt_residual=kkt,
+    )
+
+
+def reference_divergence(M, b, operator_norm, max_iters):
+    """The iteration at which `plain_cp_reference` reports divergence."""
+    with pytest.raises(SolverDivergenceError) as exc:
+        plain_cp_reference(M, b, *_gram(M, b), operator_norm, max_iters)
+    return exc.value.iteration
 
 
 def sparse_power_norm_reference(M, iters=50):
@@ -441,7 +478,7 @@ class TestSolveFluence:
         with pytest.raises(SolverDivergenceError) as exc:
             # lie about the operator norm so the steps blow up
             solve_stacked(M, b, *_gram(M, b), operator_norm=1e-3, max_iters=5000)
-        assert exc.value.iteration >= 1
+        assert exc.value.iteration == reference_divergence(M, b, 1e-3, 5000) == 188
 
     def test_converged_at_unconstrained_minimum(self):
         sset, infl = single_voxel_case(ptv_prescription=2.0)
@@ -494,6 +531,48 @@ class TestOracleEquivalence:
         x_cp, diag = solve_stacked(M, b, G, Mtb, estimate_operator_norm(G), max_iters=5000)
         _, obj_pg = pg_oracle(A, c, p)
         assert diag.final_objective == pytest.approx(obj_pg, rel=1e-6, abs=1e-12)
+
+
+class TestBlockedLoopMatchesPlainReference:
+    """`solve_stacked` checks its iterates once per block of 64 iterations; the
+    plain loop checks after every one. Both must give the same bits."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        case = generate_patient(builtin_site("siteB"), 1)
+        infl = build_influence_matrix(case, BeamConfig())
+        weights = sample_weights(case.structures, seed=derive_seed(0, "weights", 0))
+        M, b = _objective_blocks(infl, case.structures, weights)
+        G, c = _gram(M, b)
+        return M, b, G, c, estimate_operator_norm(G)
+
+    @pytest.mark.parametrize("max_iters", [1, 63, 64, 65, 2000])
+    def test_desk_plan_is_bit_identical(self, problem, max_iters):
+        x, diag = solve_stacked(*problem, max_iters)
+        x_ref, diag_ref = plain_cp_reference(*problem, max_iters)
+        assert x.tobytes() == x_ref.tobytes()
+        assert diag == diag_ref
+
+    @staticmethod
+    def signed_problem():
+        """A 3 x 2 problem with entries of both signs. Its divergence can fall on an
+        odd iteration; the nonnegative single-voxel problem's falls only on even ones."""
+        rng = np.random.default_rng(0)
+        return sp.csr_matrix(rng.standard_normal((3, 2))), rng.standard_normal(3)
+
+    @pytest.mark.parametrize("norm, max_iters, iteration", [
+        (9.3e-6, 5000, 65),
+        (2.2e-3, 5000, 129),
+        (7.8e-6, 5000, 64),
+        (2.11e-3, 5000, 128),
+        (3.5e-3, 150, 141),
+    ], ids=["first-of-block-2", "first-of-block-3", "last-of-block-1", "last-of-block-2",
+            "inside-partial-block"])
+    def test_divergence_iteration_is_exact(self, norm, max_iters, iteration):
+        M, b = self.signed_problem()
+        with pytest.raises(SolverDivergenceError) as exc:
+            solve_stacked(M, b, *_gram(M, b), norm, max_iters)
+        assert exc.value.iteration == reference_divergence(M, b, norm, max_iters) == iteration
 
 
 class TestGramFormMatchesRowSpace:
@@ -598,6 +677,15 @@ class TestGeneratePlans:
         plan = generate_plans(case, BeamConfig(), 1, seed=3, max_iters=100)[0]
         outside = ~case.structures.body.bool_array()
         assert np.all(plan.dose.data[outside] == 0.0)
+
+    def test_divergence_keeps_its_type_and_iteration(self, case, monkeypatch):
+        monkeypatch.setattr(planner, "estimate_operator_norm", lambda G: 1e-3)
+        with pytest.raises(SolverDivergenceError, match=f"plan 0 for {case.id}: ") as exc:
+            generate_plans(case, BeamConfig(), 2, seed=3)
+        weights = sample_weights(case.structures, seed=derive_seed(3, "weights", 0))
+        M, b = _objective_blocks(build_influence_matrix(case, BeamConfig()), case.structures,
+                                 weights)
+        assert exc.value.iteration == reference_divergence(M, b, 1e-3, 2000)
 
 
 def scaled_dense_rows(infl, structures, weights):

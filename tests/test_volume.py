@@ -419,6 +419,16 @@ class TestRecord:
         with pytest.raises(ValidationError, match="KernelSpec must be a JSON object"):
             SiteSpec.from_json_dict(d)
 
+    @pytest.mark.parametrize("record, d, message", [
+        (SiteSpec, {"site_id": "x"}, "bad SiteSpec .*missing 4 required"),
+        (KernelSpec, {"dims": 32}, "bad KernelSpec"),
+        (PlanDiagnostics, {"iterations": 1}, "bad PlanDiagnostics .*'kkt_residual'"),
+        (SiteSpec, [1, 2], "SiteSpec must be a JSON object"),
+    ], ids=["missing-key", "wrong-shape", "missing-key-flat", "not-an-object"])
+    def test_bad_input_is_a_validation_error(self, record, d, message):
+        with pytest.raises(ValidationError, match=message):
+            record.from_json_dict(d)
+
     def test_non_object_row_is_typed(self):
         d = RECORDS[-1].to_json_dict()
         d["rows"][0] = "ptv70"
