@@ -1,7 +1,11 @@
 """Ground-truth plan factory.
 
 A simplified ray/attenuation model builds a sparse dose-influence matrix A for
-equispaced coplanar beams. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
+equispaced coplanar beams. Depths come from a ray march over the body's (x, y)
+columns, a chunk of ray steps at a time, whose in-box samples become one sparse
+visit-count product per beam; lateral entries are formed only for the (voxel,
+lateral beamlet) pairs within the cutoff, then expanded over the axial
+beamlets. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
 over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
 structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
 solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
@@ -29,6 +33,8 @@ from .volume import (ManifestError, Record, StructureMask, StructureSet, VoxelGr
                      _atomic_write_bytes, read_manifest, read_volume, write_manifest, write_volume)
 
 DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
+# Ray steps that `build_influence_matrix` samples at once for every column.
+_MARCH_CHUNK = 16
 
 
 class PlannerError(DosekitError):
@@ -44,9 +50,9 @@ class FluenceFileError(PlannerError):
 
 
 class SolverDivergenceError(PlannerError):
-    def __init__(self, iteration: int):
+    def __init__(self, iteration: int, what: str = "iterate"):
         self.iteration = iteration
-        super().__init__(f"non-finite iterate at iteration {iteration}")
+        super().__init__(f"non-finite {what} at iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -121,19 +127,24 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     Precondition: every beam is coplanar, d = (cos phi, sin phi, 0). A sample
     then keeps its voxel's z cell, and all body voxels of one (x, y) column
     visit the same (x, y) cells at the same steps. So the march runs over the
-    body's (x, y) columns, not its voxels: at each step a column adds the body
-    mask along its sampled cell's z line into a (columns x box z-extent) count,
-    and a voxel's depth is ``ray_step_mm`` times its column's count at its own
-    z. A column leaves the march once its sample leaves the body mask's
-    bounding box: each axis of the sampled cell moves monotonically with s, so
-    a ray never re-enters the (convex) box, and no body cell lies outside it.
+    body's (x, y) columns, not its voxels. It samples every column at
+    _MARCH_CHUNK steps at once and keeps the samples whose cell lies in the
+    body mask's bounding box, as (column, cell) visits. A column's depth count
+    at height z is then the number of its visits to cells whose z is body: one
+    sparse product, per beam, of the (columns x box cells) visit matrix with
+    the body's per-cell z lines (box cells x box z-extent). The march stops at
+    the first chunk without an in-box sample: each axis of the sampled cell
+    moves monotonically with s, so a ray never re-enters the (convex) box, and
+    no body cell lies outside it.
 
     Lateral entries are formed only within ``lateral_cutoff`` and collected as
     (row, column, value) triples. Per beam, only rows whose distance to the
     rectangle spanned by the beamlet centres is within the cutoff (plus a 1 %
-    margin) are tested beamlet by beamlet; no other row can be within the
-    cutoff of any centre. Working memory is therefore O(body voxels x beamlets
-    per beam), plus the triples of the result.
+    margin) are tested. Of those, only the (row, lateral beamlet index) pairs
+    whose lateral distance alone is within the cutoff are expanded over the
+    axial beamlet offsets, because r^2 = du^2 + dz^2 >= du^2. Working memory is
+    therefore O(body voxels x lateral beamlets per beam), plus the visits and
+    the triples of the result.
     """
     structures = case.structures
     dims = structures.dims
@@ -150,11 +161,16 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     centers = (cells.astype(np.float64) + 0.5) * spacing
     box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
 
-    # the body's (x, y) columns, and the column of each body voxel
+    # the body's (x, y) columns (centres as an (axis, column) array) and the
+    # column of each body voxel; the body mask's z line at each (x, y) cell of
+    # the box, cell index x + box width * y from the box corner; and each body
+    # voxel's entry in the flattened (column, z) depth count
     col_keys, col_of = np.unique(gx + nx * gy, return_inverse=True)
-    col_centers = (np.stack([col_keys % nx, col_keys // nx], axis=1) + 0.5) * spacing[:2]
-    body_z = body_arr[:, :, box_lo[2]:box_hi[2] + 1]
-    z_in_box = gz - box_lo[2]
+    col_xy = (np.stack([col_keys % nx, col_keys // nx]) + 0.5) * spacing[:2, None]
+    box = body_arr[box_lo[0]:box_hi[0] + 1, box_lo[1]:box_hi[1] + 1, box_lo[2]:box_hi[2] + 1]
+    box_w, nz_box = box.shape[0], box.shape[2]
+    z_lines = box.transpose(1, 0, 2).reshape(-1, nz_box).astype(np.int32)
+    count_at = col_of * nz_box + (gz - box_lo[2])
 
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
@@ -172,9 +188,15 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     z_offsets = np.linspace(z_lo, z_hi, nv)
     pz = centers[:, 2] - iso[2]
     dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
-    field_dz = np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0)
+    field_dz2 = np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0) ** 2
     near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
+    cutoff2 = cfg.lateral_cutoff**2
 
+    # one chunk's (axis, step, column) sample cells, their in-box flags and scratch
+    pos = np.empty((2, _MARCH_CHUNK, col_keys.size))
+    in_box = np.empty((_MARCH_CHUNK, col_keys.size), dtype=bool)
+    edge = np.empty_like(in_box)
+    col_ids = np.tile(np.arange(col_keys.size, dtype=np.int32), (_MARCH_CHUNK, 1))
     rows, cols, vals = [], [], []
     for b in range(cfg.n_beams):
         phi = 2.0 * np.pi * b / cfg.n_beams
@@ -186,27 +208,48 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         u_offsets = np.linspace(u_lo, u_hi, nu)
 
         # material path length upstream of each voxel along -d, counted per column
-        count = np.zeros((col_keys.size, body_z.shape[2]), dtype=np.int64)
-        active = np.arange(col_keys.size)
-        for s in steps:
-            cell = np.floor((col_centers[active] - s * d[:2]) / spacing[:2]).astype(np.int64)
-            in_box = np.all((cell >= box_lo[:2]) & (cell <= box_hi[:2]), axis=1)
-            if not in_box.all():
-                active, cell = active[in_box], cell[in_box]
-                if not active.size:
-                    break
-            count[active] += body_z[cell[:, 0], cell[:, 1]]
-        depth = cfg.ray_step_mm * count[col_of, z_in_box].astype(np.float64)
+        # (the empty arrays stand for a beam whose first samples all leave the box)
+        visit_cols, visit_cells = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        for first in range(0, steps.size, _MARCH_CHUNK):
+            s = steps[first:first + _MARCH_CHUNK]
+            p, inside, t = pos[:, :s.size], in_box[:s.size], edge[:s.size]
+            np.subtract(col_xy[:, None, :], np.multiply.outer(d[:2], s)[:, :, None], out=p)
+            p /= spacing[:2, None, None]
+            np.floor(p, out=p)
+            x, y = p
+            np.greater_equal(x, box_lo[0], out=inside)
+            inside &= np.less_equal(x, box_hi[0], out=t)
+            inside &= np.greater_equal(y, box_lo[1], out=t)
+            inside &= np.less_equal(y, box_hi[1], out=t)
+            if not inside.any():
+                break
+            # integer-valued floats, so the box cell index is exact
+            x -= box_lo[0]
+            y -= box_lo[1]
+            y *= box_w
+            x += y
+            visit_cols.append(col_ids[:s.size][inside])
+            visit_cells.append(x[inside].astype(np.int32))
+        col = np.concatenate(visit_cols)
+        visits = sp.coo_matrix((np.ones(col.size, dtype=np.int32),
+                                (col, np.concatenate(visit_cells))),
+                               shape=(col_keys.size, z_lines.shape[0]))
+        count = visits @ z_lines
+        depth = cfg.ray_step_mm * count.ravel()[count_at].astype(np.float64)
 
         pu = (centers - iso) @ u
         field_du = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0)
-        near = np.flatnonzero(field_du**2 + field_dz**2 <= near_cutoff2)
-        r2 = ((pu[near, None] - u_offsets[None, :]) ** 2)[:, :, None] + dz2[near, None, :]
-        r2 = r2.reshape(near.size, nu * nv)
-        row, col = np.nonzero(r2 <= cfg.lateral_cutoff**2)
-        rows.append(near[row])
-        cols.append(col + b * nu * nv)
-        vals.append(beamlet_kernel(depth[near[row]], r2[row, col], cfg))
+        near = np.flatnonzero(field_du**2 + field_dz2 <= near_cutoff2)
+        du2 = ((pu[near, None] - u_offsets[None, :]) ** 2).ravel()
+        pair = np.flatnonzero(du2 <= cutoff2)  # the (row, u) pairs, flat in near x nu
+        pair_row, pair_u = near[pair // nu], pair % nu
+        r2 = (du2[pair][:, None] + dz2[pair_row]).ravel()
+        entry = np.flatnonzero(r2 <= cutoff2)  # flat in pairs x nv
+        entry_pair, v = np.divmod(entry, nv)
+        row = pair_row[entry_pair]
+        rows.append(row)
+        cols.append(b * nu * nv + pair_u[entry_pair] * nv + v)
+        vals.append(beamlet_kernel(depth[row], r2[entry], cfg))
 
     matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -382,7 +425,9 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     any benchmark plan or in the 20 000-iteration Pareto-monotonicity solves.
 
     A diverging iterate overflows to inf and raises SolverDivergenceError with the
-    first iteration whose x or z is not finite. The iterations run in blocks of
+    first iteration whose x or z is not finite. A finite last iterate whose
+    diagnostics (KKT residual, objectives, ||2c||) overflow raises it too, with
+    iteration `max_iters`. The iterations run in blocks of
     _BLOCK, and x and z are checked once at the end of each block: a non-finite
     entry of x or z stays non-finite in every later iteration (inf and nan
     survive +, *, / and np.maximum), so a block that ends finite had no
@@ -409,13 +454,20 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
                 x, t = _cp_step(G, c, s, x, xbar, z, g, t)
                 if not _finite(x, z):
                     raise SolverDivergenceError(it)
-    grad = 2.0 * (G @ x - c)
-    kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
+    # a finite x near overflow can still give non-finite diagnostics
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = 2.0 * (G @ x - c)
+        kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
+        final_objective = _residual_sq(M, b, x)
+        objective_at_zero = float(b @ b)
+        grad_at_zero = float(np.linalg.norm(2.0 * c))
+    if not all(np.isfinite((kkt, final_objective, objective_at_zero, grad_at_zero))):
+        raise SolverDivergenceError(max_iters, "diagnostics")
     return x, PlanDiagnostics(
         iterations=max_iters,
-        converged=kkt <= KKT_RTOL * float(np.linalg.norm(2.0 * c)),
-        final_objective=_residual_sq(M, b, x),
-        objective_at_zero=float(b @ b),
+        converged=kkt <= KKT_RTOL * grad_at_zero,
+        final_objective=final_objective,
+        objective_at_zero=objective_at_zero,
         operator_norm=operator_norm,
         kkt_residual=kkt,
     )
@@ -544,13 +596,15 @@ def load_plan(directory) -> Plan:
         weights = PlanWeights({k: float(v) for k, v in meta["weights"].items()},
                               tuple(meta["weight_bounds"]))
         diagnostics = PlanDiagnostics.from_json_dict(meta["diagnostics"])
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:  # float(10**400)
         raise ManifestError(f"{directory / PLAN_JSON}: {exc}") from exc
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN, which Plan rejects
+        fluence = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     return Plan(
         patient_id=meta["patient_id"],
         index=meta["index"],
         weights=weights,
-        fluence=np.frombuffer(raw, dtype="<f4").astype(np.float64),
+        fluence=fluence,
         dose=read_volume(directory / DOSE_FILE),
         diagnostics=diagnostics,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -67,11 +68,15 @@ class Record:
     ``to_json_dict`` writes a nested Record as its own dict and a tuple as a
     list. ``from_json_dict`` inverts it, led by the field type hints: a field
     typed as a Record, or as ``tuple[R, ...]`` of them, is rebuilt from JSON
-    objects, and any other list becomes a tuple. A missing key takes the
-    field's default through the constructor. Every fault of the input raises
-    ValidationError naming the record: a value that is not a JSON object, an
-    unknown key, and a missing key without a default or a value that the
-    constructor rejects.
+    objects, a tuple field from a list of its length (any length for
+    ``tuple[X, ...]``), and every scalar is checked against its hint: ``int``
+    takes an integer but not a bool, ``float`` an integer or a float, ``bool``
+    a bool, ``str`` a string, and ``X | None`` also null. A missing key takes
+    the field's default through the constructor. Every fault of the input
+    raises ValidationError naming the record: a value that is not a JSON
+    object, an unknown key, a value that does not match its field's hint
+    (naming the field too), and a missing key without a default or a value
+    that the constructor rejects.
     """
 
     def to_json_dict(self) -> dict:
@@ -86,7 +91,7 @@ class Record:
         if unknown:
             raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
         hints = _type_hints(cls)
-        values = {k: _decode(hints[k], v) for k, v in d.items()}
+        values = {k: _decode(hints[k], v, name, k) for k, v in d.items()}
         try:
             return cls(**values)
         except (TypeError, ValueError) as exc:
@@ -108,14 +113,42 @@ def _encode(value):
     return value
 
 
-def _decode(hint, value):
+# The JSON values each scalar type hint of a Record field accepts.
+_SCALAR_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+
+
+def _matches(kind, value) -> bool:
+    """isinstance(value, kind), except that a bool (JSON true or false) matches only bool."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _mistyped(record: str, field: str, expected: str, value) -> ValidationError:
+    return ValidationError(f"bad {record} field {field!r}: expected {expected}, got {value!r}")
+
+
+def _decode(hint, value, record: str, field: str):
+    """`value` as the field `field` of Record `record`, typed `hint`."""
+    if hint in _SCALAR_TYPES:
+        if not _matches(_SCALAR_TYPES[hint], value):
+            raise _mistyped(record, field, hint.__name__, value)
+        return value
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_json_dict(value)
-    if isinstance(value, list):
-        args = typing.get_args(hint)
-        item = args[0] if args[-1:] == (Ellipsis,) else None
-        return tuple(_decode(item, v) for v in value)
-    return value
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise _mistyped(record, field, "a list", value)
+        items = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+        if len(value) != len(items):
+            raise _mistyped(record, field, f"a list of {len(items)}", value)
+        return tuple(_decode(h, v, record, f"{field}[{i}]")
+                     for i, (h, v) in enumerate(zip(items, value)))
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _decode(hint, value, record, field)
+    raise TypeError(f"{record} field {field!r}: no JSON form for type hint {hint!r}")
 
 
 class KernelTooSmallError(ValidationError):
@@ -166,8 +199,8 @@ class VoxelGrid:
         spacing = tuple(float(s) for s in self.spacing)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValidationError(f"dims must be three positive counts, got {self.dims}")
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValidationError(f"spacing must be strictly positive, got {self.spacing}")
+        if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
+            raise ValidationError(f"spacing must be finite and strictly positive, got {self.spacing}")
         data = np.asarray(self.data, dtype=np.float32)
         if data.shape != dims:
             raise ValidationError(f"data shape {data.shape} does not match dims {dims}")
@@ -495,17 +528,19 @@ def write_manifest(path, manifest: dict, version: int) -> None:
 
 def read_manifest(path, schema: dict[str, type], version: int) -> dict:
     """Parse a JSON object stamped with `version` in which each key of `schema` holds
-    a value of that key's type; returns it without the stamp."""
+    a value of that key's type (a bool is not an int); returns it without the stamp."""
     try:
         manifest = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer too
+        # long to convert; RecursionError: arrays or objects nested too deep
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: expected a JSON object")
     found = manifest.pop("schema_version", None)
     if type(found) is not int or found != version:  # JSON true and 1.0 equal 1 in Python
         raise ManifestError(f"{path}: schema_version {found}, expected {version}")
-    bad = [k for k, kind in schema.items() if not isinstance(manifest.get(k), kind)]
+    bad = [k for k, kind in schema.items() if not _matches(kind, manifest.get(k))]
     if bad:
         raise ManifestError(f"{path}: missing or mistyped keys {bad}")
     return manifest

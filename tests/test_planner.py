@@ -2,16 +2,19 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from dosekit import planner
-from dosekit.errors import ValidationError
+from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.seeds import derive_seed
 from dosekit.planner import (
@@ -340,11 +343,112 @@ class TestInfluenceMatchesDenseReference:
         BeamConfig(n_beams=4, beamlet_grid=(5, 3), ray_step_mm=4.0),
         # entries beyond about 39 mm inside the cutoff underflow to 0 and are dropped
         BeamConfig(lateral_sigma=1.0, lateral_cutoff=200.0),
-    ], ids=["four-beams-long-step", "underflow-inside-cutoff"])
+        # the first sample of every ray already lies outside the body box: depth 0
+        BeamConfig(ray_step_mm=1000.0),
+    ], ids=["four-beams-long-step", "underflow-inside-cutoff", "first-step-leaves-box"])
     def test_non_default_beams(self, cfg):
         case = generate_patient(builtin_site("siteB"), 1)
         assert_same_csr(build_influence_matrix(case, cfg).matrix,
                         dense_influence_reference(case, cfg))
+
+
+def column_march_reference(case, cfg):
+    """The builder before the chunked march: one step at a time over the still
+    active (x, y) columns, and a dense (near row x beamlet) r^2 per beam.
+    Test-only reference where the dense one would not fit."""
+    structures = case.structures
+    dims = structures.dims
+    spacing = np.asarray(structures.spacing, dtype=np.float64)
+    body = structures.body
+    body_arr = body.bool_array()
+    body_idx = body.linear_indices()
+
+    nx, ny, _ = dims
+    gx = body_idx % nx
+    gy = (body_idx // nx) % ny
+    gz = body_idx // (nx * ny)
+    cells = np.stack([gx, gy, gz], axis=1)
+    centers = (cells.astype(np.float64) + 0.5) * spacing
+    box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
+
+    col_keys, col_of = np.unique(gx + nx * gy, return_inverse=True)
+    col_centers = (np.stack([col_keys % nx, col_keys // nx], axis=1) + 0.5) * spacing[:2]
+    body_z = body_arr[:, :, box_lo[2]:box_hi[2] + 1]
+    z_in_box = gz - box_lo[2]
+
+    ptv_union = np.zeros(dims, dtype=bool)
+    for ptv in structures.ptvs:
+        ptv_union |= ptv.bool_array()
+    ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
+    iso = ptv_pts.mean(axis=0)
+
+    diag = float(np.linalg.norm(np.asarray(dims) * spacing))
+    steps = np.arange(1, int(np.ceil(diag / cfg.ray_step_mm)) + 1, dtype=np.float64)
+    steps *= cfg.ray_step_mm
+
+    nu, nv = cfg.beamlet_grid
+    z_rel = ptv_pts[:, 2] - iso[2]
+    z_lo, z_hi = z_rel.min() - cfg.field_margin_mm, z_rel.max() + cfg.field_margin_mm
+    z_offsets = np.linspace(z_lo, z_hi, nv)
+    pz = centers[:, 2] - iso[2]
+    dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
+    field_dz = np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0)
+    near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
+
+    rows, cols, vals = [], [], []
+    for b in range(cfg.n_beams):
+        phi = 2.0 * np.pi * b / cfg.n_beams
+        d = np.array([np.cos(phi), np.sin(phi), 0.0])
+        u = np.array([-np.sin(phi), np.cos(phi), 0.0])
+
+        pu_ptv = (ptv_pts - iso) @ u
+        u_lo, u_hi = pu_ptv.min() - cfg.field_margin_mm, pu_ptv.max() + cfg.field_margin_mm
+        u_offsets = np.linspace(u_lo, u_hi, nu)
+
+        count = np.zeros((col_keys.size, body_z.shape[2]), dtype=np.int64)
+        active = np.arange(col_keys.size)
+        for s in steps:
+            cell = np.floor((col_centers[active] - s * d[:2]) / spacing[:2]).astype(np.int64)
+            in_box = np.all((cell >= box_lo[:2]) & (cell <= box_hi[:2]), axis=1)
+            if not in_box.all():
+                active, cell = active[in_box], cell[in_box]
+                if not active.size:
+                    break
+            count[active] += body_z[cell[:, 0], cell[:, 1]]
+        depth = cfg.ray_step_mm * count[col_of, z_in_box].astype(np.float64)
+
+        pu = (centers - iso) @ u
+        field_du = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0)
+        near = np.flatnonzero(field_du**2 + field_dz**2 <= near_cutoff2)
+        r2 = ((pu[near, None] - u_offsets[None, :]) ** 2)[:, :, None] + dz2[near, None, :]
+        r2 = r2.reshape(near.size, nu * nv)
+        row, col = np.nonzero(r2 <= cfg.lateral_cutoff**2)
+        rows.append(near[row])
+        cols.append(col + b * nu * nv)
+        vals.append(beamlet_kernel(depth[near[row]], r2[row, col], cfg))
+
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(body_idx.size, cfg.n_beams * nu * nv),
+    )
+    matrix.eliminate_zeros()
+    return matrix
+
+
+@pytest.fixture(scope="module", params=[("siteA", 1), ("siteA", 2), ("siteB", 1), ("siteB", 2)],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def scaled_case_and_reference(request):
+    """A 64x64x32 patient and its `column_march_reference` matrix, built once."""
+    site, patient = request.param
+    case = generate_patient(scaled_site(builtin_site(site), 2), patient)
+    assert case.dims == (64, 64, 32)
+    return case, column_march_reference(case, BeamConfig())
+
+
+def test_influence_matches_column_march_at_64x64x32(scaled_case_and_reference):
+    # the dense oracle would need about 885 MB here
+    case, reference = scaled_case_and_reference
+    assert_same_csr(build_influence_matrix(case, BeamConfig()).matrix, reference)
 
 
 def python_ray_depth(case, voxel, d, step_mm):
@@ -574,6 +678,14 @@ class TestBlockedLoopMatchesPlainReference:
             solve_stacked(M, b, *_gram(M, b), norm, max_iters)
         assert exc.value.iteration == reference_divergence(M, b, norm, max_iters) == iteration
 
+    def test_overflowing_diagnostics_raise(self):
+        # one iteration before the iterate overflows (see "inside-partial-block"):
+        # x is finite, about 3.4e307, but its objective and KKT residual overflow
+        M, b = self.signed_problem()
+        with pytest.raises(SolverDivergenceError, match="non-finite diagnostics") as exc:
+            solve_stacked(M, b, *_gram(M, b), 3.5e-3, 140)
+        assert exc.value.iteration == 140
+
 
 class TestGramFormMatchesRowSpace:
     @pytest.mark.parametrize("site", ["siteA", "siteB"])
@@ -787,6 +899,12 @@ def all_nan(directory):
     path.write_bytes(np.full(len(path.read_bytes()) // 4, np.nan, dtype="<f4").tobytes())
 
 
+def signalling_nan(directory):
+    # casting a signalling NaN to float64 raises FE_INVALID, a RuntimeWarning
+    path = directory / FLUENCE_FILE
+    path.write_bytes(np.full(len(path.read_bytes()) // 4, 0x7F800001, dtype="<u4").tobytes())
+
+
 def broken_json(directory):
     (directory / PLAN_JSON).write_text('{"patient_id": ')
 
@@ -810,6 +928,53 @@ def bad_diagnostics(directory):
     path.write_text(path.read_text().replace('"diagnostics": {', '"diagnostics": {"extra": 1, ', 1))
 
 
+def boolean_index(directory):
+    # JSON true is a Python int, but not a plan index
+    path = directory / PLAN_JSON
+    path.write_text(path.read_text().replace('"index": 0', '"index": true', 1))
+
+
+def mistyped_diagnostics(directory):
+    path = directory / PLAN_JSON
+    path.write_text(path.read_text().replace('"iterations": 20', '"iterations": "many"', 1))
+
+
+def overflowing_weight(directory):
+    # float(10**400) raises OverflowError
+    path = directory / PLAN_JSON
+    meta = json.loads(path.read_text())
+    meta["weights"][next(iter(meta["weights"]))] = 10**400
+    path.write_text(json.dumps(meta))
+
+
+def too_long_integer(directory):
+    # json.loads raises ValueError for an integer of more than 4300 digits
+    path = directory / PLAN_JSON
+    path.write_text(path.read_text().replace('"index": 0', '"index": ' + "1" * 5000, 1))
+
+
+def too_deeply_nested(directory):
+    # json.loads raises RecursionError
+    (directory / PLAN_JSON).write_text("[" * 100_000)
+
+
+# JSON values of every kind, nested at most a few levels
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def loads_or_is_typed(directory):
+    """load_plan either returns or raises a DosekitError; anything else propagates."""
+    try:
+        load_plan(directory)
+    except DosekitError:
+        pass
+
+
 class TestCorruptPlanFiles:
     @pytest.fixture(scope="class")
     def plan(self):
@@ -820,14 +985,51 @@ class TestCorruptPlanFiles:
         (append_byte, FluenceFileError),
         (drop_last_value, FluenceFileError),
         (all_nan, ValidationError),
+        (signalling_nan, ValidationError),
         (broken_json, ManifestError),
         (empty_object, ManifestError),
         (bad_diagnostics, ManifestError),
         (schema_version_1, ManifestError),
         (no_schema_version, ManifestError),
+        (boolean_index, ManifestError),
+        (mistyped_diagnostics, ManifestError),
+        (overflowing_weight, ManifestError),
+        (too_long_integer, ManifestError),
+        (too_deeply_nested, ManifestError),
     ], ids=lambda v: getattr(v, "__name__", ""))
     def test_maps_to_typed_error(self, plan, tmp_path, corrupt, error):
         save_plan(tmp_path, plan)
         corrupt(tmp_path)
         with pytest.raises(error):
             load_plan(tmp_path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_plan_json_loads_or_is_typed(self, plan, data):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d)
+            save_plan(directory, plan)
+            meta = json.loads((directory / PLAN_JSON).read_text())
+            target = data.draw(st.sampled_from([meta, meta["diagnostics"], meta["weights"]]))
+            key = data.draw(st.sampled_from(sorted(target)))
+            action = data.draw(st.sampled_from(["replace", "delete", "rename"]))
+            if action == "replace":
+                target[key] = data.draw(JSON_VALUES)
+            elif action == "delete":
+                del target[key]
+            else:
+                target[data.draw(st.text(max_size=6))] = target.pop(key)
+            (directory / PLAN_JSON).write_text(json.dumps(meta))
+            loads_or_is_typed(directory)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_fluence_bytes_load_or_are_typed(self, plan, data):
+        expected = 4 * plan.fluence.size
+        size = data.draw(st.just(expected) | st.integers(0, expected + 8))
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d)
+            save_plan(directory, plan)
+            (directory / FLUENCE_FILE).write_bytes(data.draw(st.binary(min_size=size,
+                                                                       max_size=size)))
+            loads_or_is_typed(directory)

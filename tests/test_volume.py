@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dosekit.errors import ValidationError
+from dosekit.errors import DosekitError, ValidationError
 from dosekit.evaluation import MetricsReport, MetricValue
 from dosekit.phantom import SiteSpec, builtin_site
 from dosekit.planner import BeamConfig, PlanDiagnostics
@@ -111,6 +111,11 @@ class TestVoxelGrid:
         with pytest.raises(ValidationError):
             VoxelGrid((2, 2, 2), (0.0, 5.0, 5.0), np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spacing(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            VoxelGrid((2, 2, 2), (5.0, bad, 5.0), np.zeros((2, 2, 2)))
+
     def test_data_is_readonly(self):
         g = VoxelGrid.zeros((2, 2, 2))
         with pytest.raises(ValueError):
@@ -182,6 +187,45 @@ class TestVolumeRoundTrip:
         write_volume(VoxelGrid.zeros((2, 2, 2)), p)
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(TruncatedVolumeError):
+            read_volume(p)
+
+    @staticmethod
+    def corrupt_volume_loads_or_is_typed(raw: bytes) -> None:
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "g.dvol"
+            p.write_bytes(raw)
+            try:
+                read_volume(p)
+            except DosekitError:
+                pass
+
+    @staticmethod
+    def valid_volume() -> bytes:
+        """A 3 x 2 x 2 grid at spacing (2.5, 5, 1.25): 30 header and 48 payload bytes."""
+        arr = np.random.default_rng(0).standard_normal((3, 2, 2)).astype(np.float32)
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "g.dvol"
+            write_volume(VoxelGrid.from_array(arr, spacing=(2.5, 5.0, 1.25)), p)
+            return p.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=77))
+    def test_truncated_file_loads_or_is_typed(self, cut):
+        self.corrupt_volume_loads_or_is_typed(self.valid_volume()[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=77), st.integers(min_value=0, max_value=255))
+    def test_overwritten_byte_loads_or_is_typed(self, offset, value):
+        raw = bytearray(self.valid_volume())
+        raw[offset] = value
+        self.corrupt_volume_loads_or_is_typed(bytes(raw))
+
+    def test_nan_spacing_is_rejected(self, tmp_path):
+        raw = bytearray(self.valid_volume())
+        raw[25] = 0x7F  # the top byte of spacing y: 5.0 = 0x40a00000 becomes a NaN
+        p = tmp_path / "g.dvol"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="finite"):
             read_volume(p)
 
     def test_payload_too_long(self, tmp_path):
@@ -390,6 +434,23 @@ RECORDS = [
 ]
 
 
+# (record, a valid record's fields replaced by d, the field named in the error)
+MISTYPED = [
+    (PlanDiagnostics, {"iterations": "many"}, "iterations"),
+    (PlanDiagnostics, {"iterations": True}, "iterations"),
+    (PlanDiagnostics, {"converged": "no"}, "converged"),
+    (PlanDiagnostics, {"final_objective": None}, "final_objective"),
+    (PlanDiagnostics, {"kkt_residual": False}, "kkt_residual"),
+    (PlanDiagnostics, {"operator_norm": [1.0]}, "operator_norm"),
+    (BeamConfig, {"beamlet_grid": [8, 6, 1]}, "beamlet_grid"),
+    (BeamConfig, {"beamlet_grid": [8, 6.0]}, "beamlet_grid\\[1\\]"),
+    (BeamConfig, {"n_beams": 7.0}, "n_beams"),
+    (KernelSpec, {"dims": [32, 32, "16"]}, "dims\\[2\\]"),
+    (MetricValue, {"impact": 3}, "impact"),
+    (MetricValue, {"structure": None}, "structure"),
+]
+
+
 class TestRecord:
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_json_round_trip(self, record):
@@ -428,6 +489,17 @@ class TestRecord:
     def test_bad_input_is_a_validation_error(self, record, d, message):
         with pytest.raises(ValidationError, match=message):
             record.from_json_dict(d)
+
+    @pytest.mark.parametrize("record, d, field", MISTYPED,
+                             ids=[f"{r.__name__}-{json.dumps(d)}" for r, d, _ in MISTYPED])
+    def test_mistyped_field_is_named(self, record, d, field):
+        valid = next(r for r in RECORDS if type(r) is record).to_json_dict()
+        with pytest.raises(ValidationError, match=f"bad {record.__name__} field '{field}'"):
+            record.from_json_dict({**valid, **d})
+
+    def test_float_field_takes_an_integer_and_optional_takes_null(self):
+        assert BeamConfig.from_json_dict({"attenuation_mu": 1}).attenuation_mu == 1
+        assert MetricValue.from_json_dict({**_ROW.to_json_dict(), "impact": None}) == _ROW
 
     def test_non_object_row_is_typed(self):
         d = RECORDS[-1].to_json_dict()
