@@ -9,9 +9,14 @@ beamlets. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
 over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
 structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
 solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
-beamlet space: it carries M^T y instead of the dual y, so each step is one
+beamlet space: it carries s M^T y instead of the dual y, so each step is one
 product with the dense Gram matrix G = M^T M (8 n^2 bytes for n beamlets)
-instead of one product each with M and M^T. The iterates are checked for
+instead of one product each with M and M^T. That product is one BLAS dsymv,
+which reads only one triangle of the symmetric G and folds the dual step's
+scaling into its alpha and beta. Every dense product of a plan goes through
+scipy.linalg.blas (see `_gram`), which is imported on a process's first plan,
+not with this module: it costs 50-70 ms to load, which importing the package
+(and `dosekit phantom`) should not pay. The iterates are checked for
 finiteness once per block of 64 iterations, and a block that ends non-finite is
 replayed with a check after every iteration, so a divergence is still reported
 at its exact first iteration. Sampling the structure tradeoff weights sweeps the
@@ -20,7 +25,9 @@ Pareto surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +281,16 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     return infl
 
 
+def _check_weight_bounds(bounds) -> None:
+    """Raise ValidationError unless `bounds` is (lo, hi), finite reals (not bools)
+    with 0 < lo <= hi."""
+    if not (len(bounds) == 2 and all(
+            isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+            for v in bounds) and bounds[0] <= bounds[1]):
+        raise ValidationError(f"weight bounds must be two positive finite numbers with "
+                              f"lo <= hi, got {bounds}")
+
+
 @dataclass(frozen=True)
 class PlanWeights:
     """Tradeoff weight per objective structure (every PTV and OAR)."""
@@ -282,8 +299,9 @@ class PlanWeights:
     bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weights.values()):
-            raise ValidationError("all tradeoff weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights.values()):
+            raise ValidationError("all tradeoff weights must be positive and finite")
+        _check_weight_bounds(self.bounds)
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
@@ -295,9 +313,8 @@ def sample_weights(
     seed: int = 0,
 ) -> PlanWeights:
     """PTV weights pinned at 1; OAR weights log-uniform within bounds."""
+    _check_weight_bounds(bounds)
     lo, hi = bounds
-    if lo <= 0 or hi <= 0 or lo > hi:
-        raise ValidationError(f"weight bounds must be positive with lo <= hi, got {bounds}")
     rng = np.random.default_rng(seed)
     weights: dict[str, float] = {}
     for ptv in structures.ptvs:
@@ -325,11 +342,15 @@ def estimate_operator_norm(G) -> float:
 
     G is entrywise nonnegative, so by Perron-Frobenius it has a nonnegative
     eigenvector for its largest eigenvalue, and the all-ones start overlaps it.
+    Each step is one dsymv on the symmetric G, through scipy's BLAS (see
+    `_gram`).
     """
+    from scipy.linalg.blas import dsymv
+
     v = np.ones(G.shape[1]) / np.sqrt(G.shape[1])
     lam = 0.0
     for _ in range(POWER_STEPS):
-        w = G @ v
+        w = dsymv(1.0, G.T, v)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0
@@ -370,93 +391,117 @@ def _residual_sq(M, b, x) -> float:
 def _gram(M, b):
     """G = M^T M (dense, 8 n^2 bytes for n beamlets: 0.9 MB at 336) and c = M^T b.
 
-    Forming G densifies M once, 8 n bytes per row of M."""
+    Forming G densifies M once, 8 n bytes per row of M. G is one BLAS dsyrk,
+    which fills the upper triangle of a zeroed matrix; adding its transpose
+    mirrors it exactly (each off-diagonal entry is added to 0), so G is exactly
+    symmetric, as `solve_stacked` requires. The dense products of a plan (here, in
+    `estimate_operator_norm` and in `solve_stacked`) all go through
+    scipy.linalg.blas, not numpy's matmul: numpy and scipy each bundle their own
+    OpenBLAS, and with more than one BLAS thread the idle workers of one spin
+    while the other's run, which made the solve 1.7-3.2x slower on a 2-core host.
+    G and c were bit-identical to numpy's ``dense.T @ dense`` and
+    ``dense.T @ b`` on every desk and 64x64x32 plan checked."""
+    from scipy.linalg.blas import dgemv, dsyrk
+
     dense = M.toarray()
-    return dense.T @ dense, dense.T @ b
+    n = dense.shape[1]
+    # dense.T is the Fortran-ordered view of dense, so neither call copies it
+    upper = dsyrk(1.0, dense.T, c=np.zeros((n, n), order="F"), overwrite_c=1)
+    G = np.add(upper, upper.T, order="C")
+    np.fill_diagonal(G, upper.diagonal())
+    return G, dgemv(1.0, dense.T, b)
 
 
-def _cp_step(G, c, s, x, xbar, z, g, t):
-    """One iteration of `solve_stacked` in place, with g as scratch: z and xbar are
-    updated and the new x is written into t. Returns (new x, old x), the old x's
+def _cp_step(dsymv, Gt, a, ssa, w_shift, x, xbar, w, t):
+    """One iteration of `solve_stacked`, with w = s M^T y: w and xbar are updated in
+    place and the new x is written into t. Returns (new x, old x, w), the old x's
     buffer to be the next call's t.
 
-    The operations are those of z = (z + s * (G @ xbar - c)) / (1 + s/2),
-    x_new = max(x - s * z, 0), xbar = x_new + (x_new - x), in the same order (+ and
-    * commute bitwise), so the iterates are bit-identical to those expressions."""
-    np.matmul(G, xbar, out=g)
-    g -= c
-    g *= s
-    g += z
-    np.divide(g, 1.0 + s / 2.0, out=z)
-    np.multiply(z, s, out=t)
-    np.subtract(x, t, out=t)
+    w <- a w + ssa G xbar - w_shift, x_new = max(x - w, 0), xbar = x_new + (x_new - x),
+    with a = 1 / (1 + s/2), ssa = s^2 a and w_shift = ssa c. The first two terms
+    are one dsymv on Gt, the Fortran-ordered view of G; its result is used, not
+    assumed to be in w."""
+    w = dsymv(ssa, Gt, xbar, beta=a, y=w, overwrite_y=1)
+    w -= w_shift
+    np.subtract(x, w, out=t)
     np.maximum(t, 0.0, out=t)
     np.subtract(t, x, out=xbar)
     xbar += t
-    return t, x
+    return t, x, w
 
 
-def _finite(x, z) -> bool:
-    return bool(np.all(np.isfinite(x)) and np.all(np.isfinite(z)))
+def _finite(x, w) -> bool:
+    return bool(np.all(np.isfinite(x)) and np.all(np.isfinite(w)))
 
 
 def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2, run in beamlet space
-    for exactly `max_iters` iterations.
+    for exactly `max_iters` iterations. G must be exactly symmetric, as `_gram`
+    returns it: the iteration reads only one of its triangles.
 
     With f(v) = ||v - b||^2 the dual prox is
     prox_{s f*}(v) = (v - s b) / (1 + s/2); the primal prox is projection onto
     x >= 0. Both steps are s = 0.95 / ||M||, so s^2 ||M||^2 < 1.
 
-    The dual y (one entry per row of M) enters the primal step only as M^T y, so
-    the loop carries z = M^T y (one entry per beamlet) instead. Applying M^T to
-    the dual step gives z <- (z + s (G xbar - c)) / (1 + s/2), with G = M^T M and
-    c = M^T b from `_gram`: the iterates are those of the row-space iteration in
-    exact arithmetic, and an iteration costs one dense n x n product instead of
-    two sparse products with M. The final objective is ||M x - b||^2 from M, not
-    x^T G x - 2 c^T x + b^T b, which cancels near the optimum.
+    The dual y (one entry per row of M) enters the primal step only as s M^T y, so
+    the loop carries w = s M^T y (one entry per beamlet) instead. Applying s M^T
+    to the dual step gives w <- a w + s^2 a (G xbar - c), a = 1 / (1 + s/2), with
+    G = M^T M and c = M^T b from `_gram`, and the primal step is
+    x <- max(x - w, 0): the iterates are those of the row-space iteration in exact
+    arithmetic. a w + s^2 a G xbar is one BLAS dsymv (alpha s^2 a, beta a) on G.T,
+    the Fortran-ordered view of the C-ordered G, which is G itself because G is
+    symmetric. dsymv reads only the triangle it is told to (half of G's 8 n^2
+    bytes), where a general product streams all of G, and its alpha and beta
+    replace the separate scaling passes over w. The final objective is
+    ||M x - b||^2 from M, not x^T G x - 2 c^T x + b^T b, which cancels near the
+    optimum.
 
     `converged` means kkt_residual <= KKT_RTOL * ||2c||, KKT_RTOL = 1e-9. The KKT
     residual ||x - max(x - 2(G x - c), 0)|| is zero exactly at the optimum, and
     2c = -grad f(0) is the gradient at x = 0, so KKT_RTOL has no units.
 
     Unlike y, whose zero-residual entries decayed to subnormals that slowed every
-    step, z needs no subnormal flush: no entry of z, x or xbar was subnormal in
-    any benchmark plan or in the 20 000-iteration Pareto-monotonicity solves.
+    step, w needs no subnormal flush: no entry of w, x or xbar was subnormal in
+    the 33 plans of one desk-pareto and one scaled-influence pass or in the
+    20 000-iteration Pareto-monotonicity solves.
 
     A diverging iterate overflows to inf and raises SolverDivergenceError with the
-    first iteration whose x or z is not finite. A finite last iterate whose
+    first iteration whose x or w is not finite. A finite last iterate whose
     diagnostics (KKT residual, objectives, ||2c||) overflow raises it too, with
     iteration `max_iters`. The iterations run in blocks of
-    _BLOCK, and x and z are checked once at the end of each block: a non-finite
-    entry of x or z stays non-finite in every later iteration (inf and nan
-    survive +, *, / and np.maximum), so a block that ends finite had no
+    _BLOCK, and x and w are checked once at the end of each block: a non-finite
+    entry of x or w stays non-finite in every later iteration (inf and nan
+    survive +, -, *, dsymv and np.maximum), so a block that ends finite had no
     non-finite iterate. A block that ends non-finite is replayed from the x, xbar
-    and z saved at its start, checking after every iteration, so the reported
+    and w saved at its start, checking after every iteration, so the reported
     iteration is exact. Each iteration (`_cp_step`) runs in place in preallocated
     buffers.
     """
+    from scipy.linalg.blas import dsymv
+
     s = 0.95 / max(operator_norm, 1e-12)
+    a = 1.0 / (1.0 + s / 2.0)
+    ssa = s * s * a
+    step = dsymv, G.T, a, ssa, ssa * c
     n = M.shape[1]
-    x, xbar, z = np.zeros(n), np.zeros(n), np.zeros(n)
-    g, t = np.empty(n), np.empty(n)
+    x, xbar, w, t = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n)
     # a diverging iterate overflows to inf inside the loop; `_finite` reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, max_iters + 1, _BLOCK):
             block = range(first, min(first + _BLOCK, max_iters + 1))
-            start = x.copy(), xbar.copy(), z.copy()
+            start = x.copy(), xbar.copy(), w.copy()
             for _ in block:
-                x, t = _cp_step(G, c, s, x, xbar, z, g, t)
-            if _finite(x, z):
+                x, t, w = _cp_step(*step, x, xbar, w, t)
+            if _finite(x, w):
                 continue
-            x[:], xbar[:], z[:] = start
+            x[:], xbar[:], w[:] = start
             for it in block:
-                x, t = _cp_step(G, c, s, x, xbar, z, g, t)
-                if not _finite(x, z):
+                x, t, w = _cp_step(*step, x, xbar, w, t)
+                if not _finite(x, w):
                     raise SolverDivergenceError(it)
     # a finite x near overflow can still give non-finite diagnostics
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = 2.0 * (G @ x - c)
+        grad = 2.0 * (dsymv(1.0, G.T, x) - c)
         kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
         final_objective = _residual_sq(M, b, x)
         objective_at_zero = float(b @ b)

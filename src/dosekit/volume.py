@@ -490,6 +490,10 @@ def read_volume(path) -> VoxelGrid:
 MANIFEST_NAME = "structures.json"
 MANIFEST_VERSION = 1
 MASK_DIR = "masks"
+# the keys of a structures.json entry and their JSON types; a missing optional
+# key reads as null
+STRUCTURE_ENTRY_SCHEMA = {"name": str, "kind": str, "mask_path": str,
+                          "prescription": (int, float, type(None)), "impact": (str, type(None))}
 
 
 def save_structure_set(directory, structures: StructureSet, extra: dict | None = None) -> None:
@@ -550,7 +554,9 @@ def load_structure_set(directory, extra_schema: dict[str, type] | None = None
                        ) -> tuple[StructureSet, dict]:
     """Read a patient directory back; returns (structures, manifest extras).
 
-    The manifest must also hold each key of `extra_schema` with a value of that type.
+    Each structure entry must match STRUCTURE_ENTRY_SCHEMA, and the manifest must
+    also hold each key of `extra_schema` with a value of that type; anything else
+    raises ManifestError.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -560,18 +566,16 @@ def load_structure_set(directory, extra_schema: dict[str, type] | None = None
                              MANIFEST_VERSION)
     masks = []
     for entry in manifest["structures"]:
-        try:
-            mask_path, name, kind = entry["mask_path"], entry["name"], entry["kind"]
-            prescription, impact = entry.get("prescription"), entry.get("impact")
-        except (TypeError, KeyError) as exc:
-            raise ManifestError(f"{manifest_path}: bad structure entry {entry!r}") from exc
+        if not (isinstance(entry, dict) and all(
+                _matches(kind, entry.get(key)) for key, kind in STRUCTURE_ENTRY_SCHEMA.items())):
+            raise ManifestError(f"{manifest_path}: bad structure entry {entry!r}")
         masks.append(
             StructureMask(
-                name=name,
-                kind=kind,
-                mask=read_volume(directory / mask_path),
-                prescription=prescription,
-                impact=impact,
+                name=entry["name"],
+                kind=entry["kind"],
+                mask=read_volume(directory / entry["mask_path"]),
+                prescription=entry.get("prescription"),
+                impact=entry.get("impact"),
             )
         )
     structures = StructureSet(tuple(masks))

@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +14,16 @@ from dosekit.volume import MANIFEST_NAME
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def dosekit(*args):
+def python(*args):
+    """Run a fresh interpreter that imports dosekit from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dosekit.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def dosekit(*args):
+    return python("-m", "dosekit.cli", *args)
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +66,25 @@ def test_other_dosekit_error_exits_3(tmp_path):
                    "--out", tmp_path / "out")
     assert done.returncode == 3  # ManifestError is a DosekitError, not a ValidationError
     assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("key, value", [("prescription", "x"), ("kind", ["PTV"]), ("name", 5)],
+                         ids=["string-prescription", "list-kind", "int-name"])
+def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value):
+    case = tmp_path / "case"
+    shutil.copytree(patient_dir, case)
+    manifest = json.loads((case / MANIFEST_NAME).read_text())
+    next(e for e in manifest["structures"] if e["kind"] == "PTV")[key] = value
+    (case / MANIFEST_NAME).write_text(json.dumps(manifest))
+    done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
+    assert done.returncode == 3  # a ManifestError
+    assert "bad structure entry" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the planner imports scipy.linalg.blas on a process's first plan: loading it
+    # takes 50-70 ms, which neither the package import nor `dosekit phantom` pays
+    done = python("-c", "import sys\n"
+                  "import dosekit.evaluation, dosekit.phantom, dosekit.planner, dosekit.volume\n"
+                  "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was loaded'")
+    assert done.returncode == 0, done.stderr

@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dsymv
 from scipy.optimize import nnls
 
 from dosekit import planner
@@ -90,22 +91,24 @@ def row_space_cp_reference(M, b, operator_norm, max_iters):
 
 
 def plain_cp_reference(M, b, G, c, operator_norm, max_iters):
-    """`solve_stacked` as it was before it checked its iterates once per block:
-    out-of-place updates and a finiteness check after every iteration."""
+    """`solve_stacked` without its block check and in-place buffers: the same
+    arithmetic, w = s M^T y updated by one dsymv per iteration, out of place, with
+    a finiteness check after every iteration."""
     s = 0.95 / max(operator_norm, 1e-12)
+    a = 1.0 / (1.0 + s / 2.0)
+    ssa = s * s * a
     x = np.zeros(M.shape[1])
     xbar = x.copy()
-    z = np.zeros(M.shape[1])
+    w = np.zeros(M.shape[1])
     for it in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            z = (z + s * (G @ xbar - c)) / (1.0 + s / 2.0)
+            w = dsymv(ssa, G.T, xbar, beta=a, y=w) - ssa * c
             x_old = x
-            x = x - s * z
-            np.maximum(x, 0.0, out=x)
+            x = np.maximum(x - w, 0.0)
             xbar = x + (x - x_old)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
             raise SolverDivergenceError(it)
-    grad = 2.0 * (G @ x - c)
+    grad = 2.0 * (dsymv(1.0, G.T, x) - c)
     kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
     return x, PlanDiagnostics(
         iterations=max_iters,
@@ -669,7 +672,7 @@ class TestBlockedLoopMatchesPlainReference:
         (2.2e-3, 5000, 129),
         (7.8e-6, 5000, 64),
         (2.11e-3, 5000, 128),
-        (3.5e-3, 150, 141),
+        (3.55e-3, 150, 141),
     ], ids=["first-of-block-2", "first-of-block-3", "last-of-block-1", "last-of-block-2",
             "inside-partial-block"])
     def test_divergence_iteration_is_exact(self, norm, max_iters, iteration):
@@ -680,11 +683,27 @@ class TestBlockedLoopMatchesPlainReference:
 
     def test_overflowing_diagnostics_raise(self):
         # one iteration before the iterate overflows (see "inside-partial-block"):
-        # x is finite, about 3.4e307, but its objective and KKT residual overflow
+        # x is finite, about 4.7e306, but its objective and KKT residual overflow
         M, b = self.signed_problem()
         with pytest.raises(SolverDivergenceError, match="non-finite diagnostics") as exc:
-            solve_stacked(M, b, *_gram(M, b), 3.5e-3, 140)
+            solve_stacked(M, b, *_gram(M, b), 3.55e-3, 140)
         assert exc.value.iteration == 140
+
+
+class TestGramIsSymmetric:
+    """`solve_stacked` reads only one triangle of G (dsymv), so a G that is not
+    exactly symmetric would give a wrong plan without any error."""
+
+    @pytest.mark.parametrize("site, patient, factor", [
+        ("siteA", 1, 1), ("siteA", 2, 1), ("siteB", 1, 1), ("siteB", 2, 1), ("siteA", 1, 2),
+    ], ids=["siteA-1", "siteA-2", "siteB-1", "siteB-2", "siteA-1-64x64x32"])
+    def test_gram_is_exactly_symmetric(self, site, patient, factor):
+        case = generate_patient(scaled_site(builtin_site(site), factor), patient)
+        infl = build_influence_matrix(case, BeamConfig())
+        for i in range(3):
+            weights = sample_weights(case.structures, seed=derive_seed(0, "weights", i))
+            G, _ = _gram(*_objective_blocks(infl, case.structures, weights))
+            assert np.array_equal(G, G.T)
 
 
 class TestGramFormMatchesRowSpace:
@@ -737,6 +756,24 @@ class TestOperatorNorm:
         M = sp.csr_matrix((4, 3))
         G, _ = _gram(M, np.zeros(4))
         assert estimate_operator_norm(G) == 0.0
+
+
+class TestPlanWeights:
+    @pytest.mark.parametrize("weights, bounds", [
+        ({"a": float("nan")}, (0.01, 1.0)),
+        ({"a": float("inf")}, (0.01, 1.0)),
+        ({"a": 0.0}, (0.01, 1.0)),
+        ({"a": 1.0}, ("x",)),
+        ({"a": 1.0}, (0.01, "x")),
+        ({"a": 1.0}, (True, 1.0)),
+        ({"a": 1.0}, (0.01, float("inf"))),
+        ({"a": 1.0}, (0.0, 1.0)),
+        ({"a": 1.0}, (1.0, 0.5)),
+    ], ids=["nan-weight", "infinite-weight", "zero-weight", "one-bound", "string-bound",
+            "bool-bound", "infinite-bound", "zero-bound", "lo-above-hi"])
+    def test_rejects_bad_weights_and_bounds(self, weights, bounds):
+        with pytest.raises(ValidationError):
+            PlanWeights(weights, bounds)
 
 
 class TestSampleWeights:
@@ -939,11 +976,32 @@ def mistyped_diagnostics(directory):
     path.write_text(path.read_text().replace('"iterations": 20', '"iterations": "many"', 1))
 
 
-def overflowing_weight(directory):
-    # float(10**400) raises OverflowError
+def with_first_weight(directory, value):
     path = directory / PLAN_JSON
     meta = json.loads(path.read_text())
-    meta["weights"][next(iter(meta["weights"]))] = 10**400
+    meta["weights"][next(iter(meta["weights"]))] = value
+    path.write_text(json.dumps(meta))
+
+
+def overflowing_weight(directory):
+    # float(10**400) raises OverflowError
+    with_first_weight(directory, 10**400)
+
+
+def nan_weight(directory):
+    # json writes and reads a bare NaN
+    with_first_weight(directory, float("nan"))
+
+
+def infinite_weight(directory):
+    # and a bare Infinity
+    with_first_weight(directory, float("inf"))
+
+
+def bad_weight_bounds(directory):
+    path = directory / PLAN_JSON
+    meta = json.loads(path.read_text())
+    meta["weight_bounds"] = ["x"]
     path.write_text(json.dumps(meta))
 
 
@@ -994,6 +1052,9 @@ class TestCorruptPlanFiles:
         (boolean_index, ManifestError),
         (mistyped_diagnostics, ManifestError),
         (overflowing_weight, ManifestError),
+        (nan_weight, ManifestError),
+        (infinite_weight, ManifestError),
+        (bad_weight_bounds, ManifestError),
         (too_long_integer, ManifestError),
         (too_deeply_nested, ManifestError),
     ], ids=lambda v: getattr(v, "__name__", ""))

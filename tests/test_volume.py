@@ -396,6 +396,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_structure_set(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("prescription", "x"), ("prescription", True), ("kind", ["PTV"]), ("name", 5),
+    ], ids=["string-prescription", "bool-prescription", "list-kind", "int-name"])
+    def test_mistyped_structure_entry_is_typed(self, tmp_path, key, value):
+        path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        next(e for e in manifest["structures"] if e["kind"] == "PTV")[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="bad structure entry"):
+            load_structure_set(tmp_path)
+
     @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True, 1.0],
                              ids=["missing", "wrong", "bool", "float"])
     def test_manifest_version_is_checked(self, tmp_path, version):
