@@ -197,7 +197,7 @@ class MetricsReport(Record):
     rows: tuple[MetricValue, ...]
 
     def write_json(self, path) -> None:
-        write_manifest(path, self.to_json_dict(), REPORT_VERSION)
+        write_manifest(path, self, REPORT_VERSION)
 
     def write_csv(self, path) -> None:
         _write_csv(

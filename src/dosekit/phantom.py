@@ -10,6 +10,7 @@ generation exactly reproducible from (site, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,11 +18,14 @@ from .errors import DosekitError, ValidationError
 from .seeds import rng_for
 from .volume import (
     BODY,
+    MANIFEST_NAME,
+    MANIFEST_VERSION,
     OAR,
     PTV,
     KernelSpec,
     ManifestError,
     Record,
+    StructureEntry,
     StructureMask,
     StructureSet,
     VoxelGrid,
@@ -52,10 +56,7 @@ class ShapePalette(Record):
     max_attempts: int = 200
 
 
-SITE_SCHEMA = {"site_id": str, "kernel": dict, "ptv_levels": list, "oar_count_range": list,
-               "shape_palette": dict}
 SITE_VERSION = 1
-PATIENT_SCHEMA = {"id": str, "site_id": str, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,11 @@ class SiteSpec(Record):
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
 
     def save(self, path) -> None:
-        write_manifest(path, self.to_json_dict(), SITE_VERSION)
+        write_manifest(path, self, SITE_VERSION)
 
     @classmethod
     def load(cls, path) -> "SiteSpec":
-        d = read_manifest(path, SITE_SCHEMA, SITE_VERSION)
-        try:
-            return cls.from_json_dict(d)
-        except ValidationError as exc:
-            raise ManifestError(f"{path}: bad site spec ({exc})") from exc
+        return read_manifest(path, cls, SITE_VERSION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,16 +261,36 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     )
 
 
+@dataclass(frozen=True)
+class PatientManifest(Record):
+    """A saved case's MANIFEST_NAME file: its identity, its grid and its
+    structures, whose masks lie next to it under MASK_DIR."""
+
+    id: str
+    site_id: str
+    seed: int
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    structures: tuple[StructureEntry, ...]
+
+
 def save_patient(directory, case: PatientCase) -> None:
-    save_structure_set(
-        directory,
-        case.structures,
-        extra={"id": case.id, "site_id": case.site_id, "seed": case.seed},
-    )
+    entries = save_structure_set(directory, case.structures)
+    manifest = PatientManifest(case.id, case.site_id, case.seed, case.dims, case.spacing, entries)
+    write_manifest(Path(directory) / MANIFEST_NAME, manifest, MANIFEST_VERSION)
 
 
 def load_patient(directory) -> PatientCase:
-    structures, extra = load_structure_set(directory, PATIENT_SCHEMA)
-    return PatientCase(
-        id=extra["id"], structures=structures, site_id=extra["site_id"], seed=extra["seed"]
-    )
+    """Inverse of save_patient. A manifest whose dims or spacing differ from its
+    masks' raises ManifestError."""
+    path = Path(directory) / MANIFEST_NAME
+    if not path.is_file():
+        raise ValidationError(f"{directory}: no {MANIFEST_NAME}")
+    manifest = read_manifest(path, PatientManifest, MANIFEST_VERSION)
+    structures = load_structure_set(directory, manifest.structures)
+    # a .dvol header holds the spacing as float32
+    spacing = tuple(np.float32(manifest.spacing).tolist())
+    if (manifest.dims, spacing) != (structures.dims, structures.spacing):
+        raise ManifestError(f"{path}: dims {manifest.dims} and spacing {manifest.spacing} differ "
+                            f"from the masks' {structures.dims} and {structures.spacing}")
+    return PatientCase(manifest.id, structures, manifest.site_id, manifest.seed)

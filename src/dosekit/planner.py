@@ -36,8 +36,8 @@ import scipy.sparse as sp
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import (ManifestError, Record, StructureMask, StructureSet, VoxelGrid,
-                     _atomic_write_bytes, read_manifest, read_volume, write_manifest, write_volume)
+from .volume import (Record, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
+                     read_manifest, read_volume, write_manifest, write_volume)
 
 DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
 # Ray steps that `build_influence_matrix` samples at once for every column.
@@ -160,10 +160,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
 
-    nx, ny, _ = dims
-    gx = body_idx % nx
-    gy = (body_idx // nx) % ny
-    gz = body_idx // (nx * ny)
+    nx = dims[0]
+    gx, gy, gz = np.unravel_index(body_idx, dims, order="F")
     cells = np.stack([gx, gy, gz], axis=1)
     centers = (cells.astype(np.float64) + 0.5) * spacing
     box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
@@ -611,45 +609,48 @@ PLAN_JSON = "plan.json"
 DOSE_FILE = "dose.dvol"
 FLUENCE_FILE = "fluence.f32"
 # 2: the diagnostics changed shape, and `converged` became the KKT-residual bound
-PLAN_SCHEMA_VERSION = 2
-PLAN_SCHEMA = {"patient_id": str, "index": int, "weights": dict, "weight_bounds": list,
-               "diagnostics": dict, "n_beamlets": int}
+PLAN_VERSION = 2
+
+
+@dataclass(frozen=True)
+class PlanManifest(Record):
+    """A saved plan's PLAN_JSON file; its dose and fluence are the DOSE_FILE and
+    FLUENCE_FILE next to it."""
+
+    patient_id: str
+    index: int
+    weights: dict[str, float]
+    weight_bounds: tuple[float, float]
+    diagnostics: PlanDiagnostics
+    n_beamlets: int
+
+    def __post_init__(self):
+        PlanWeights(self.weights, self.weight_bounds)  # so that bad weights fail to decode
 
 
 def save_plan(directory, plan: Plan) -> None:
     directory = Path(directory)
     write_volume(plan.dose, directory / DOSE_FILE)
     _atomic_write_bytes(directory / FLUENCE_FILE, np.asarray(plan.fluence, dtype="<f4").tobytes())
-    write_manifest(directory / PLAN_JSON, {
-        "patient_id": plan.patient_id,
-        "index": plan.index,
-        "weights": plan.weights.weights,
-        "weight_bounds": list(plan.weights.bounds),
-        "diagnostics": plan.diagnostics.to_json_dict(),
-        "n_beamlets": int(plan.fluence.size),
-    }, PLAN_SCHEMA_VERSION)
+    write_manifest(directory / PLAN_JSON, PlanManifest(
+        plan.patient_id, plan.index, plan.weights.weights, plan.weights.bounds,
+        plan.diagnostics, int(plan.fluence.size)), PLAN_VERSION)
 
 
 def load_plan(directory) -> Plan:
     directory = Path(directory)
-    meta = read_manifest(directory / PLAN_JSON, PLAN_SCHEMA, PLAN_SCHEMA_VERSION)
+    meta = read_manifest(directory / PLAN_JSON, PlanManifest, PLAN_VERSION)
     raw = (directory / FLUENCE_FILE).read_bytes()
-    if len(raw) != 4 * meta["n_beamlets"]:
+    if len(raw) != 4 * meta.n_beamlets:
         raise FluenceFileError(f"{directory / FLUENCE_FILE}: {len(raw)} bytes, "
-                               f"expected {meta['n_beamlets']} <f4 values")
-    try:
-        weights = PlanWeights({k: float(v) for k, v in meta["weights"].items()},
-                              tuple(meta["weight_bounds"]))
-        diagnostics = PlanDiagnostics.from_json_dict(meta["diagnostics"])
-    except (TypeError, ValueError, OverflowError, ValidationError) as exc:  # float(10**400)
-        raise ManifestError(f"{directory / PLAN_JSON}: {exc}") from exc
+                               f"expected {meta.n_beamlets} <f4 values")
     with np.errstate(invalid="ignore"):  # casting a signalling NaN, which Plan rejects
         fluence = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     return Plan(
-        patient_id=meta["patient_id"],
-        index=meta["index"],
-        weights=weights,
+        patient_id=meta.patient_id,
+        index=meta.index,
+        weights=PlanWeights(meta.weights, meta.weight_bounds),
         fluence=fluence,
         dose=read_volume(directory / DOSE_FILE),
-        diagnostics=diagnostics,
+        diagnostics=meta.diagnostics,
     )

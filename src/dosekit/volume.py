@@ -1,12 +1,16 @@
 """Voxel grids, structure sets, kernel cropping, the .dvol binary format, and the
-JSON form of records and versioned manifests.
+one JSON codec of dosekit.
 
 Conventions used everywhere in this package:
 
-* Raster order is z-major with x fastest: ``index = x + nx*(y + ny*z)``.
+* Raster order is z-major with x fastest: ``index = x + nx*(y + ny*z)``, the
+  order of ``VoxelGrid.flat``.
 * Grid data is float32 in memory and ``<f4`` on disk, so file round trips are
   bit-exact.
 * All types are immutable after construction; operations are pure functions.
+* Every JSON file is one frozen-dataclass `Record`, written by `write_manifest`
+  and read back by `read_manifest`, which checks its ``schema_version`` and
+  decodes it from the record's field type hints.
 """
 
 from __future__ import annotations
@@ -71,12 +75,12 @@ class Record:
     objects, a tuple field from a list of its length (any length for
     ``tuple[X, ...]``), and every scalar is checked against its hint: ``int``
     takes an integer but not a bool, ``float`` an integer or a float, ``bool``
-    a bool, ``str`` a string, and ``X | None`` also null. A missing key takes
-    the field's default through the constructor. Every fault of the input
-    raises ValidationError naming the record: a value that is not a JSON
-    object, an unknown key, a value that does not match its field's hint
-    (naming the field too), and a missing key without a default or a value
-    that the constructor rejects.
+    a bool, ``str`` a string, ``dict[str, X]`` an object of X values, and
+    ``X | None`` also null. A missing key takes the field's default through the
+    constructor. Every fault of the input raises ValidationError naming the
+    record: a value that is not a JSON object, an unknown key, a value that does
+    not match its field's hint (naming the field too), and a missing key without
+    a default or a value that the constructor rejects.
     """
 
     def to_json_dict(self) -> dict:
@@ -94,7 +98,7 @@ class Record:
         values = {k: _decode(hints[k], v, name, k) for k, v in d.items()}
         try:
             return cls(**values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
             raise ValidationError(f"bad {name} ({exc})") from exc
 
 
@@ -135,6 +139,10 @@ def _decode(hint, value, record: str, field: str):
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_json_dict(value)
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is dict:  # dict[str, X]: JSON object keys are strings
+        if not isinstance(value, dict):
+            raise _mistyped(record, field, "an object", value)
+        return {k: _decode(args[1], v, record, f"{field}[{k!r}]") for k, v in value.items()}
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise _mistyped(record, field, "a list", value)
@@ -160,26 +168,6 @@ class KernelTooSmallError(ValidationError):
             f"body bounding box needs {needed} voxels on axis {axis}, "
             f"kernel provides {available}"
         )
-
-
-def linear_index(coord: tuple[int, int, int], dims: tuple[int, int, int]) -> int:
-    """Map an (x, y, z) coordinate to its z-major raster index."""
-    x, y, z = coord
-    nx, ny, nz = dims
-    if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-        raise ValidationError(f"coordinate {coord} out of range for dims {dims}")
-    return x + nx * (y + ny * z)
-
-
-def coord_from_index(index: int, dims: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Inverse of linear_index."""
-    nx, ny, nz = dims
-    if not 0 <= index < nx * ny * nz:
-        raise ValidationError(f"index {index} out of range for dims {dims}")
-    x = index % nx
-    y = (index // nx) % ny
-    z = index // (nx * ny)
-    return (x, y, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +250,8 @@ class StructureMask:
         if not np.all(np.isin(values, (0.0, 1.0))):
             raise ValidationError(f"mask {self.name!r} has values outside {{0,1}}")
         if self.kind == PTV:
-            if self.prescription is None or self.prescription <= 0:
-                raise ValidationError(f"PTV {self.name!r} needs a positive prescription")
+            if self.prescription is None or not 0 < self.prescription < math.inf:
+                raise ValidationError(f"PTV {self.name!r} needs a positive finite prescription")
         elif self.prescription is not None:
             raise ValidationError(f"{self.kind} {self.name!r} must not carry a prescription")
         if self.kind == OAR:
@@ -278,9 +266,7 @@ class StructureMask:
 
     def linear_indices(self) -> np.ndarray:
         """Raster indices of mask voxels, ascending."""
-        nx, ny, _ = self.mask.dims
-        ix, iy, iz = np.nonzero(self.mask.data)
-        return np.sort(ix + nx * (iy + ny * iz)).astype(np.int64)
+        return np.flatnonzero(self.mask.flat())
 
     def bool_array(self) -> np.ndarray:
         return self.mask.data > 0.5
@@ -490,49 +476,39 @@ def read_volume(path) -> VoxelGrid:
 MANIFEST_NAME = "structures.json"
 MANIFEST_VERSION = 1
 MASK_DIR = "masks"
-# the keys of a structures.json entry and their JSON types; a missing optional
-# key reads as null
-STRUCTURE_ENTRY_SCHEMA = {"name": str, "kind": str, "mask_path": str,
-                          "prescription": (int, float, type(None)), "impact": (str, type(None))}
 
 
-def save_structure_set(directory, structures: StructureSet, extra: dict | None = None) -> None:
-    """Write masks as .dvol files plus one JSON manifest per patient directory."""
-    directory = Path(directory)
-    entries = []
-    for s in structures.structures:
-        rel = f"{MASK_DIR}/{s.name}.dvol"
-        write_volume(s.mask, directory / rel)
-        entries.append(
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "prescription": s.prescription,
-                "impact": s.impact,
-                "mask_path": rel,
-            }
-        )
-    manifest = dict(extra or {})
-    manifest.update(
-        {
-            "dims": list(structures.dims),
-            "spacing": list(structures.spacing),
-            "structures": entries,
-        }
-    )
-    write_manifest(directory / MANIFEST_NAME, manifest, MANIFEST_VERSION)
+@dataclass(frozen=True)
+class StructureEntry(Record):
+    """One structure of a saved case's manifest: the fields of its StructureMask
+    and the path of its mask file, relative to the case directory."""
+
+    name: str
+    kind: str
+    mask_path: str
+    prescription: float | None = None
+    impact: str | None = None
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        try:
+            return super().from_json_dict(d)
+        except ValidationError as exc:
+            raise ValidationError(f"bad structure entry {d!r} ({exc})") from exc
 
 
-def write_manifest(path, manifest: dict, version: int) -> None:
-    """Write `manifest` stamped with ``"schema_version": version`` as JSON (sorted
+def write_manifest(path, record: Record, version: int) -> None:
+    """Write `record` stamped with ``"schema_version": version`` as JSON (sorted
     keys, indent 2, trailing newline) atomically; `read_manifest` reads it back."""
-    text = json.dumps({**manifest, "schema_version": version}, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**record.to_json_dict(), "schema_version": version},
+                      indent=2, sort_keys=True) + "\n"
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def read_manifest(path, schema: dict[str, type], version: int) -> dict:
-    """Parse a JSON object stamped with `version` in which each key of `schema` holds
-    a value of that key's type (a bool is not an int); returns it without the stamp."""
+def read_manifest(path, cls: type[Record], version: int) -> Record:
+    """The `cls` record that `write_manifest` wrote to `path` with `version`.
+    Malformed JSON, a missing or other version, and JSON that `cls.from_json_dict`
+    rejects raise ManifestError."""
     try:
         manifest = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:
@@ -544,40 +520,32 @@ def read_manifest(path, schema: dict[str, type], version: int) -> dict:
     found = manifest.pop("schema_version", None)
     if type(found) is not int or found != version:  # JSON true and 1.0 equal 1 in Python
         raise ManifestError(f"{path}: schema_version {found}, expected {version}")
-    bad = [k for k, kind in schema.items() if not _matches(kind, manifest.get(k))]
-    if bad:
-        raise ManifestError(f"{path}: missing or mistyped keys {bad}")
-    return manifest
+    try:
+        return cls.from_json_dict(manifest)
+    except ValidationError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
 
 
-def load_structure_set(directory, extra_schema: dict[str, type] | None = None
-                       ) -> tuple[StructureSet, dict]:
-    """Read a patient directory back; returns (structures, manifest extras).
-
-    Each structure entry must match STRUCTURE_ENTRY_SCHEMA, and the manifest must
-    also hold each key of `extra_schema` with a value of that type; anything else
-    raises ManifestError.
-    """
+def save_structure_set(directory, structures: StructureSet) -> tuple[StructureEntry, ...]:
+    """Write each mask to ``MASK_DIR/<name>.dvol`` under `directory`; returns the
+    manifest entries that name them."""
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ValidationError(f"{directory}: no {MANIFEST_NAME}")
-    manifest = read_manifest(manifest_path, {"structures": list, **(extra_schema or {})},
-                             MANIFEST_VERSION)
-    masks = []
-    for entry in manifest["structures"]:
-        if not (isinstance(entry, dict) and all(
-                _matches(kind, entry.get(key)) for key, kind in STRUCTURE_ENTRY_SCHEMA.items())):
-            raise ManifestError(f"{manifest_path}: bad structure entry {entry!r}")
-        masks.append(
-            StructureMask(
-                name=entry["name"],
-                kind=entry["kind"],
-                mask=read_volume(directory / entry["mask_path"]),
-                prescription=entry.get("prescription"),
-                impact=entry.get("impact"),
-            )
-        )
-    structures = StructureSet(tuple(masks))
-    extra = {k: v for k, v in manifest.items() if k not in ("dims", "spacing", "structures")}
-    return structures, extra
+    entries = []
+    for s in structures.structures:
+        path = f"{MASK_DIR}/{s.name}.dvol"
+        write_volume(s.mask, directory / path)
+        entries.append(StructureEntry(s.name, s.kind, path, s.prescription, s.impact))
+    return tuple(entries)
+
+
+def load_structure_set(directory, entries: tuple[StructureEntry, ...]) -> StructureSet:
+    """Inverse of save_structure_set. Entries that StructureMask or StructureSet
+    reject raise ManifestError."""
+    directory = Path(directory)
+    masks = [(e, read_volume(directory / e.mask_path)) for e in entries]
+    try:
+        return StructureSet(tuple(StructureMask(e.name, e.kind, mask, e.prescription, e.impact)
+                                  for e, mask in masks))
+    except ValidationError as exc:
+        raise ManifestError(f"{directory / MANIFEST_NAME}: bad structure entry or set ({exc})"
+                            ) from exc

@@ -68,8 +68,11 @@ def test_other_dosekit_error_exits_3(tmp_path):
     assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("key, value", [("prescription", "x"), ("kind", ["PTV"]), ("name", 5)],
-                         ids=["string-prescription", "list-kind", "int-name"])
+@pytest.mark.parametrize("key, value", [
+    ("prescription", "x"), ("kind", ["PTV"]), ("name", 5),
+    ("prescription", float("nan")), ("prescription", float("inf")),
+], ids=["string-prescription", "list-kind", "int-name", "nan-prescription",
+        "infinite-prescription"])
 def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value):
     case = tmp_path / "case"
     shutil.copytree(patient_dir, case)

@@ -8,6 +8,7 @@ import pytest
 from dosekit.errors import ValidationError
 from dosekit.phantom import (
     SITE_VERSION,
+    PatientCase,
     PhantomGenerationError,
     ShapePalette,
     SiteSpec,
@@ -16,7 +17,8 @@ from dosekit.phantom import (
     load_patient,
     save_patient,
 )
-from dosekit.volume import MANIFEST_NAME, KernelSpec, ManifestError
+from dosekit.volume import (BODY, MANIFEST_NAME, PTV, KernelSpec, ManifestError, StructureMask,
+                            StructureSet, VoxelGrid)
 
 from test_volume import stamped, without_version
 
@@ -194,12 +196,25 @@ class TestPatientPersistence:
             assert a.mask.identical(b.mask)
             assert (a.prescription, a.impact) == (b.prescription, b.impact)
 
+    def test_round_trip_of_spacing_not_exact_in_float32(self, tmp_path):
+        # the mask files hold float32 spacing, the manifest the float64 one
+        arr = np.ones((2, 2, 2), dtype=np.float32)
+        body = StructureMask("body", BODY, VoxelGrid.from_array(arr, spacing=(0.1, 0.2, 0.3)))
+        ptv = StructureMask("ptv", PTV, body.mask, prescription=1.0)
+        save_patient(tmp_path, PatientCase("case", StructureSet((body, ptv)), "site", 0))
+        assert load_patient(tmp_path).spacing == tuple(np.float32((0.1, 0.2, 0.3)).tolist())
+
     @pytest.mark.parametrize("change", [
         lambda m: m.pop("id"),
         lambda m: m.pop("site_id"),
         lambda m: m.pop("seed"),
         lambda m: m.update(seed="5"),
-    ], ids=["no-id", "no-site-id", "no-seed", "string-seed"])
+        lambda m: m.update(sneaky=1),
+        lambda m: m.update(dims=[32, 32, 15]),
+        lambda m: m.update(dims="x"),
+        lambda m: m.update(spacing=[5.0, 5.0, 2.5]),
+    ], ids=["no-id", "no-site-id", "no-seed", "string-seed", "unknown-key", "wrong-dims",
+            "string-dims", "wrong-spacing"])
     def test_manifest_without_identity_is_typed(self, tmp_path, change):
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
         path = tmp_path / MANIFEST_NAME

@@ -21,7 +21,7 @@ from dosekit.seeds import derive_seed
 from dosekit.planner import (
     FLUENCE_FILE,
     PLAN_JSON,
-    PLAN_SCHEMA_VERSION,
+    PLAN_VERSION,
     KKT_RTOL,
     BeamConfig,
     FluenceFileError,
@@ -948,7 +948,7 @@ def broken_json(directory):
 
 def empty_object(directory):
     # stamped, so the fault is the missing keys, not the version
-    (directory / PLAN_JSON).write_text(f'{{"schema_version": {PLAN_SCHEMA_VERSION}}}')
+    (directory / PLAN_JSON).write_text(f'{{"schema_version": {PLAN_VERSION}}}')
 
 
 def no_schema_version(directory):
@@ -986,6 +986,20 @@ def with_first_weight(directory, value):
 def overflowing_weight(directory):
     # float(10**400) raises OverflowError
     with_first_weight(directory, 10**400)
+
+
+def string_weight(directory):
+    with_first_weight(directory, "1.0")
+
+
+def bool_weight(directory):
+    # JSON true is a Python int, but not a weight
+    with_first_weight(directory, True)
+
+
+def unknown_top_level_key(directory):
+    path = directory / PLAN_JSON
+    path.write_text(path.read_text().replace('"index": 0', '"index": 0, "sneaky": 1', 1))
 
 
 def nan_weight(directory):
@@ -1052,6 +1066,9 @@ class TestCorruptPlanFiles:
         (boolean_index, ManifestError),
         (mistyped_diagnostics, ManifestError),
         (overflowing_weight, ManifestError),
+        (string_weight, ManifestError),
+        (bool_weight, ManifestError),
+        (unknown_top_level_key, ManifestError),
         (nan_weight, ManifestError),
         (infinite_weight, ManifestError),
         (bad_weight_bounds, ManifestError),

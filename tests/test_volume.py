@@ -1,5 +1,7 @@
+import hashlib
 import json
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.evaluation import MetricsReport, MetricValue
-from dosekit.phantom import SiteSpec, builtin_site
-from dosekit.planner import BeamConfig, PlanDiagnostics
+from dosekit.phantom import (PatientCase, SiteSpec, builtin_site, generate_patient, load_patient,
+                             save_patient)
+from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
 from dosekit.volume import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -20,15 +23,14 @@ from dosekit.volume import (
     KernelTooSmallError,
     ManifestError,
     PayloadSizeError,
+    Record,
     StructureMask,
     StructureSet,
     TruncatedVolumeError,
     VersionMismatchError,
     VoxelGrid,
-    coord_from_index,
     crop_to_kernel,
     crop_with_offset,
-    linear_index,
     load_structure_set,
     read_manifest,
     read_volume,
@@ -66,38 +68,31 @@ def without_version(path, version=None):
 
 
 class TestLinearIndex:
+    """The one raster convention: `StructureMask.linear_indices` and its inverse,
+    ``np.unravel_index(..., order="F")``, which `build_influence_matrix` uses."""
+
+    @staticmethod
+    def index_of(coord, dims):
+        (index,) = make_mask(dims, [coord]).linear_indices()
+        return index
+
     def test_origin(self):
-        assert linear_index((0, 0, 0), (4, 4, 4)) == 0
+        assert self.index_of((0, 0, 0), (4, 4, 4)) == 0
 
     def test_last_voxel(self):
-        assert linear_index((3, 3, 3), (4, 4, 4)) == 63
+        assert self.index_of((3, 3, 3), (4, 4, 4)) == 63
 
     def test_hand_evaluated(self):
-        assert linear_index((1, 2, 3), (4, 5, 6)) == 69
+        assert self.index_of((1, 2, 3), (4, 5, 6)) == 69
 
-    @pytest.mark.parametrize("coord", [(-1, 0, 0), (4, 0, 0), (0, 5, 0), (0, 0, 6)])
-    def test_out_of_range(self, coord):
-        with pytest.raises(ValidationError):
-            linear_index(coord, (4, 5, 6))
-
-    @given(
-        st.tuples(
-            st.integers(min_value=1, max_value=5),
-            st.integers(min_value=1, max_value=5),
-            st.integers(min_value=1, max_value=5),
-        ),
-        st.data(),
-    )
-    def test_bijective(self, dims, data):
-        nx, ny, nz = dims
-        coord = (
-            data.draw(st.integers(0, nx - 1)),
-            data.draw(st.integers(0, ny - 1)),
-            data.draw(st.integers(0, nz - 1)),
-        )
-        idx = linear_index(coord, dims)
-        assert 0 <= idx < nx * ny * nz
-        assert coord_from_index(idx, dims) == coord
+    @given(st.tuples(*[st.integers(1, 5)] * 3), st.integers(0, 2**32 - 1))
+    def test_bijective(self, dims, seed):
+        arr = np.random.default_rng(seed).random(dims) < 0.5
+        nx, ny, _ = dims
+        x, y, z = np.nonzero(arr)
+        indices = StructureMask("body", "BODY", VoxelGrid.from_array(arr)).linear_indices()
+        assert indices.tolist() == sorted((x + nx * (y + ny * z)).tolist())
+        assert set(zip(*np.unravel_index(indices, dims, order="F"))) == set(zip(x, y, z))
 
 
 class TestVoxelGrid:
@@ -125,7 +120,7 @@ class TestVoxelGrid:
         arr = np.zeros((2, 3, 4), dtype=np.float32)
         arr[1, 2, 3] = 7.0
         g = VoxelGrid.from_array(arr)
-        assert g.flat()[linear_index((1, 2, 3), (2, 3, 4))] == 7.0
+        assert g.flat()[23] == 7.0  # 1 + 2*(2 + 3*3)
 
 
 class TestVolumeRoundTrip:
@@ -240,6 +235,11 @@ class TestStructures:
     def test_ptv_requires_prescription(self):
         with pytest.raises(ValidationError):
             make_mask((2, 2, 2), [(0, 0, 0)], kind="PTV")
+
+    @pytest.mark.parametrize("prescription", [float("nan"), float("inf"), 0.0])
+    def test_ptv_prescription_must_be_positive_and_finite(self, prescription):
+        with pytest.raises(ValidationError, match="positive finite"):
+            make_mask((2, 2, 2), [(0, 0, 0)], kind="PTV", prescription=prescription)
 
     def test_oar_requires_impact(self):
         with pytest.raises(ValidationError):
@@ -357,14 +357,53 @@ class TestCrop:
             crop_with_offset(VoxelGrid.zeros((5, 5, 5)), off)
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestManifest:
+    def test_saved_files_keep_their_bytes(self, tmp_path):
+        # a hand-built plan, not a solved one: CP diagnostics depend on the BLAS thread count
+        plan = Plan(
+            patient_id="siteA-p0001",
+            index=3,
+            weights=PlanWeights({"ptv70": 1.0, "oar01": 0.25, "oar02": 0.0625}, (0.01, 1.0)),
+            fluence=np.array([0.0, 0.5, 1.25, 3.0]),
+            dose=VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
+            diagnostics=PlanDiagnostics(iterations=2000, converged=False, final_objective=0.125,
+                                        objective_at_zero=1.5, operator_norm=0.75,
+                                        kkt_residual=1e-4),
+        )
+        save_plan(tmp_path / "plan", plan)
+        save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
+        builtin_site("siteB").save(tmp_path / "siteB.json")
+        MetricsReport(0.9, (_ROW, MetricValue("oar01", "OAR", "high", "Dmean", 0.25, 0.3, 5.0))
+                      ).write_json(tmp_path / "report.json")
+        digests = {name: sha256_of(tmp_path / name) for name in [
+            "plan/plan.json", "plan/dose.dvol", "plan/fluence.f32",
+            f"patient/{MANIFEST_NAME}", "siteB.json", "report.json"]}
+        assert digests == {
+            "plan/plan.json": "aa6ceb71f960e1e2f76101f35aa19c497682063fb8cd4cb6899faac57a760a4c",
+            "plan/dose.dvol": "5dc1839ef5539ce7da879d83912da77f2163701fa045e96f4233ce484c96a79c",
+            "plan/fluence.f32": "bd0c463d360c6bc981eea4939a04ff825aa22b101aafe2c035ad15628669bb64",
+            f"patient/{MANIFEST_NAME}":
+                "cb099f7dfa03927062ba33755575fc6ebf0e3139b14e8437ae55001890c4536d",
+            "siteB.json": "779b81f43d071c3a004b4ef6300ca581c40359ee5af1afcf8eb9b78ab3f4e717",
+            "report.json": "798ce1681c2ac5ef60cbf200e0971f54f6dc4cac101b3f7a13e4864ce16c3d45",
+        }
+
     def test_write_manifest_format(self, tmp_path):
-        manifest = {"b": [1, 2], "a": {"y": 1.5, "x": None}}
-        write_manifest(tmp_path / "m.json", manifest, 3)
+        @dataclass(frozen=True)
+        class Pair(Record):
+            b: tuple[int, ...]
+            a: dict[str, float | None]
+
+        record = Pair(b=(1, 2), a={"y": 1.5, "x": None})
+        write_manifest(tmp_path / "m.json", record, 3)
         text = (tmp_path / "m.json").read_text()
         assert text == ('{\n  "a": {\n    "x": null,\n    "y": 1.5\n  },\n  "b": [\n    1,\n    2\n  ],\n'
                         '  "schema_version": 3\n}\n')
-        assert read_manifest(tmp_path / "m.json", {"a": dict, "b": list}, 3) == manifest
+        assert read_manifest(tmp_path / "m.json", Pair, 3) == record
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_round_trip(self, tmp_path):
@@ -372,11 +411,11 @@ class TestManifest:
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv70", prescription=1.0)
         oar = make_mask((3, 3, 3), [(2, 2, 2)], kind="OAR", name="oar01", impact="low")
         sset = StructureSet((body, ptv, oar))
-        save_structure_set(tmp_path, sset, extra={"id": "case-1", "site_id": "siteA", "seed": 7})
-        loaded, extra = load_structure_set(tmp_path)
-        assert extra["id"] == "case-1"
-        assert extra["seed"] == 7
-        assert [s.name for s in loaded.structures] == ["body", "ptv70", "oar01"]
+        entries = save_structure_set(tmp_path, sset)
+        names = ["body", "ptv70", "oar01"]
+        assert [e.mask_path for e in entries] == [f"masks/{n}.dvol" for n in names]
+        loaded = load_structure_set(tmp_path, entries)
+        assert [s.name for s in loaded.structures] == names
         for a, b in zip(loaded.structures, sset.structures):
             assert a.mask.identical(b.mask)
             assert (a.kind, a.prescription, a.impact) == (b.kind, b.prescription, b.impact)
@@ -385,7 +424,7 @@ class TestManifest:
     def _saved(directory):
         body = make_mask((3, 3, 3), [(1, 1, 1)])
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv", prescription=1.0)
-        save_structure_set(directory, StructureSet((body, ptv)))
+        save_patient(directory, PatientCase("case", StructureSet((body, ptv)), "site", 0))
         return directory / MANIFEST_NAME
 
     @pytest.mark.parametrize("text", ['{"dims": [3, 3', "{}", '{"structures": 3}',
@@ -394,25 +433,27 @@ class TestManifest:
         # stamped, so a JSON object fails on the fault its text shows, not on the version
         self._saved(tmp_path).write_text(stamped(text, MANIFEST_VERSION))
         with pytest.raises(ManifestError):
-            load_structure_set(tmp_path)
+            load_patient(tmp_path)
 
     @pytest.mark.parametrize("key, value", [
         ("prescription", "x"), ("prescription", True), ("kind", ["PTV"]), ("name", 5),
-    ], ids=["string-prescription", "bool-prescription", "list-kind", "int-name"])
+        ("prescription", float("nan")), ("prescription", float("inf")),
+    ], ids=["string-prescription", "bool-prescription", "list-kind", "int-name",
+            "nan-prescription", "infinite-prescription"])
     def test_mistyped_structure_entry_is_typed(self, tmp_path, key, value):
         path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         next(e for e in manifest["structures"] if e["kind"] == "PTV")[key] = value
         path.write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match="bad structure entry"):
-            load_structure_set(tmp_path)
+            load_patient(tmp_path)
 
     @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True, 1.0],
                              ids=["missing", "wrong", "bool", "float"])
     def test_manifest_version_is_checked(self, tmp_path, version):
         without_version(self._saved(tmp_path), version)
         with pytest.raises(ManifestError, match="schema_version"):
-            load_structure_set(tmp_path)
+            load_patient(tmp_path)
 
 
 class TestKernelSpec:
