@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DosekitError, ValidationError
 from .volume import (BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid,
@@ -146,9 +145,13 @@ def paired_t_test(a, b, alpha: float = 0.05) -> TTestResult:
     """Two-sided paired t-test on equal-length samples.
 
     The p-value comes from the Student-t CDF via the regularized incomplete
-    beta function. Zero-variance difference vectors are flagged degenerate:
-    p=1 when every difference is zero, p=0 otherwise.
+    beta function, scipy.special.betainc, which is imported on a process's first
+    t-test, not with this module: scipy.special costs about 0.2-0.3 s to load.
+    Zero-variance difference vectors are flagged degenerate: p=1 when every
+    difference is zero, p=0 otherwise.
     """
+    from scipy.special import betainc
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

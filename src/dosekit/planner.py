@@ -14,30 +14,34 @@ product with the dense Gram matrix G = M^T M (8 n^2 bytes for n beamlets)
 instead of one product each with M and M^T. That product is one BLAS dsymv,
 which reads only one triangle of the symmetric G and folds the dual step's
 scaling into its alpha and beta. Every dense product of a plan goes through
-scipy.linalg.blas (see `_gram`), which is imported on a process's first plan,
-not with this module: it costs 50-70 ms to load, which importing the package
-(and `dosekit phantom`) should not pay. The iterates are checked for
-finiteness once per block of 64 iterations, and a block that ends non-finite is
-replayed with a check after every iteration, so a divergence is still reported
-at its exact first iteration. Sampling the structure tradeoff weights sweeps the
-Pareto surface.
+scipy.linalg.blas (see `_gram`). Neither scipy module is imported with this
+module: scipy.sparse is imported on a process's first influence build and
+scipy.linalg.blas on its first plan. They cost about 0.2-0.3 s and 50-70 ms
+to load, which importing the package (and `dosekit phantom`) should not pay.
+The iterates are checked for finiteness once per block of 64 iterations, and a
+block that ends non-finite is replayed with a check after every iteration, so a
+divergence is still reported at its exact first iteration. Sampling the
+structure tradeoff weights sweeps the Pareto surface.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
 from .volume import (Record, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
-                     read_manifest, read_volume, write_manifest, write_volume)
+                     _read_bytes, read_manifest, read_volume, write_manifest, write_volume)
+
+if typing.TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
 # Ray steps that `build_influence_matrix` samples at once for every column.
@@ -153,6 +157,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     therefore O(body voxels x lateral beamlets per beam), plus the visits and
     the triples of the result.
     """
+    import scipy.sparse as sp
+
     structures = case.structures
     dims = structures.dims
     spacing = np.asarray(structures.spacing, dtype=np.float64)
@@ -640,7 +646,7 @@ def save_plan(directory, plan: Plan) -> None:
 def load_plan(directory) -> Plan:
     directory = Path(directory)
     meta = read_manifest(directory / PLAN_JSON, PlanManifest, PLAN_VERSION)
-    raw = (directory / FLUENCE_FILE).read_bytes()
+    raw = _read_bytes(directory / FLUENCE_FILE)
     if len(raw) != 4 * meta.n_beamlets:
         raise FluenceFileError(f"{directory / FLUENCE_FILE}: {len(raw)} bytes, "
                                f"expected {meta.n_beamlets} <f4 values")

@@ -84,6 +84,15 @@ def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value):
     assert "bad structure entry" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_missing_mask_file_exits_3(patient_dir, tmp_path):
+    case = tmp_path / "case"
+    shutil.copytree(patient_dir, case)
+    (case / "masks" / "oar01.dvol").unlink()
+    done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
+    assert done.returncode == 3  # a MissingFileError
+    assert "oar01.dvol: no such file" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # the planner imports scipy.linalg.blas on a process's first plan: loading it
     # takes 50-70 ms, which neither the package import nor `dosekit phantom` pays
@@ -91,3 +100,35 @@ def test_import_leaves_scipy_linalg_unloaded():
                   "import dosekit.evaluation, dosekit.phantom, dosekit.planner, dosekit.volume\n"
                   "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was loaded'")
     assert done.returncode == 0, done.stderr
+
+
+LAYERS = "dosekit.evaluation, dosekit.phantom, dosekit.planner, dosekit.volume, dosekit.cli"
+
+
+def scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter holds after importing the
+    layers and then running `code`."""
+    done = python("-c", f"import sys\nimport {LAYERS}\n{code}\n"
+                  "print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()[1:]
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse and scipy.special cost about 0.2-0.3 s to load: the planner
+    # imports the one on a process's first influence build, the t-test the other
+    assert scipy_modules_after("") == []
+
+
+def test_phantom_command_loads_no_scipy(tmp_path):
+    argv = ["phantom", "--site", "siteA", "--seed", "1", "--out", str(tmp_path / "case")]
+    assert scipy_modules_after(f"assert dosekit.cli.main({argv!r}) == 0") == []
+
+
+def test_influence_build_loads_scipy_sparse():
+    # deferred, not dropped: the first influence build imports it
+    loaded = scipy_modules_after(
+        "assert 'scipy' not in sys.modules\n"
+        "case = dosekit.phantom.generate_patient(dosekit.phantom.builtin_site('siteA'), 1)\n"
+        "dosekit.planner.build_influence_matrix(case, dosekit.planner.BeamConfig())")
+    assert "scipy.sparse" in loaded

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import math
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dosekit.errors import ValidationError
+from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import (
     SITE_VERSION,
     PatientCase,
@@ -20,7 +26,7 @@ from dosekit.phantom import (
 from dosekit.volume import (BODY, MANIFEST_NAME, PTV, KernelSpec, ManifestError, StructureMask,
                             StructureSet, VoxelGrid)
 
-from test_volume import stamped, without_version
+from test_volume import JSON_VALUES, stamped, without_version
 
 
 class TestBuiltinSites:
@@ -223,3 +229,64 @@ class TestPatientPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ManifestError):
             load_patient(tmp_path)
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dot-dot", "absolute"])
+    def test_mask_path_must_stay_inside_the_case(self, tmp_path, absolute):
+        # patient 2's mask has the grid of patient 1's, so only the path check stops it
+        for seed in (1, 2):
+            save_patient(tmp_path / f"p{seed}", generate_patient(builtin_site("siteA"), seed))
+        other = tmp_path / "p2" / "masks" / "oar01.dvol"
+        path = tmp_path / "p1" / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        entry = next(e for e in manifest["structures"] if e["name"] == "oar01")
+        entry["mask_path"] = str(other) if absolute else "../p2/masks/oar01.dvol"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="not a relative path inside the case directory"):
+            load_patient(tmp_path / "p1")
+
+
+# mask paths that name no file of the case: missing, absolute, leading out of
+# it, the case directory itself, a directory, below a file, or holding a NUL
+BAD_MASK_PATHS = st.sampled_from([
+    "masks/missing.dvol", "/masks/body.dvol", "../masks/body.dvol", "masks/../../body.dvol",
+    "", ".", "masks", f"{MANIFEST_NAME}/body.dvol", "masks/body\0.dvol",
+]) | st.text(max_size=12)
+
+
+class TestMutatedManifest:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("case")
+        save_patient(directory, generate_patient(builtin_site("siteA"), 1))
+        return directory
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_structures_json_loads_or_is_typed(self, saved, data):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d) / "case"
+            shutil.copytree(saved, directory)
+            manifest = json.loads((directory / MANIFEST_NAME).read_text())
+            entries = manifest["structures"]
+            target = data.draw(st.sampled_from([manifest, *entries]))
+            key = data.draw(st.sampled_from(sorted(target)))
+            action = data.draw(st.sampled_from(["replace", "delete", "rename", "schema_version",
+                                                "mask_path", "prescription"]))
+            if action == "replace":
+                target[key] = data.draw(JSON_VALUES)
+            elif action == "delete":
+                del target[key]
+            elif action == "rename":
+                target[data.draw(st.text(max_size=6))] = target.pop(key)
+            elif action == "schema_version":
+                manifest["schema_version"] = data.draw(JSON_VALUES)
+            elif action == "mask_path":
+                data.draw(st.sampled_from(entries))["mask_path"] = data.draw(BAD_MASK_PATHS)
+            else:
+                ptv = next(e for e in entries if e["kind"] == PTV)
+                ptv["prescription"] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+            try:
+                load_patient(directory)
+            except DosekitError:
+                pass

@@ -19,6 +19,7 @@ from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.seeds import derive_seed
 from dosekit.planner import (
+    DOSE_FILE,
     FLUENCE_FILE,
     PLAN_JSON,
     PLAN_VERSION,
@@ -44,9 +45,10 @@ from dosekit.planner import (
     solve_fluence,
     solve_stacked,
 )
-from dosekit.volume import KernelSpec, ManifestError, StructureMask, StructureSet, VoxelGrid
+from dosekit.volume import (KernelSpec, ManifestError, MissingFileError, StructureMask,
+                            StructureSet, VoxelGrid)
 
-from test_volume import make_mask, without_version
+from test_volume import JSON_VALUES, make_mask, without_version
 
 
 def pg_oracle(A, c, p, max_iters=300_000, tol=1e-14):
@@ -1030,15 +1032,6 @@ def too_deeply_nested(directory):
     (directory / PLAN_JSON).write_text("[" * 100_000)
 
 
-# JSON values of every kind, nested at most a few levels
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
-                                                                max_size=3),
-    max_leaves=6,
-)
-
-
 def loads_or_is_typed(directory):
     """load_plan either returns or raises a DosekitError; anything else propagates."""
     try:
@@ -1079,6 +1072,17 @@ class TestCorruptPlanFiles:
         save_plan(tmp_path, plan)
         corrupt(tmp_path)
         with pytest.raises(error):
+            load_plan(tmp_path)
+
+    @pytest.mark.parametrize("name", [PLAN_JSON, FLUENCE_FILE, DOSE_FILE])
+    def test_missing_file_is_typed(self, plan, tmp_path, name):
+        save_plan(tmp_path, plan)
+        (tmp_path / name).unlink()
+        with pytest.raises(MissingFileError, match=f"{name}: no such file"):
+            load_plan(tmp_path)
+
+    def test_empty_directory_is_typed(self, tmp_path):
+        with pytest.raises(DosekitError):
             load_plan(tmp_path)
 
     @settings(max_examples=150, deadline=None)

@@ -41,6 +41,15 @@ from dosekit.volume import (
 )
 
 
+# JSON values of every kind, nested at most a few levels
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
 def make_mask(shape, coords, kind="BODY", name=None, **kw):
     arr = np.zeros(shape, dtype=np.float32)
     for c in coords:
