@@ -282,10 +282,8 @@ def save_patient(directory, case: PatientCase) -> None:
 
 def load_patient(directory) -> PatientCase:
     """Inverse of save_patient. A manifest whose dims or spacing differ from its
-    masks' raises ManifestError."""
+    masks' raises ManifestError; a missing manifest or mask raises MissingFileError."""
     path = Path(directory) / MANIFEST_NAME
-    if not path.is_file():
-        raise ValidationError(f"{directory}: no {MANIFEST_NAME}")
     manifest = read_manifest(path, PatientManifest, MANIFEST_VERSION)
     structures = load_structure_set(directory, manifest.structures)
     # a .dvol header holds the spacing as float32

@@ -50,10 +50,9 @@ def test_plan_writes_plans(patient_dir, tmp_path):
 @pytest.mark.parametrize("args", [
     ("phantom", "--site", "siteZ", "--seed", 1),  # unknown site preset
     ("plan", "--case", "PATIENT", "--count", 0, "--seed", 0),  # plan_count must be >= 1
-    ("plan", "--case", "MISSING", "--count", 1, "--seed", 0),  # no structures.json
-], ids=["unknown-site", "zero-plans", "missing-case"])
+], ids=["unknown-site", "zero-plans"])
 def test_validation_error_exits_2(patient_dir, tmp_path, args):
-    paths = {"PATIENT": patient_dir, "MISSING": tmp_path / "missing"}
+    paths = {"PATIENT": patient_dir}
     args = [paths.get(a, a) for a in args]
     done = dosekit(*args, "--out", tmp_path / "out")
     assert done.returncode == 2
@@ -82,6 +81,14 @@ def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value):
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
     assert done.returncode == 3  # a ManifestError
     assert "bad structure entry" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_missing_case_exits_3(tmp_path):
+    # a missing structures.json is a missing input file like any other
+    done = dosekit("plan", "--case", tmp_path / "missing", "--count", 1, "--seed", 0,
+                   "--out", tmp_path / "out")
+    assert done.returncode == 3  # a MissingFileError
+    assert "structures.json: no such file" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_missing_mask_file_exits_3(patient_dir, tmp_path):

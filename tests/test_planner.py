@@ -175,6 +175,22 @@ class TestBeamletWeight:
         assert beamlet_kernel(0.0, cfg.lateral_cutoff**2, cfg) > 0.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(BeamConfig)
+                                   if f.type == "float"])
+def test_beam_config_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match="finite"):
+        BeamConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_influence_matrix_rejects_bad_entries(value):
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        InfluenceMatrix(sp.csr_matrix(np.array([[value, 1.0]])), np.array([0]),
+                        (1, 1, 1), (5.0, 5.0, 5.0))
+
+
 class TestInfluenceMatrix:
     @pytest.fixture(scope="class")
     def case(self):
@@ -456,6 +472,15 @@ def test_influence_matches_column_march_at_64x64x32(scaled_case_and_reference):
     assert_same_csr(build_influence_matrix(case, BeamConfig()).matrix, reference)
 
 
+@pytest.mark.parametrize("n_beams", [36, 72])
+def test_influence_matches_column_march_at_arc_scale(n_beams):
+    # arc-like control point counts, where each row holds entries of many beams
+    case = generate_patient(builtin_site("siteB"), 1)
+    cfg = BeamConfig(n_beams=n_beams)
+    assert_same_csr(build_influence_matrix(case, cfg).matrix,
+                    column_march_reference(case, cfg))
+
+
 def python_ray_depth(case, voxel, d, step_mm):
     """Depth of one voxel by a scalar march: step_mm per upstream sample in the body."""
     dims = case.structures.dims
@@ -511,16 +536,30 @@ class TestInfluenceEntries:
             assert value == pytest.approx(beamlet_kernel(depth, lateral**2, cfg), rel=1e-12)
 
 
-def test_influence_build_memory_at_64x64x32():
-    case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
-    assert case.dims == (64, 64, 32)
+def traced_build(case, cfg):
+    """The influence matrix of `case` and the tracemalloc peak of building it."""
     tracemalloc.start()
     try:
-        build_influence_matrix(case, BeamConfig())
+        matrix = build_influence_matrix(case, cfg).matrix
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 150 * 2**20
+    return matrix, peak
+
+
+def test_influence_build_memory_at_64x64x32():
+    case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
+    assert case.dims == (64, 64, 32)
+    _, peak = traced_build(case, BeamConfig())
+    assert peak < 32 * 2**20  # 24.8 MB measured
+
+
+def test_influence_build_memory_at_72_beams():
+    # the CSR arrays are written in place from 16-byte compact entries: about 2.4x
+    # the matrix here
+    matrix, peak = traced_build(generate_patient(builtin_site("siteB"), 1),
+                                BeamConfig(n_beams=72))
+    assert peak <= 3 * (matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes)
 
 
 class TestObjective:
