@@ -6,17 +6,13 @@ relative to the case's highest PTV prescription.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DosekitError, ValidationError
-from .volume import (BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid,
-                     _atomic_write_bytes, write_manifest)
+from .volume import BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid, write_manifest
 
 D98 = "D98"
 D95 = "D95"
@@ -75,21 +71,6 @@ class DvhCurve:
         n = self.doses.size
         return float(self.doses[min(math.ceil(q * n), n) - 1])
 
-    def dose_at_fractions(self, qs: np.ndarray) -> np.ndarray:
-        """Vectorized dose_at_fraction."""
-        qs = np.asarray(qs, dtype=np.float64)
-        if qs.size and (qs.min() <= 0.0 or qs.max() > 1.0):
-            raise EvaluationError("volume fractions must be in (0, 1]")
-        n = self.doses.size
-        idx = np.minimum(np.ceil(qs * n).astype(np.int64), n) - 1
-        return self.doses[idx]
-
-    def table(self) -> np.ndarray:
-        """(dose, volume_fraction) rows for plotting/export."""
-        n = self.doses.size
-        fracs = np.arange(1, n + 1, dtype=np.float64) / n
-        return np.column_stack([self.doses.astype(np.float64), fracs])
-
 
 def dvh_metric(curve: DvhCurve, metric: str) -> float:
     """One of D98/D95/D02 (order statistics), Dmean, Dmax."""
@@ -103,10 +84,14 @@ def dvh_metric(curve: DvhCurve, metric: str) -> float:
     raise EvaluationError(f"unknown DVH metric {metric!r}")
 
 
+def _check_prescription(prescription: float) -> None:
+    if not 0 < prescription < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"prescription must be positive and finite, got {prescription}")
+
+
 def metric_error(pred: float, gt: float, prescription: float) -> float:
     """Absolute error as a percent of the prescription dose."""
-    if prescription <= 0:
-        raise ValidationError(f"prescription must be positive, got {prescription}")
+    _check_prescription(prescription)
     return abs(pred - gt) / prescription * 100.0
 
 
@@ -116,8 +101,9 @@ def isodose_mse(
     """MSE restricted to voxels where gt >= v% of the prescription."""
     if pred.dims != gt.dims:
         raise EvaluationError(f"dims mismatch: {pred.dims} vs {gt.dims}")
-    if prescription <= 0:
-        raise ValidationError(f"prescription must be positive, got {prescription}")
+    _check_prescription(prescription)
+    if not 0 < v_percent < math.inf:
+        raise ValidationError(f"isodose level must be positive and finite, got {v_percent}%")
     region = gt.data >= (v_percent / 100.0) * prescription
     n = int(np.count_nonzero(region))
     if n == 0:
@@ -148,7 +134,8 @@ def paired_t_test(a, b, alpha: float = 0.05) -> TTestResult:
     beta function, scipy.special.betainc, which is imported on a process's first
     t-test, not with this module: scipy.special costs about 0.2-0.3 s to load.
     Zero-variance difference vectors are flagged degenerate: p=1 when every
-    difference is zero, p=0 otherwise.
+    difference is zero, p=0 otherwise. Non-finite samples, differences whose
+    mean or spread overflows, and an alpha outside (0, 1) raise ValidationError.
     """
     from scipy.special import betainc
 
@@ -159,15 +146,22 @@ def paired_t_test(a, b, alpha: float = 0.05) -> TTestResult:
     n = a.size
     if n < 2:
         raise ValidationError("paired t-test needs n >= 2")
-    d = a - b
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValidationError("paired t-test samples must be finite")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        mean = float(np.mean(d))
+        sd = float(np.std(d, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValidationError("paired t-test differences overflow")
     df = n - 1
-    mean = float(np.mean(d))
-    sd = float(np.std(d, ddof=1))
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, df=df, p=1.0, significant=False, degenerate=True)
         t = math.copysign(math.inf, mean)
-        return TTestResult(t=t, df=df, p=0.0, significant=alpha > 0.0, degenerate=True)
+        return TTestResult(t=t, df=df, p=0.0, significant=True, degenerate=True)
     t = mean / (sd / math.sqrt(n))
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(t=t, df=df, p=p, significant=p < alpha)
@@ -201,23 +195,6 @@ class MetricsReport(Record):
 
     def write_json(self, path) -> None:
         write_manifest(path, self, REPORT_VERSION)
-
-    def write_csv(self, path) -> None:
-        _write_csv(
-            path,
-            ["structure", "kind", "impact", "metric", "predicted", "ground_truth", "percent_error"],
-            ([r.structure, r.kind, r.impact or "", r.metric,
-              repr(r.predicted), repr(r.ground_truth), repr(r.percent_error)] for r in self.rows),
-        )
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write `header` and `rows` with the csv module's defaults, in one atomic replace."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write_bytes(Path(path), text.getvalue().encode("utf-8"))
 
 
 def metrics_for_kind(kind: str) -> tuple[str, ...]:
@@ -261,9 +238,3 @@ def evaluate_plan(pred_dose: VoxelGrid, gt, structures: StructureSet) -> Metrics
         except DosekitError as exc:
             raise EvaluationError(f"structure {s.name!r}: {exc}") from exc
     return MetricsReport(rows=tuple(rows), prescription=prescription)
-
-
-def write_dvh_csv(curve: DvhCurve, path) -> None:
-    """One (dose, volume_fraction) row per voxel rank, descending dose."""
-    _write_csv(path, ["dose", "volume_fraction"],
-               ([repr(float(dose)), repr(float(frac))] for dose, frac in curve.table()))

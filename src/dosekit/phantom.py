@@ -9,6 +9,7 @@ generation exactly reproducible from (site, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,12 +24,12 @@ from .volume import (
     OAR,
     PTV,
     KernelSpec,
-    ManifestError,
     Record,
     StructureEntry,
     StructureMask,
     StructureSet,
     VoxelGrid,
+    _spacing,
     load_structure_set,
     read_manifest,
     save_structure_set,
@@ -75,17 +76,19 @@ class SiteSpec(Record):
         levels = tuple(float(v) for v in self.ptv_levels)
         if not levels or any(not 0.0 < v <= 1.0 for v in levels):
             raise ValidationError("ptv_levels must be nonempty with values in (0, 1]")
+        # checked before naming: ptv_name of a NaN or infinite constant raises
+        if not 0.0 < self.normalization_constant < math.inf:
+            raise ValidationError(f"normalization_constant must be positive and finite, "
+                                  f"got {self.normalization_constant}")
         names = [ptv_name(v, self.normalization_constant) for v in levels]
         if len(set(names)) != len(names):
             raise ValidationError(f"ptv_levels collide after naming: {names}")
         lo, hi = self.oar_count_range
         if not (0 <= lo <= hi):
             raise ValidationError(f"bad oar_count_range {self.oar_count_range}")
-        if self.normalization_constant <= 0:
-            raise ValidationError("normalization_constant must be positive")
         object.__setattr__(self, "ptv_levels", levels)
         object.__setattr__(self, "oar_count_range", (int(lo), int(hi)))
-        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
+        object.__setattr__(self, "spacing_mm", _spacing(self.spacing_mm, "spacing_mm"))
 
     def save(self, path) -> None:
         write_manifest(path, self, SITE_VERSION)
@@ -263,32 +266,25 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
 
 @dataclass(frozen=True)
 class PatientManifest(Record):
-    """A saved case's MANIFEST_NAME file: its identity, its grid and its
-    structures, whose masks lie next to it under MASK_DIR."""
+    """A saved case's MANIFEST_NAME file: its identity and its structures, whose
+    masks lie next to it under MASK_DIR. The grid is not repeated here: each
+    mask's .dvol header holds it."""
 
     id: str
     site_id: str
     seed: int
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
     structures: tuple[StructureEntry, ...]
 
 
 def save_patient(directory, case: PatientCase) -> None:
     entries = save_structure_set(directory, case.structures)
-    manifest = PatientManifest(case.id, case.site_id, case.seed, case.dims, case.spacing, entries)
+    manifest = PatientManifest(case.id, case.site_id, case.seed, entries)
     write_manifest(Path(directory) / MANIFEST_NAME, manifest, MANIFEST_VERSION)
 
 
 def load_patient(directory) -> PatientCase:
-    """Inverse of save_patient. A manifest whose dims or spacing differ from its
-    masks' raises ManifestError; a missing manifest or mask raises MissingFileError."""
-    path = Path(directory) / MANIFEST_NAME
-    manifest = read_manifest(path, PatientManifest, MANIFEST_VERSION)
+    """Inverse of save_patient. A malformed manifest raises ManifestError; a
+    missing manifest or mask raises MissingFileError."""
+    manifest = read_manifest(Path(directory) / MANIFEST_NAME, PatientManifest, MANIFEST_VERSION)
     structures = load_structure_set(directory, manifest.structures)
-    # a .dvol header holds the spacing as float32
-    spacing = tuple(np.float32(manifest.spacing).tolist())
-    if (manifest.dims, spacing) != (structures.dims, structures.spacing):
-        raise ManifestError(f"{path}: dims {manifest.dims} and spacing {manifest.spacing} differ "
-                            f"from the masks' {structures.dims} and {structures.spacing}")
     return PatientCase(manifest.id, structures, manifest.site_id, manifest.seed)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,8 @@ from .volume import (Record, StructureMask, StructureSet, VoxelGrid, _atomic_wri
 if typing.TYPE_CHECKING:
     import scipy.sparse as sp
 
-DEFAULT_WEIGHT_BOUNDS = (0.01, 1.0)
+# `sample_weights` draws OAR weights log-uniform on [lo, hi].
+WEIGHT_BOUNDS = (0.01, 1.0)
 # Ray steps that `build_influence_matrix` samples at once for every column.
 _MARCH_CHUNK = 16
 
@@ -144,8 +144,9 @@ def _lateral_entries(pu, u_offsets, dz2, field_dz2, depth, cfg: BeamConfig):
     rows within the cutoff (plus a 1 % margin) of the rectangle spanned by the
     beamlet centres are tested, and of those only the (row, u) pairs whose
     lateral distance alone is within the cutoff are expanded over the axial
-    offsets, because r^2 = du^2 + dz^2 >= du^2. The temporaries die on return, so
-    no two beams' temporaries are alive at once.
+    offsets, because r^2 = du^2 + dz^2 >= du^2. Each temporary is released once
+    the next is formed, so the kernel is evaluated with only the entries' own
+    arrays alive, and no two beams' temporaries are alive at once.
     """
     nu, nv = cfg.beamlet_grid
     cutoff2 = cfg.lateral_cutoff**2
@@ -154,15 +155,18 @@ def _lateral_entries(pu, u_offsets, dz2, field_dz2, depth, cfg: BeamConfig):
     du2 = ((pu[near, None] - u_offsets[None, :]) ** 2).ravel()
     pair = np.flatnonzero(du2 <= cutoff2)  # the (row, u) pairs, flat in near x nu
     pair_row, pair_u = near[pair // nu], pair % nu
-    du2 = du2[pair]
     r2 = dz2[pair_row]  # a copy; IEEE addition commutes, so r2 = du2 + dz2 exactly
-    r2 += du2[:, None]
+    r2 += du2[pair, None]
+    del du2, pair
     r2 = r2.ravel()
     entry = np.flatnonzero(r2 <= cutoff2)  # flat in pairs x nv
+    r2 = r2[entry]
     entry_pair, v = np.divmod(entry, nv)
+    del entry
     row = pair_row[entry_pair]
-    return (row.astype(np.int32), (pair_u[entry_pair] * nv + v).astype(np.int32),
-            beamlet_kernel(depth[row], r2[entry], cfg))
+    col = (pair_u[entry_pair] * nv + v).astype(np.int32)
+    del pair_row, pair_u, entry_pair, v
+    return row.astype(np.int32), col, beamlet_kernel(depth[row], r2, cfg)
 
 
 def _csr_from_beams(beams: list, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -233,8 +237,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     about 28 bytes per entry of the result, about 2.3x the matrix, plus
     O(body voxels) per-voxel arrays and one beam's lateral temporaries, which are
     O(body voxels x lateral beamlets per beam). By tracemalloc, its peak is
-    24.8 MB for the 5.0 MB matrix of 64x64x32 siteA patient 1 with 7 beams, and
-    55.6 MB for the 23 MB matrix of desk siteB patient 1 with 72 beams.
+    21.1 MB for the 5.0 MB matrix of 64x64x32 siteA patient 1 with 7 beams, and
+    55.3 MB for the 23 MB matrix of desk siteB patient 1 with 72 beams.
     """
     import scipy.sparse as sp
 
@@ -261,6 +265,7 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     box_w, nz_box = box.shape[0], box.shape[2]
     z_lines = box.transpose(1, 0, 2).reshape(-1, nz_box).astype(np.int32)
     count_at = col_of * nz_box + (gz - box_lo[2])
+    del cells, gx, gy, gz, col_of
 
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
@@ -348,50 +353,30 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     return infl
 
 
-def _check_weight_bounds(bounds) -> None:
-    """Raise ValidationError unless `bounds` is (lo, hi), finite reals (not bools)
-    with 0 < lo <= hi."""
-    if not (len(bounds) == 2 and all(
-            isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) and v > 0
-            for v in bounds) and bounds[0] <= bounds[1]):
-        raise ValidationError(f"weight bounds must be two positive finite numbers with "
-                              f"lo <= hi, got {bounds}")
-
-
 @dataclass(frozen=True)
 class PlanWeights:
     """Tradeoff weight per objective structure (every PTV and OAR)."""
 
     weights: dict[str, float]
-    bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS
 
     def __post_init__(self):
         if not all(math.isfinite(w) and w > 0 for w in self.weights.values()):
             raise ValidationError("all tradeoff weights must be positive and finite")
-        _check_weight_bounds(self.bounds)
 
     def __getitem__(self, name: str) -> float:
         return self.weights[name]
 
 
-def sample_weights(
-    structures: StructureSet,
-    bounds: tuple[float, float] = DEFAULT_WEIGHT_BOUNDS,
-    seed: int = 0,
-) -> PlanWeights:
-    """PTV weights pinned at 1; OAR weights log-uniform within bounds."""
-    _check_weight_bounds(bounds)
-    lo, hi = bounds
+def sample_weights(structures: StructureSet, seed: int) -> PlanWeights:
+    """PTV weights pinned at 1; OAR weights log-uniform on WEIGHT_BOUNDS."""
+    lo, hi = WEIGHT_BOUNDS
     rng = np.random.default_rng(seed)
     weights: dict[str, float] = {}
     for ptv in structures.ptvs:
         weights[ptv.name] = 1.0
     for oar in structures.oars:
-        if lo == hi:
-            weights[oar.name] = float(lo)
-        else:
-            weights[oar.name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    return PlanWeights(weights=weights, bounds=(float(lo), float(hi)))
+        weights[oar.name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    return PlanWeights(weights)
 
 
 # Power steps of `estimate_operator_norm`.
@@ -677,8 +662,9 @@ def generate_plans(
 PLAN_JSON = "plan.json"
 DOSE_FILE = "dose.dvol"
 FLUENCE_FILE = "fluence.f32"
-# 2: the diagnostics changed shape, and `converged` became the KKT-residual bound
-PLAN_VERSION = 2
+# 2: the diagnostics changed shape, and `converged` became the KKT-residual bound;
+# 3: the sampler's weight bounds are no longer saved
+PLAN_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -689,12 +675,11 @@ class PlanManifest(Record):
     patient_id: str
     index: int
     weights: dict[str, float]
-    weight_bounds: tuple[float, float]
     diagnostics: PlanDiagnostics
     n_beamlets: int
 
     def __post_init__(self):
-        PlanWeights(self.weights, self.weight_bounds)  # so that bad weights fail to decode
+        PlanWeights(self.weights)  # so that bad weights fail to decode
 
 
 def save_plan(directory, plan: Plan) -> None:
@@ -702,8 +687,8 @@ def save_plan(directory, plan: Plan) -> None:
     write_volume(plan.dose, directory / DOSE_FILE)
     _atomic_write_bytes(directory / FLUENCE_FILE, np.asarray(plan.fluence, dtype="<f4").tobytes())
     write_manifest(directory / PLAN_JSON, PlanManifest(
-        plan.patient_id, plan.index, plan.weights.weights, plan.weights.bounds,
-        plan.diagnostics, int(plan.fluence.size)), PLAN_VERSION)
+        plan.patient_id, plan.index, plan.weights.weights, plan.diagnostics,
+        int(plan.fluence.size)), PLAN_VERSION)
 
 
 def load_plan(directory) -> Plan:
@@ -718,7 +703,7 @@ def load_plan(directory) -> Plan:
     return Plan(
         patient_id=meta.patient_id,
         index=meta.index,
-        weights=PlanWeights(meta.weights, meta.weight_bounds),
+        weights=PlanWeights(meta.weights),
         fluence=fluence,
         dose=read_volume(directory / DOSE_FILE),
         diagnostics=meta.diagnostics,

@@ -184,6 +184,26 @@ class KernelTooSmallError(ValidationError):
         )
 
 
+def _counts(dims, what: str) -> tuple[int, ...]:
+    """`dims` as a tuple of three positive Python ints. Any other length, a count
+    that is not an integer (Python's or numpy's; a bool is none) or one below 1
+    raises ValidationError."""
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                                 and d > 0 for d in dims):
+        raise ValidationError(f"{what} must be three positive integer counts, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
+def _spacing(spacing, what: str) -> tuple[float, ...]:
+    """`spacing` as a tuple of three finite, strictly positive floats; anything
+    else raises ValidationError."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
+        raise ValidationError(f"{what} must be finite and strictly positive, got {spacing}")
+    return spacing
+
+
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
     """Dense 3D scalar field with voxel spacing in millimeters.
@@ -197,12 +217,8 @@ class VoxelGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValidationError(f"dims must be three positive counts, got {self.dims}")
-        if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
-            raise ValidationError(f"spacing must be finite and strictly positive, got {self.spacing}")
+        dims = _counts(self.dims, "dims")
+        spacing = _spacing(self.spacing, "spacing")
         data = np.asarray(self.data, dtype=np.float32)
         if data.shape != dims:
             raise ValidationError(f"data shape {data.shape} does not match dims {dims}")
@@ -344,10 +360,7 @@ class KernelSpec(Record):
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValidationError(f"kernel dims must be three positive counts, got {self.dims}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _counts(self.dims, "kernel dims"))
 
     def check_pooling(self, pools: int) -> None:
         """Each axis must survive `pools` halvings."""
@@ -488,7 +501,8 @@ def read_volume(path) -> VoxelGrid:
 
 
 MANIFEST_NAME = "structures.json"
-MANIFEST_VERSION = 1
+# 2: the grid (dims and spacing) is gone; the masks hold it
+MANIFEST_VERSION = 2
 MASK_DIR = "masks"
 
 

@@ -15,6 +15,7 @@ from dosekit.evaluation import (
     DMAX,
     DMEAN,
     DvhCurve,
+    REPORT_VERSION,
     EvaluationError,
     MetricsReport,
     dvh_metric,
@@ -22,9 +23,8 @@ from dosekit.evaluation import (
     isodose_mse,
     metric_error,
     paired_t_test,
-    write_dvh_csv,
 )
-from dosekit.volume import StructureMask, StructureSet, VoxelGrid
+from dosekit.volume import StructureMask, StructureSet, VoxelGrid, read_manifest
 
 from test_volume import make_mask
 
@@ -86,14 +86,6 @@ class TestDvhCurve:
         with pytest.raises(EvaluationError, match="body"):
             DvhCurve.from_dose(dose, mask)
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        c = DvhCurve("s", np.sort(rng.random(31).astype(np.float32))[::-1])
-        qs = rng.uniform(1e-6, 1.0, size=50)
-        batch = c.dose_at_fractions(qs)
-        for q, v in zip(qs, batch):
-            assert v == c.dose_at_fraction(q)
-
 
 class TestDvhMetric:
     def test_uniform_dose(self):
@@ -148,6 +140,11 @@ class TestMetricError:
         with pytest.raises(ValidationError):
             metric_error(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("prescription", [math.nan, math.inf])
+    def test_rejects_non_finite_prescription(self, prescription):
+        with pytest.raises(ValidationError, match="finite"):
+            metric_error(1.0, 2.0, prescription)
+
 
 class TestIsodoseMse:
     def test_identity(self):
@@ -182,6 +179,16 @@ class TestIsodoseMse:
         gt = VoxelGrid.zeros((2, 2, 2))
         with pytest.raises(EvaluationError):
             isodose_mse(gt, gt, 1.0)
+
+    @pytest.mark.parametrize("prescription, v_percent", [
+        (math.nan, 10.0), (math.inf, 10.0), (0.0, 10.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+    ], ids=["nan-prescription", "infinite-prescription", "zero-prescription",
+            "nan-level", "infinite-level", "zero-level"])
+    def test_rejects_bad_prescription_or_level(self, prescription, v_percent):
+        g = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        with pytest.raises(ValidationError, match="positive and finite"):
+            isodose_mse(g, g, prescription, v_percent)
 
 
 class TestPairedTTest:
@@ -228,6 +235,21 @@ class TestPairedTTest:
         with pytest.raises(ValidationError):
             paired_t_test([1.0], [2.0])
 
+    @pytest.mark.parametrize("a, b, message", [
+        ([math.inf, 1.0], [0.0, 0.0], "finite"),
+        ([1.0, 2.0], [math.nan, 0.0], "finite"),
+        ([1e308, 1e308, -1e308], [-1e308, 0.0, 0.0], "overflow"),
+        ([1e200, -1e200, 0.0], [0.0, 0.0, 0.0], "overflow"),
+    ], ids=["infinite-sample", "nan-sample", "overflowing-difference", "overflowing-spread"])
+    def test_rejects_non_finite_samples(self, a, b, message):
+        with pytest.raises(ValidationError, match=message):
+            paired_t_test(a, b)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 5.0, -0.05])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            paired_t_test([1.0, 2.0, 3.0], [0.0, 0.5, 1.0], alpha)
+
 
 def _tiny_case(with_oar=True):
     shape = (3, 3, 3)
@@ -270,34 +292,16 @@ class TestEvaluatePlan:
         dose = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
         report = evaluate_plan(dose, dose, sset)
         report.write_json(tmp_path / "r.json")
-        report.write_csv(tmp_path / "r.csv")
-        assert (tmp_path / "r.json").stat().st_size > 0
-        assert (tmp_path / "r.csv").read_text().count("\n") == len(report.rows) + 1
+        assert read_manifest(tmp_path / "r.json", MetricsReport, REPORT_VERSION) == report
 
 
-class TestDvhCsv:
-    def test_export(self, tmp_path):
-        c = DvhCurve("s", np.array([0.9, 0.5, 0.1], dtype=np.float32))
-        write_dvh_csv(c, tmp_path / "s.csv")
-        lines = (tmp_path / "s.csv").read_text().strip().splitlines()
-        assert lines[0] == "dose,volume_fraction"
-        assert len(lines) == 4
+def _write_report(level, path):
+    sset = _tiny_case()
+    dose = VoxelGrid.from_array(np.full((3, 3, 3), level, dtype=np.float32))
+    evaluate_plan(dose, dose, sset).write_json(path)
 
 
-def _report_writer(method):
-    def write(level, path):
-        sset = _tiny_case()
-        dose = VoxelGrid.from_array(np.full((3, 3, 3), level, dtype=np.float32))
-        getattr(evaluate_plan(dose, dose, sset), method)(path)
-    return write
-
-
-def _dvh_writer(level, path):
-    write_dvh_csv(DvhCurve("s", np.array([level, 0.5, 0.1], dtype=np.float32)), path)
-
-
-@pytest.mark.parametrize("write", [_report_writer("write_json"), _report_writer("write_csv"),
-                                   _dvh_writer], ids=["write_json", "write_csv", "write_dvh_csv"])
+@pytest.mark.parametrize("write", [_write_report], ids=["write_json"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
     path = tmp_path / "out"
     write(0.9, path)

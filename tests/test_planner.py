@@ -24,6 +24,7 @@ from dosekit.planner import (
     PLAN_JSON,
     PLAN_VERSION,
     KKT_RTOL,
+    WEIGHT_BOUNDS,
     BeamConfig,
     FluenceFileError,
     InfluenceMatrix,
@@ -551,7 +552,7 @@ def test_influence_build_memory_at_64x64x32():
     case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
     assert case.dims == (64, 64, 32)
     _, peak = traced_build(case, BeamConfig())
-    assert peak < 32 * 2**20  # 24.8 MB measured
+    assert peak < 22 * 2**20  # 20.1 MiB measured
 
 
 def test_influence_build_memory_at_72_beams():
@@ -800,29 +801,22 @@ class TestOperatorNorm:
 
 
 class TestPlanWeights:
-    @pytest.mark.parametrize("weights, bounds", [
-        ({"a": float("nan")}, (0.01, 1.0)),
-        ({"a": float("inf")}, (0.01, 1.0)),
-        ({"a": 0.0}, (0.01, 1.0)),
-        ({"a": 1.0}, ("x",)),
-        ({"a": 1.0}, (0.01, "x")),
-        ({"a": 1.0}, (True, 1.0)),
-        ({"a": 1.0}, (0.01, float("inf"))),
-        ({"a": 1.0}, (0.0, 1.0)),
-        ({"a": 1.0}, (1.0, 0.5)),
-    ], ids=["nan-weight", "infinite-weight", "zero-weight", "one-bound", "string-bound",
-            "bool-bound", "infinite-bound", "zero-bound", "lo-above-hi"])
-    def test_rejects_bad_weights_and_bounds(self, weights, bounds):
+    @pytest.mark.parametrize("weights", [
+        {"a": float("nan")},
+        {"a": float("inf")},
+        {"a": 0.0},
+    ], ids=["nan-weight", "infinite-weight", "zero-weight"])
+    def test_rejects_bad_weights_and_bounds(self, weights):
         with pytest.raises(ValidationError):
-            PlanWeights(weights, bounds)
+            PlanWeights(weights)
 
 
 class TestSampleWeights:
     def test_range_containment(self):
         case = generate_patient(builtin_site("siteB"), 0)
-        w = sample_weights(case.structures, (0.01, 1.0), seed=5)
+        w = sample_weights(case.structures, seed=5)
         for oar in case.structures.oars:
-            assert 0.01 <= w[oar.name] <= 1.0
+            assert WEIGHT_BOUNDS[0] <= w[oar.name] <= WEIGHT_BOUNDS[1]
         for ptv in case.structures.ptvs:
             assert w[ptv.name] == 1.0
 
@@ -831,11 +825,6 @@ class TestSampleWeights:
         assert sample_weights(case.structures, seed=9).weights == sample_weights(
             case.structures, seed=9
         ).weights
-
-    def test_collapsed_interval(self):
-        case = generate_patient(builtin_site("siteA"), 0)
-        w = sample_weights(case.structures, (0.5, 0.5), seed=1)
-        assert all(w[o.name] == 0.5 for o in case.structures.oars)
 
 
 class TestGeneratePlans:
@@ -998,7 +987,8 @@ def no_schema_version(directory):
 
 def schema_version_1(directory):
     path = directory / PLAN_JSON
-    path.write_text(path.read_text().replace('"schema_version": 2', '"schema_version": 1', 1))
+    path.write_text(path.read_text().replace(f'"schema_version": {PLAN_VERSION}',
+                                             '"schema_version": 1', 1))
 
 
 def bad_diagnostics(directory):
@@ -1053,13 +1043,6 @@ def infinite_weight(directory):
     with_first_weight(directory, float("inf"))
 
 
-def bad_weight_bounds(directory):
-    path = directory / PLAN_JSON
-    meta = json.loads(path.read_text())
-    meta["weight_bounds"] = ["x"]
-    path.write_text(json.dumps(meta))
-
-
 def too_long_integer(directory):
     # json.loads raises ValueError for an integer of more than 4300 digits
     path = directory / PLAN_JSON
@@ -1103,7 +1086,6 @@ class TestCorruptPlanFiles:
         (unknown_top_level_key, ManifestError),
         (nan_weight, ManifestError),
         (infinite_weight, ManifestError),
-        (bad_weight_bounds, ManifestError),
         (too_long_integer, ManifestError),
         (too_deeply_nested, ManifestError),
     ], ids=lambda v: getattr(v, "__name__", ""))

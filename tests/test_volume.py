@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.evaluation import MetricsReport, MetricValue
-from dosekit.phantom import (PatientCase, SiteSpec, builtin_site, generate_patient, load_patient,
-                             save_patient)
+from dosekit.phantom import (SITE_VERSION, PatientCase, SiteSpec, builtin_site, generate_patient,
+                             load_patient, save_patient)
 from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
 from dosekit.volume import (
     MANIFEST_NAME,
@@ -119,6 +119,18 @@ class TestVoxelGrid:
     def test_rejects_non_finite_spacing(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             VoxelGrid((2, 2, 2), (5.0, bad, 5.0), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("dims", [(2.7, 2, 2), (2.0, 2, 2), (2, 2, True), (2, 2)],
+                             ids=["fraction", "float", "bool", "two-axes"])
+    def test_rejects_bad_dims(self, dims):
+        with pytest.raises(ValidationError, match="integer counts"):
+            VoxelGrid(dims, (5.0, 5.0, 5.0), np.zeros((2, 2, 2)))
+
+    def test_takes_numpy_integer_dims(self):
+        dims = (np.int64(2), np.int32(3), np.uint8(4))
+        grid, kernel = VoxelGrid(dims, (5.0, 5.0, 5.0), np.zeros((2, 3, 4))), KernelSpec(dims)
+        assert grid.dims == kernel.dims == (2, 3, 4)
+        assert all(type(d) is int for d in grid.dims + kernel.dims)
 
     def test_data_is_readonly(self):
         g = VoxelGrid.zeros((2, 2, 2))
@@ -376,7 +388,7 @@ class TestManifest:
         plan = Plan(
             patient_id="siteA-p0001",
             index=3,
-            weights=PlanWeights({"ptv70": 1.0, "oar01": 0.25, "oar02": 0.0625}, (0.01, 1.0)),
+            weights=PlanWeights({"ptv70": 1.0, "oar01": 0.25, "oar02": 0.0625}),
             fluence=np.array([0.0, 0.5, 1.25, 3.0]),
             dose=VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
             diagnostics=PlanDiagnostics(iterations=2000, converged=False, final_objective=0.125,
@@ -392,11 +404,11 @@ class TestManifest:
             "plan/plan.json", "plan/dose.dvol", "plan/fluence.f32",
             f"patient/{MANIFEST_NAME}", "siteB.json", "report.json"]}
         assert digests == {
-            "plan/plan.json": "aa6ceb71f960e1e2f76101f35aa19c497682063fb8cd4cb6899faac57a760a4c",
+            "plan/plan.json": "84d6898998da3c3719a14d6e1312d09b540e911af507e483a0b8139aa3b29a92",
             "plan/dose.dvol": "5dc1839ef5539ce7da879d83912da77f2163701fa045e96f4233ce484c96a79c",
             "plan/fluence.f32": "bd0c463d360c6bc981eea4939a04ff825aa22b101aafe2c035ad15628669bb64",
             f"patient/{MANIFEST_NAME}":
-                "cb099f7dfa03927062ba33755575fc6ebf0e3139b14e8437ae55001890c4536d",
+                "3056af8ff128ec530dcd2e5109cbcf02e26adb127192e4ef81a453e1c307f05b",
             "siteB.json": "779b81f43d071c3a004b4ef6300ca581c40359ee5af1afcf8eb9b78ab3f4e717",
             "report.json": "798ce1681c2ac5ef60cbf200e0971f54f6dc4cac101b3f7a13e4864ce16c3d45",
         }
@@ -457,17 +469,25 @@ class TestManifest:
         with pytest.raises(ManifestError, match="bad structure entry"):
             load_patient(tmp_path)
 
-    @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True, 1.0],
+    @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True,
+                                         float(MANIFEST_VERSION)],
                              ids=["missing", "wrong", "bool", "float"])
     def test_manifest_version_is_checked(self, tmp_path, version):
-        without_version(self._saved(tmp_path), version)
+        if version is True:
+            # JSON true equals 1 in Python, so only a version-1 reader shows it refused
+            assert SITE_VERSION == 1
+            path, load = tmp_path / "site.json", SiteSpec.load
+            builtin_site("siteA").save(path)
+        else:
+            path, load = self._saved(tmp_path), lambda p: load_patient(p.parent)
+        without_version(path, version)
         with pytest.raises(ManifestError, match="schema_version"):
-            load_patient(tmp_path)
+            load(path)
 
 
 class TestKernelSpec:
     def test_rejects_bad_dims(self):
-        for dims in [(32, 32), (32, 0, 16), (32, -2, 16)]:
+        for dims in [(32, 32), (32, 0, 16), (32, -2, 16), (32.9, 32, 16), (32, 32, True)]:
             with pytest.raises(ValidationError):
                 KernelSpec(dims)
 
