@@ -19,6 +19,7 @@ from .errors import DosekitError, ValidationError
 from .seeds import rng_for
 from .volume import (
     BODY,
+    DEFAULT_SPACING_MM,
     MANIFEST_NAME,
     MANIFEST_VERSION,
     OAR,
@@ -29,14 +30,17 @@ from .volume import (
     StructureMask,
     StructureSet,
     VoxelGrid,
-    _spacing,
     load_structure_set,
     read_manifest,
     save_structure_set,
     write_manifest,
 )
 
-DEFAULT_NORMALIZATION = 70.0
+# Shared by every site: the dose that prescription 1.0 names (ptv_name), the radius
+# growth per lower PTV level, and the draws a structure may take before giving up.
+NORMALIZATION = 70.0
+PTV_LEVEL_GROWTH = 1.45
+MAX_ATTEMPTS = 200
 MIN_BODY_COVERAGE = 0.25
 
 
@@ -46,41 +50,45 @@ class PhantomGenerationError(DosekitError):
 
 @dataclass(frozen=True)
 class ShapePalette(Record):
-    """Millimeter ranges for the ellipsoid sampler."""
+    """Millimeter ranges for the ellipsoid sampler: each radius range (lo, hi) is
+    finite with 0 < lo <= hi, and each jitter finite and >= 0."""
 
     body_radius_mm: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     body_center_jitter_mm: float
     ptv_radius_mm: tuple[float, float]
     ptv_center_jitter_mm: float
-    ptv_level_growth: float
     oar_radius_mm: tuple[float, float]
-    max_attempts: int = 200
+
+    def __post_init__(self):
+        for lo, hi in (*self.body_radius_mm, self.ptv_radius_mm, self.oar_radius_mm):
+            if not 0.0 < lo <= hi < math.inf:
+                raise ValidationError(f"radius range ({lo}, {hi}) must be finite with "
+                                      f"0 < lo <= hi")
+        for jitter in (self.body_center_jitter_mm, self.ptv_center_jitter_mm):
+            if not 0.0 <= jitter < math.inf:
+                raise ValidationError(f"jitter {jitter} must be finite and >= 0")
 
 
-SITE_VERSION = 1
+# 2: normalization, spacing, PTV level growth and attempts are module constants
+SITE_VERSION = 2
 
 
 @dataclass(frozen=True)
 class SiteSpec(Record):
-    """Everything needed to synthesize patients for one treatment 'site'."""
+    """What sets one treatment site's patients apart; the grid spacing
+    (DEFAULT_SPACING_MM) and the constants above are the same for every site."""
 
     site_id: str
     kernel: KernelSpec
     ptv_levels: tuple[float, ...]
     oar_count_range: tuple[int, int]
     shape_palette: ShapePalette
-    normalization_constant: float = DEFAULT_NORMALIZATION
-    spacing_mm: tuple[float, float, float] = (5.0, 5.0, 5.0)
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.ptv_levels)
         if not levels or any(not 0.0 < v <= 1.0 for v in levels):
             raise ValidationError("ptv_levels must be nonempty with values in (0, 1]")
-        # checked before naming: ptv_name of a NaN or infinite constant raises
-        if not 0.0 < self.normalization_constant < math.inf:
-            raise ValidationError(f"normalization_constant must be positive and finite, "
-                                  f"got {self.normalization_constant}")
-        names = [ptv_name(v, self.normalization_constant) for v in levels]
+        names = [ptv_name(v) for v in levels]
         if len(set(names)) != len(names):
             raise ValidationError(f"ptv_levels collide after naming: {names}")
         lo, hi = self.oar_count_range
@@ -88,7 +96,6 @@ class SiteSpec(Record):
             raise ValidationError(f"bad oar_count_range {self.oar_count_range}")
         object.__setattr__(self, "ptv_levels", levels)
         object.__setattr__(self, "oar_count_range", (int(lo), int(hi)))
-        object.__setattr__(self, "spacing_mm", _spacing(self.spacing_mm, "spacing_mm"))
 
     def save(self, path) -> None:
         write_manifest(path, self, SITE_VERSION)
@@ -100,10 +107,13 @@ class SiteSpec(Record):
 
 @dataclass(frozen=True, eq=False)
 class PatientCase:
-    id: str
     structures: StructureSet
     site_id: str
     seed: int
+
+    @property
+    def id(self) -> str:
+        return f"{self.site_id}-p{self.seed:04d}"
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -114,8 +124,8 @@ class PatientCase:
         return self.structures.dims
 
 
-def ptv_name(level: float, normalization: float) -> str:
-    return f"ptv{round(level * normalization):d}"
+def ptv_name(level: float) -> str:
+    return f"ptv{round(level * NORMALIZATION):d}"
 
 
 def builtin_site(name: str) -> SiteSpec:
@@ -131,7 +141,6 @@ def builtin_site(name: str) -> SiteSpec:
                 body_center_jitter_mm=2.0,
                 ptv_radius_mm=(16.0, 22.0),
                 ptv_center_jitter_mm=8.0,
-                ptv_level_growth=1.45,
                 oar_radius_mm=(9.0, 16.0),
             ),
         )
@@ -146,7 +155,6 @@ def builtin_site(name: str) -> SiteSpec:
                 body_center_jitter_mm=2.0,
                 ptv_radius_mm=(12.0, 16.0),
                 ptv_center_jitter_mm=10.0,
-                ptv_level_growth=1.45,
                 oar_radius_mm=(7.0, 11.0),
             ),
         )
@@ -187,7 +195,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     """Synthesize one case; bit-identical for identical (spec, seed)."""
     rng = rng_for("phantom", spec.site_id, patient_seed)
     dims = spec.kernel.dims
-    spacing = spec.spacing_mm
+    spacing = DEFAULT_SPACING_MM
     pal = spec.shape_palette
     grid_center = tuple(dims[a] * spacing[a] / 2.0 for a in range(3))
 
@@ -204,7 +212,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
         return VoxelGrid(dims, spacing, arr.astype(np.float32))
 
     body_center, body_arr = _place(
-        pal.max_attempts, f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
+        MAX_ATTEMPTS, f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
     )
     body = StructureMask("body", BODY, grid(body_arr))
 
@@ -215,15 +223,14 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
 
         def draw_ptv():
             center = jittered(anchor, jitter)
-            scale = pal.ptv_level_growth**rank
+            scale = PTV_LEVEL_GROWTH**rank
             radii = tuple(_uniform(rng, *pal.ptv_radius_mm) * scale for _ in range(3))
             candidate = _ellipsoid(dims, spacing, center, radii)
             inside = candidate.any() and not np.any(candidate & ~body_arr)
             return (center, candidate) if inside else None
 
-        center, candidate = _place(pal.max_attempts, f"PTV level {level} inside the body", draw_ptv)
-        ptvs.append(StructureMask(ptv_name(level, spec.normalization_constant), PTV,
-                                  grid(candidate), prescription=float(level)))
+        center, candidate = _place(MAX_ATTEMPTS, f"PTV level {level} inside the body", draw_ptv)
+        ptvs.append(StructureMask(ptv_name(level), PTV, grid(candidate), prescription=float(level)))
         if rank == 0:
             boost_center = anchor = center
             jitter = 4.0
@@ -250,27 +257,22 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
 
     oars: list[StructureMask] = []
     for i in range(n_oars):
-        candidate = _place(pal.max_attempts, f"organ {i + 1}/{n_oars}", draw_oar)
+        candidate = _place(MAX_ATTEMPTS, f"organ {i + 1}/{n_oars}", draw_oar)
         impact = "high" if rng.random() < 0.5 else "low"
         oars.append(StructureMask(f"oar{i + 1:02d}", OAR, grid(candidate), impact=impact))
         occupied |= candidate
 
     structures = StructureSet(tuple([body, *ptvs, *oars]))
-    return PatientCase(
-        id=f"{spec.site_id}-p{patient_seed:04d}",
-        structures=structures,
-        site_id=spec.site_id,
-        seed=int(patient_seed),
-    )
+    return PatientCase(structures, spec.site_id, int(patient_seed))
 
 
 @dataclass(frozen=True)
 class PatientManifest(Record):
     """A saved case's MANIFEST_NAME file: its identity and its structures, whose
-    masks lie next to it under MASK_DIR. The grid is not repeated here: each
-    mask's .dvol header holds it."""
+    masks lie next to it under MASK_DIR. Nothing derived is repeated here: the
+    case id follows from (site_id, seed), each mask's path from its name, and the
+    grid from each mask's .dvol header."""
 
-    id: str
     site_id: str
     seed: int
     structures: tuple[StructureEntry, ...]
@@ -278,7 +280,7 @@ class PatientManifest(Record):
 
 def save_patient(directory, case: PatientCase) -> None:
     entries = save_structure_set(directory, case.structures)
-    manifest = PatientManifest(case.id, case.site_id, case.seed, entries)
+    manifest = PatientManifest(case.site_id, case.seed, entries)
     write_manifest(Path(directory) / MANIFEST_NAME, manifest, MANIFEST_VERSION)
 
 
@@ -287,4 +289,4 @@ def load_patient(directory) -> PatientCase:
     missing manifest or mask raises MissingFileError."""
     manifest = read_manifest(Path(directory) / MANIFEST_NAME, PatientManifest, MANIFEST_VERSION)
     structures = load_structure_set(directory, manifest.structures)
-    return PatientCase(manifest.id, structures, manifest.site_id, manifest.seed)
+    return PatientCase(structures, manifest.site_id, manifest.seed)

@@ -40,8 +40,9 @@ import numpy as np
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import (Record, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes,
-                     _read_bytes, read_manifest, read_volume, write_manifest, write_volume)
+from .volume import (Record, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes, _counts,
+                     _is_count, _read_bytes, read_manifest, read_volume, write_manifest,
+                     write_volume)
 
 if typing.TYPE_CHECKING:
     import scipy.sparse as sp
@@ -83,11 +84,13 @@ class BeamConfig(Record):
     ray_step_mm: float = 2.5
 
     def __post_init__(self):
-        if self.n_beams < 1:
-            raise ValidationError("n_beams must be >= 1")
+        if not _is_count(self.n_beams):
+            raise ValidationError(f"n_beams must be a positive integer count, got {self.n_beams!r}")
+        object.__setattr__(self, "n_beams", int(self.n_beams))
+        object.__setattr__(self, "beamlet_grid", _counts(self.beamlet_grid, "beamlet_grid", 2))
         # NaN fails v > 0; an infinite cutoff would make every (voxel, beamlet) an entry
         if not all(math.isfinite(v) and v > 0 for v in (
-                *self.beamlet_grid, self.attenuation_mu, self.lateral_sigma,
+                self.attenuation_mu, self.lateral_sigma,
                 self.lateral_cutoff, self.field_margin_mm, self.ray_step_mm)):
             raise ValidationError("beam parameters must be finite and strictly positive")
 

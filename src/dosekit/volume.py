@@ -184,14 +184,17 @@ class KernelTooSmallError(ValidationError):
         )
 
 
-def _counts(dims, what: str) -> tuple[int, ...]:
-    """`dims` as a tuple of three positive Python ints. Any other length, a count
-    that is not an integer (Python's or numpy's; a bool is none) or one below 1
-    raises ValidationError."""
+def _is_count(n) -> bool:
+    """Whether `n` is an integer (Python's or numpy's; a bool is none) of at least 1."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+
+
+def _counts(dims, what: str, length: int = 3) -> tuple[int, ...]:
+    """`dims` as a tuple of `length` counts (see `_is_count`) as Python ints; any
+    other length or value raises ValidationError."""
     dims = tuple(dims)
-    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                                 and d > 0 for d in dims):
-        raise ValidationError(f"{what} must be three positive integer counts, got {dims}")
+    if len(dims) != length or not all(_is_count(d) for d in dims):
+        raise ValidationError(f"{what} must be {length} positive integer counts, got {dims}")
     return tuple(int(d) for d in dims)
 
 
@@ -257,12 +260,20 @@ class VoxelGrid:
         )
 
 
+def _check_name(name: str) -> None:
+    """Raise ValidationError unless `name` is a plain file stem: nonempty, not
+    ``.`` or ``..``, and without ``/``, ``\\`` or NUL, so that
+    ``MASK_DIR/<name>.dvol`` stays inside its case directory."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError(f"structure name {name!r} is not a plain file name")
+
+
 @dataclass(frozen=True, eq=False)
 class StructureMask:
     """Named binary mask tagged PTV/OAR/BODY.
 
-    PTVs carry a positive normalized prescription; OARs carry a clinical
-    impact tag; BODY carries neither.
+    The name is a plain file stem (`_check_name`). PTVs carry a positive normalized
+    prescription; OARs carry a clinical impact tag; BODY carries neither.
     """
 
     name: str
@@ -272,8 +283,7 @@ class StructureMask:
     impact: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("structure name must be nonempty")
+        _check_name(self.name)
         if self.kind not in STRUCTURE_KINDS:
             raise ValidationError(f"unknown structure kind {self.kind!r}")
         values = np.unique(self.mask.data)
@@ -502,20 +512,23 @@ def read_volume(path) -> VoxelGrid:
 
 MANIFEST_NAME = "structures.json"
 # 2: the grid (dims and spacing) is gone; the masks hold it
-MANIFEST_VERSION = 2
+# 3: the entries' mask_path and the case id are gone; both are derived
+MANIFEST_VERSION = 3
 MASK_DIR = "masks"
 
 
 @dataclass(frozen=True)
 class StructureEntry(Record):
     """One structure of a saved case's manifest: the fields of its StructureMask
-    and the path of its mask file, relative to the case directory."""
+    but the grid. Its mask lies at ``MASK_DIR/<name>.dvol`` in the case directory."""
 
     name: str
     kind: str
-    mask_path: str
     prescription: float | None = None
     impact: str | None = None
+
+    def __post_init__(self):
+        _check_name(self.name)  # before load_structure_set reads the file it names
 
     @classmethod
     def from_json_dict(cls, d: dict):
@@ -556,37 +569,19 @@ def read_manifest(path, cls: type[Record], version: int) -> Record:
 
 def save_structure_set(directory, structures: StructureSet) -> tuple[StructureEntry, ...]:
     """Write each mask to ``MASK_DIR/<name>.dvol`` under `directory`; returns the
-    manifest entries that name them."""
+    manifest entries of the structures."""
     directory = Path(directory)
-    entries = []
     for s in structures.structures:
-        path = f"{MASK_DIR}/{s.name}.dvol"
-        write_volume(s.mask, directory / path)
-        entries.append(StructureEntry(s.name, s.kind, path, s.prescription, s.impact))
-    return tuple(entries)
-
-
-def _mask_file(directory: Path, entry: StructureEntry) -> Path:
-    """The file of `entry`'s mask, which must lie inside the case `directory`.
-
-    The check is lexical: the path, with its ``..`` parts folded, must be
-    relative and must not start with ``..``. It reads no directory, so symbolic
-    links are not followed: resolving the 16 paths of a siteB case took about
-    1 ms of its 4 ms `load_patient` on a 2-core host.
-    """
-    folded = os.path.normpath(entry.mask_path)
-    if "\0" in folded or os.path.isabs(folded) or folded.split(os.sep)[0] == os.pardir:
-        raise ManifestError(f"{directory / MANIFEST_NAME}: mask path {entry.mask_path!r} of "
-                            f"{entry.name!r} is not a relative path inside the case directory")
-    return directory / entry.mask_path
+        write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
+    return tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
+                 for s in structures.structures)
 
 
 def load_structure_set(directory, entries: tuple[StructureEntry, ...]) -> StructureSet:
     """Inverse of save_structure_set. Entries that StructureMask or StructureSet
-    reject, and a mask path that is absolute or leads out of `directory`, raise
-    ManifestError; a missing mask file raises MissingFileError."""
+    reject raise ManifestError; a missing mask file raises MissingFileError."""
     directory = Path(directory)
-    masks = [(e, read_volume(_mask_file(directory, e))) for e in entries]
+    masks = [(e, read_volume(directory / MASK_DIR / f"{e.name}.dvol")) for e in entries]
     try:
         return StructureSet(tuple(StructureMask(e.name, e.kind, mask, e.prescription, e.impact)
                                   for e, mask in masks))

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dosekit import volume
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import (
+    MAX_ATTEMPTS,
     SITE_VERSION,
     PatientCase,
     PhantomGenerationError,
@@ -21,10 +23,11 @@ from dosekit.phantom import (
     builtin_site,
     generate_patient,
     load_patient,
+    ptv_name,
     save_patient,
 )
-from dosekit.volume import (BODY, MANIFEST_NAME, PTV, KernelSpec, ManifestError, StructureMask,
-                            StructureSet, VoxelGrid)
+from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, KernelSpec, ManifestError,
+                            StructureMask, StructureSet, VoxelGrid, read_volume)
 
 from test_volume import JSON_VALUES, stamped, without_version
 
@@ -40,7 +43,7 @@ class TestBuiltinSites:
         spec = builtin_site("siteB")
         assert len(spec.ptv_levels) in (2, 3)
         assert spec.oar_count_range == (5, 21)
-        assert spec.normalization_constant == 70.0
+        assert [ptv_name(v) for v in spec.ptv_levels] == ["ptv70", "ptv54"]
 
     def test_unknown_site(self):
         with pytest.raises(ValidationError):
@@ -91,20 +94,29 @@ class TestBuiltinSites:
         assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.parametrize("change", [
-        {"normalization_constant": math.nan},
-        {"normalization_constant": math.inf},
-        {"normalization_constant": 0.0},
-        {"spacing_mm": [0.0, 5.0, 5.0]},
-        {"spacing_mm": [5.0, math.inf, 5.0]},
-        {"spacing_mm": [5.0, 5.0, math.nan]},
+    @pytest.mark.parametrize("change, message", [
+        # normalization and spacing are constants shared by every site, so a site
+        # file that sets them is refused, whatever the value
+        ({"normalization_constant": math.nan}, "unknown SiteSpec keys.*normalization_constant"),
+        ({"normalization_constant": math.inf}, "unknown SiteSpec keys.*normalization_constant"),
+        ({"normalization_constant": 0.0}, "unknown SiteSpec keys.*normalization_constant"),
+        ({"spacing_mm": [0.0, 5.0, 5.0]}, "unknown SiteSpec keys.*spacing_mm"),
+        ({"spacing_mm": [5.0, math.inf, 5.0]}, "unknown SiteSpec keys.*spacing_mm"),
+        ({"spacing_mm": [5.0, 5.0, math.nan]}, "unknown SiteSpec keys.*spacing_mm"),
+        ({"shape_palette": {"body_radius_mm": [[math.nan, math.nan], [60, 65], [36, 38]]}},
+         "radius range"),
+        ({"shape_palette": {"oar_radius_mm": [-16.0, -9.0]}}, "radius range"),
+        ({"shape_palette": {"ptv_center_jitter_mm": math.inf}}, "jitter"),
     ], ids=["nan-normalization", "infinite-normalization", "zero-normalization",
-            "zero-spacing", "infinite-spacing", "nan-spacing"])
-    def test_preset_rejects_bad_values(self, tmp_path, change):
+            "zero-spacing", "infinite-spacing", "nan-spacing",
+            "nan-body-radius", "negative-oar-radius", "infinite-jitter"])
+    def test_preset_rejects_bad_values(self, tmp_path, change, message):
+        site = builtin_site("siteA").to_json_dict()
+        site["shape_palette"].update(change.get("shape_palette", {}))
+        site.update({k: v for k, v in change.items() if k != "shape_palette"})
         path = tmp_path / "site.json"
-        path.write_text(stamped(json.dumps({**builtin_site("siteA").to_json_dict(), **change}),
-                                SITE_VERSION))
-        with pytest.raises(ManifestError, match="positive"):
+        path.write_text(stamped(json.dumps(site), SITE_VERSION))
+        with pytest.raises(ManifestError, match=message):
             SiteSpec.load(path)
 
     def test_preset_rejects_unknown_keys(self, tmp_path):
@@ -113,6 +125,40 @@ class TestBuiltinSites:
         d["sneaky"] = 1
         with pytest.raises(ValidationError, match="sneaky"):
             SiteSpec.from_json_dict(d)
+
+
+def palette(**change):
+    return ShapePalette(**{**builtin_site("siteA").shape_palette.to_json_dict(), **change})
+
+
+class TestShapePalette:
+    @pytest.mark.parametrize("change", [
+        {"body_radius_mm": ((math.nan, math.nan), (60.0, 65.0), (36.0, 38.0))},
+        {"body_radius_mm": ((60.0, 65.0), (60.0, 65.0), (38.0, 36.0))},
+        {"ptv_radius_mm": (16.0, math.inf)},
+        {"ptv_radius_mm": (0.0, 22.0)},
+        {"oar_radius_mm": (-16.0, -9.0)},
+        {"oar_radius_mm": (16.0, 9.0)},
+        {"oar_radius_mm": (math.nan, 16.0)},
+    ], ids=["nan-body", "inverted-body", "infinite-ptv", "zero-ptv", "negative-oar",
+            "inverted-oar", "nan-oar"])
+    def test_rejects_bad_radius_range(self, change):
+        # unchecked, rng.uniform raises a bare OverflowError or ValueError on these,
+        # or (negative radii) draws a patient without complaint
+        with pytest.raises(ValidationError, match="radius range"):
+            palette(**change)
+
+    @pytest.mark.parametrize("field", ["body_center_jitter_mm", "ptv_center_jitter_mm"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_rejects_bad_jitter(self, field, value):
+        with pytest.raises(ValidationError, match="jitter"):
+            palette(**{field: value})
+
+    def test_takes_a_point_range_and_no_jitter(self):
+        pal = palette(ptv_radius_mm=(20.0, 20.0), body_center_jitter_mm=0.0,
+                      ptv_center_jitter_mm=0)
+        spec = SiteSpec("fixed", KernelSpec((32, 32, 16)), (1.0,), (4, 4), pal)
+        assert generate_patient(spec, 1).structures.ptvs[0].voxel_count > 0
 
 
 class TestGeneratePatient:
@@ -196,12 +242,11 @@ class TestGeneratePatient:
                 body_center_jitter_mm=2.0,
                 ptv_radius_mm=(16.0, 22.0),
                 ptv_center_jitter_mm=8.0,
-                ptv_level_growth=1.45,
                 oar_radius_mm=(60.0, 70.0),  # organs as big as the body itself
-                max_attempts=10,
             ),
         )
-        with pytest.raises(PhantomGenerationError):
+        with pytest.raises(PhantomGenerationError,
+                           match=f"could not place organ 1/21 after {MAX_ATTEMPTS} attempts"):
             generate_patient(impossible, 0)
 
 
@@ -223,16 +268,21 @@ class TestPatientPersistence:
         arr = np.ones((2, 2, 2), dtype=np.float32)
         body = StructureMask("body", BODY, VoxelGrid.from_array(arr, spacing=(0.1, 0.2, 0.3)))
         ptv = StructureMask("ptv", PTV, body.mask, prescription=1.0)
-        save_patient(tmp_path, PatientCase("case", StructureSet((body, ptv)), "site", 0))
+        save_patient(tmp_path, PatientCase(StructureSet((body, ptv)), "site", 0))
         assert load_patient(tmp_path).spacing == tuple(np.float32((0.1, 0.2, 0.3)).tolist())
 
+    def test_id_is_derived_from_site_and_seed(self, tmp_path):
+        save_patient(tmp_path, generate_patient(builtin_site("siteB"), 12))
+        assert "id" not in json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert load_patient(tmp_path).id == "siteB-p0012"
+
     @pytest.mark.parametrize("change", [
-        lambda m: m.pop("id"),
+        lambda m: m.update(id="siteA-p0002"),  # the id follows from site_id and seed
         lambda m: m.pop("site_id"),
         lambda m: m.pop("seed"),
         lambda m: m.update(seed="5"),
         lambda m: m.update(sneaky=1),
-    ], ids=["no-id", "no-site-id", "no-seed", "string-seed", "unknown-key"])
+    ], ids=["stored-id", "no-site-id", "no-seed", "string-seed", "unknown-key"])
     def test_manifest_without_identity_is_typed(self, tmp_path, change):
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
         path = tmp_path / MANIFEST_NAME
@@ -243,25 +293,42 @@ class TestPatientPersistence:
             load_patient(tmp_path)
 
     @pytest.mark.parametrize("absolute", [False, True], ids=["dot-dot", "absolute"])
-    def test_mask_path_must_stay_inside_the_case(self, tmp_path, absolute):
-        # patient 2's mask has the grid of patient 1's, so only the path check stops it
+    def test_mask_path_must_stay_inside_the_case(self, tmp_path, monkeypatch, absolute):
+        # a mask's path is MASK_DIR/<name>.dvol, so a name that is not a plain file
+        # stem could lead out of the case: here to patient 2's mask, whose grid
+        # matches patient 1's, so only the name check stops it
         for seed in (1, 2):
             save_patient(tmp_path / f"p{seed}", generate_patient(builtin_site("siteA"), seed))
-        other = tmp_path / "p2" / "masks" / "oar01.dvol"
+        other = tmp_path / "p2" / MASK_DIR / "oar01"
+        name = str(other) if absolute else "../../p2/masks/oar01"
+        assert (tmp_path / "p1" / MASK_DIR / f"{name}.dvol").resolve() == other.with_suffix(".dvol")
+
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        case = generate_patient(builtin_site("siteA"), 1)
+        oar = case.structures.oars[0]
+        with pytest.raises(ValidationError, match="not a plain file name"):
+            renamed = StructureMask(name, OAR, oar.mask, impact=oar.impact)
+            save_patient(tmp_path / "p3", PatientCase(
+                StructureSet((*case.structures.structures[:-1], renamed)), "siteA", 1))
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
         path = tmp_path / "p1" / MANIFEST_NAME
         manifest = json.loads(path.read_text())
-        entry = next(e for e in manifest["structures"] if e["name"] == "oar01")
-        entry["mask_path"] = str(other) if absolute else "../p2/masks/oar01.dvol"
+        next(e for e in manifest["structures"] if e["name"] == "oar01")["name"] = name
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="not a relative path inside the case directory"):
+        read = []
+        monkeypatch.setattr(volume, "read_volume", lambda p: read.append(p) or read_volume(p))
+        with pytest.raises(ManifestError, match="not a plain file name"):
             load_patient(tmp_path / "p1")
+        assert read == []  # the name is refused before any mask is read
 
 
-# mask paths that name no file of the case: missing, absolute, leading out of
-# it, the case directory itself, a directory, below a file, or holding a NUL
-BAD_MASK_PATHS = st.sampled_from([
-    "masks/missing.dvol", "/masks/body.dvol", "../masks/body.dvol", "masks/../../body.dvol",
-    "", ".", "masks", f"{MANIFEST_NAME}/body.dvol", "masks/body\0.dvol",
+# structure names that are no plain file stem, or name no mask of the case: missing,
+# empty, the directory itself or its parent, holding a separator or a NUL, leading
+# out of the case, absolute, or below a file
+BAD_NAMES = st.sampled_from([
+    "missing", "", ".", "..", "../body", "../../body", "/masks/body", "masks/body",
+    "body\\..", "body\0", f"../{MANIFEST_NAME}/body",
 ]) | st.text(max_size=12)
 
 
@@ -283,7 +350,7 @@ class TestMutatedManifest:
             target = data.draw(st.sampled_from([manifest, *entries]))
             key = data.draw(st.sampled_from(sorted(target)))
             action = data.draw(st.sampled_from(["replace", "delete", "rename", "schema_version",
-                                                "mask_path", "prescription"]))
+                                                "name", "prescription"]))
             if action == "replace":
                 target[key] = data.draw(JSON_VALUES)
             elif action == "delete":
@@ -292,8 +359,8 @@ class TestMutatedManifest:
                 target[data.draw(st.text(max_size=6))] = target.pop(key)
             elif action == "schema_version":
                 manifest["schema_version"] = data.draw(JSON_VALUES)
-            elif action == "mask_path":
-                data.draw(st.sampled_from(entries))["mask_path"] = data.draw(BAD_MASK_PATHS)
+            elif action == "name":
+                data.draw(st.sampled_from(entries))["name"] = data.draw(BAD_NAMES)
             else:
                 ptv = next(e for e in entries if e["kind"] == PTV)
                 ptv["prescription"] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))

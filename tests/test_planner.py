@@ -184,6 +184,24 @@ def test_beam_config_rejects_non_finite(field, value):
         BeamConfig(**{field: value})
 
 
+@pytest.mark.parametrize("counts", [
+    {"n_beams": 7.5}, {"n_beams": 7.0}, {"n_beams": True}, {"n_beams": 0}, {"n_beams": -3},
+    {"beamlet_grid": (8.5, 6)}, {"beamlet_grid": (8, 6.0)}, {"beamlet_grid": (True, 6)},
+    {"beamlet_grid": (8, 0)}, {"beamlet_grid": (8,)}, {"beamlet_grid": (8, 6, 1)},
+], ids=lambda d: f"{next(iter(d))}={next(iter(d.values()))}")
+def test_beam_config_counts_are_positive_integers(counts):
+    # unchecked, a float count raises a bare TypeError inside the influence build,
+    # and True builds one beam
+    with pytest.raises(ValidationError, match="positive integer count"):
+        BeamConfig(**counts)
+
+
+def test_beam_config_takes_numpy_integer_counts():
+    cfg = BeamConfig(n_beams=np.int64(5), beamlet_grid=(np.int32(4), 3))
+    assert cfg == BeamConfig(n_beams=5, beamlet_grid=(4, 3))
+    assert type(cfg.n_beams) is int and all(type(n) is int for n in cfg.beamlet_grid)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0],
                          ids=["nan", "inf", "-inf", "negative"])
 def test_influence_matrix_rejects_bad_entries(value):
@@ -293,7 +311,7 @@ def with_full_grid_body(case):
     full = VoxelGrid(body.mask.dims, body.mask.spacing, np.ones(body.mask.dims, dtype=np.float32))
     others = tuple(s for s in case.structures.structures if s is not body)
     structures = StructureSet((StructureMask(body.name, body.kind, full), *others))
-    return PatientCase(case.id, structures, case.site_id, case.seed)
+    return PatientCase(structures, case.site_id, case.seed)
 
 
 def with_body_cavity(case):
@@ -313,7 +331,7 @@ def with_body_cavity(case):
     carved = VoxelGrid(body.mask.dims, body.mask.spacing,
                        (body_arr & ~cavity).astype(np.float32))
     others = tuple(s for s in structures.structures if s is not body)
-    return PatientCase(case.id, StructureSet((StructureMask(body.name, body.kind, carved), *others)),
+    return PatientCase(StructureSet((StructureMask(body.name, body.kind, carved), *others)),
                        case.site_id, case.seed)
 
 

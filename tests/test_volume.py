@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.evaluation import MetricsReport, MetricValue
-from dosekit.phantom import (SITE_VERSION, PatientCase, SiteSpec, builtin_site, generate_patient,
+from dosekit.phantom import (PatientCase, SiteSpec, builtin_site, generate_patient,
                              load_patient, save_patient)
 from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
 from dosekit.volume import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
+    MASK_DIR,
     BadMagicError,
     CropOffset,
     KernelSpec,
@@ -24,6 +25,7 @@ from dosekit.volume import (
     ManifestError,
     PayloadSizeError,
     Record,
+    StructureEntry,
     StructureMask,
     StructureSet,
     TruncatedVolumeError,
@@ -266,6 +268,20 @@ class TestStructures:
         with pytest.raises(ValidationError):
             make_mask((2, 2, 2), [(0, 0, 0)], kind="OAR")
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../../escaped", "/abs", "a\\b",
+                                      "a\0b"])
+    def test_name_must_be_a_plain_file_stem(self, name):
+        # a saved mask lies at MASK_DIR/<name>.dvol, which must stay inside its case
+        mask = make_mask((2, 2, 2), [(0, 0, 0)]).mask
+        with pytest.raises(ValidationError, match="not a plain file name"):
+            StructureMask(name, "BODY", mask)
+        with pytest.raises(ValidationError, match="not a plain file name"):
+            StructureEntry(name, "BODY")
+
+    @pytest.mark.parametrize("name", ["body", "left lung", ".hidden", "a..b", "...", "ptv70.dvol"])
+    def test_plain_file_stem_is_a_name(self, name):
+        assert make_mask((2, 2, 2), [(0, 0, 0)], name=name).name == name
+
     def test_mask_must_be_binary(self):
         arr = np.full((2, 2, 2), 0.5, dtype=np.float32)
         with pytest.raises(ValidationError):
@@ -408,8 +424,8 @@ class TestManifest:
             "plan/dose.dvol": "5dc1839ef5539ce7da879d83912da77f2163701fa045e96f4233ce484c96a79c",
             "plan/fluence.f32": "bd0c463d360c6bc981eea4939a04ff825aa22b101aafe2c035ad15628669bb64",
             f"patient/{MANIFEST_NAME}":
-                "3056af8ff128ec530dcd2e5109cbcf02e26adb127192e4ef81a453e1c307f05b",
-            "siteB.json": "779b81f43d071c3a004b4ef6300ca581c40359ee5af1afcf8eb9b78ab3f4e717",
+                "f7b34b7cc6a1f23d7bed0d519decb7ed85fe7918b256eabc159525ab1da33dab",
+            "siteB.json": "87377223358964a6a22c507b0ad3bd41ab55fd88573a08afe083ef7e8363c46d",
             "report.json": "798ce1681c2ac5ef60cbf200e0971f54f6dc4cac101b3f7a13e4864ce16c3d45",
         }
 
@@ -434,7 +450,9 @@ class TestManifest:
         sset = StructureSet((body, ptv, oar))
         entries = save_structure_set(tmp_path, sset)
         names = ["body", "ptv70", "oar01"]
-        assert [e.mask_path for e in entries] == [f"masks/{n}.dvol" for n in names]
+        assert [e.name for e in entries] == names
+        assert sorted(p.name for p in (tmp_path / MASK_DIR).iterdir()) == sorted(
+            f"{n}.dvol" for n in names)
         loaded = load_structure_set(tmp_path, entries)
         assert [s.name for s in loaded.structures] == names
         for a, b in zip(loaded.structures, sset.structures):
@@ -445,7 +463,7 @@ class TestManifest:
     def _saved(directory):
         body = make_mask((3, 3, 3), [(1, 1, 1)])
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv", prescription=1.0)
-        save_patient(directory, PatientCase("case", StructureSet((body, ptv)), "site", 0))
+        save_patient(directory, PatientCase(StructureSet((body, ptv)), "site", 0))
         return directory / MANIFEST_NAME
 
     @pytest.mark.parametrize("text", ['{"dims": [3, 3', "{}", '{"structures": 3}',
@@ -475,9 +493,8 @@ class TestManifest:
     def test_manifest_version_is_checked(self, tmp_path, version):
         if version is True:
             # JSON true equals 1 in Python, so only a version-1 reader shows it refused
-            assert SITE_VERSION == 1
-            path, load = tmp_path / "site.json", SiteSpec.load
-            builtin_site("siteA").save(path)
+            path, load = tmp_path / "site.json", lambda p: read_manifest(p, SiteSpec, 1)
+            write_manifest(path, builtin_site("siteA"), 1)
         else:
             path, load = self._saved(tmp_path), lambda p: load_patient(p.parent)
         without_version(path, version)
@@ -546,12 +563,11 @@ class TestRecord:
             SiteSpec.from_json_dict(d)
 
     def test_missing_key_takes_default(self):
-        site = builtin_site("siteA")
-        d = site.to_json_dict()
-        del d["spacing_mm"], d["normalization_constant"], d["shape_palette"]["max_attempts"]
-        assert SiteSpec.from_json_dict(d) == site
-        assert (site.spacing_mm, site.normalization_constant) == ((5.0, 5.0, 5.0), 70.0)
-        assert site.shape_palette.max_attempts == 200
+        assert StructureEntry.from_json_dict({"name": "body", "kind": "BODY"}) == StructureEntry(
+            "body", "BODY", prescription=None, impact=None)
+        d = BeamConfig(n_beams=5).to_json_dict()
+        del d["beamlet_grid"], d["ray_step_mm"]
+        assert BeamConfig.from_json_dict(d) == BeamConfig(n_beams=5)
         assert BeamConfig.from_json_dict({}) == BeamConfig()
 
     @pytest.mark.parametrize("kernel", [[32, 32, 16], 32, None])
