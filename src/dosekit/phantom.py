@@ -30,6 +30,7 @@ from .volume import (
     StructureMask,
     StructureSet,
     VoxelGrid,
+    _is_count,
     load_structure_set,
     read_manifest,
     save_structure_set,
@@ -92,8 +93,9 @@ class SiteSpec(Record):
         if len(set(names)) != len(names):
             raise ValidationError(f"ptv_levels collide after naming: {names}")
         lo, hi = self.oar_count_range
-        if not (0 <= lo <= hi):
-            raise ValidationError(f"bad oar_count_range {self.oar_count_range}")
+        if not (_is_count(lo, least=0) and _is_count(hi, least=0) and lo <= hi):
+            raise ValidationError("oar_count_range must be two integer counts (0 allowed) "
+                                  f"with lo <= hi, got {self.oar_count_range!r}")
         object.__setattr__(self, "ptv_levels", levels)
         object.__setattr__(self, "oar_count_range", (int(lo), int(hi)))
 

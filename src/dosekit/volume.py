@@ -184,9 +184,9 @@ class KernelTooSmallError(ValidationError):
         )
 
 
-def _is_count(n) -> bool:
-    """Whether `n` is an integer (Python's or numpy's; a bool is none) of at least 1."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0
+def _is_count(n, least: int = 1) -> bool:
+    """Whether `n` is an integer (Python's or numpy's; a bool is none) of at least `least`."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
 
 
 def _counts(dims, what: str, length: int = 3) -> tuple[int, ...]:
@@ -305,8 +305,20 @@ class StructureMask:
         return int(np.count_nonzero(self.mask.data))
 
     def linear_indices(self) -> np.ndarray:
-        """Raster indices of mask voxels, ascending."""
-        return np.flatnonzero(self.mask.flat())
+        """Raster indices of mask voxels, ascending: a read-only array, computed on
+        the first call (the mask's data is read-only, so it cannot go stale)."""
+        return self._linear_indices
+
+    @functools.cached_property
+    def _linear_indices(self) -> np.ndarray:
+        indices = np.flatnonzero(self.mask.flat())
+        indices.flags.writeable = False
+        return indices
+
+    def __getstate__(self):
+        # below pickle protocol 5 an unpickled array is writeable, so a copy recomputes
+        # its indices instead
+        return {k: v for k, v in self.__dict__.items() if k != "_linear_indices"}
 
     def bool_array(self) -> np.ndarray:
         return self.mask.data > 0.5

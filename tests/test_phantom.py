@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -118,6 +119,19 @@ class TestBuiltinSites:
         path.write_text(stamped(json.dumps(site), SITE_VERSION))
         with pytest.raises(ManifestError, match=message):
             SiteSpec.load(path)
+
+    @pytest.mark.parametrize("counts", [
+        (4.7, 5.9), (4.0, 5), (True, True), (False, 3), (-1, 2), (5, 4), (None, 3),
+    ], ids=["floats", "integral-float", "bools", "false-low", "negative", "inverted", "none"])
+    def test_oar_count_range_takes_integer_counts(self, counts):
+        # unchecked, int() truncated a float or bool range: (4.7, 5.9) became (4, 5)
+        with pytest.raises(ValidationError, match="oar_count_range must be two integer counts"):
+            dataclasses.replace(builtin_site("siteA"), oar_count_range=counts)
+
+    def test_oar_count_range_takes_zero_and_numpy_integers(self):
+        spec = dataclasses.replace(builtin_site("siteA"), oar_count_range=(0, np.int64(3)))
+        assert spec.oar_count_range == (0, 3)
+        assert all(type(n) is int for n in spec.oar_count_range)
 
     def test_preset_rejects_unknown_keys(self, tmp_path):
         spec = builtin_site("siteA")

@@ -601,6 +601,12 @@ class TestObjective:
 
 
 class TestSolveFluence:
+    @pytest.mark.parametrize("max_iters", [-5, 0, 2.5, True])
+    def test_max_iters_is_a_count(self, max_iters):
+        sset, infl = single_voxel_case()
+        with pytest.raises(ValidationError, match="max_iters must be a positive integer"):
+            solve_fluence(infl, sset, PlanWeights({"ptv": 1.0}), max_iters=max_iters)
+
     def test_unconstrained_minimum(self):
         sset, infl = single_voxel_case(ptv_prescription=2.0)
         w = PlanWeights(weights={"ptv": 1.0})
@@ -704,21 +710,37 @@ class TestBlockedLoopMatchesPlainReference:
     """`solve_stacked` checks its iterates once per block of 64 iterations; the
     plain loop checks after every one. Both must give the same bits."""
 
-    @pytest.fixture(scope="class")
-    def problem(self):
-        case = generate_patient(builtin_site("siteB"), 1)
+    @staticmethod
+    def desk_problem(site):
+        case = generate_patient(builtin_site(site), 1)
         infl = build_influence_matrix(case, BeamConfig())
         weights = sample_weights(case.structures, seed=derive_seed(0, "weights", 0))
         M, b = _objective_blocks(infl, case.structures, weights)
         G, c = _gram(M, b)
         return M, b, G, c, estimate_operator_norm(G)
 
-    @pytest.mark.parametrize("max_iters", [1, 63, 64, 65, 2000])
-    def test_desk_plan_is_bit_identical(self, problem, max_iters):
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return self.desk_problem("siteB")
+
+    @pytest.fixture(scope="class")
+    def siteA_problem(self):
+        return self.desk_problem("siteA")
+
+    @staticmethod
+    def assert_bit_identical(problem, max_iters):
         x, diag = solve_stacked(*problem, max_iters)
         x_ref, diag_ref = plain_cp_reference(*problem, max_iters)
         assert x.tobytes() == x_ref.tobytes()
         assert diag == diag_ref
+
+    @pytest.mark.parametrize("max_iters", [1, 63, 64, 65, 2000])
+    def test_desk_plan_is_bit_identical(self, problem, max_iters):
+        self.assert_bit_identical(problem, max_iters)
+
+    @pytest.mark.parametrize("max_iters", [1, 63, 64, 65, 2000])
+    def test_siteA_desk_plan_is_bit_identical(self, siteA_problem, max_iters):
+        self.assert_bit_identical(siteA_problem, max_iters)
 
     @staticmethod
     def signed_problem():
@@ -874,6 +896,23 @@ class TestGeneratePlans:
         plan = generate_plans(case, BeamConfig(), 1, seed=3, max_iters=100)[0]
         outside = ~case.structures.body.bool_array()
         assert np.all(plan.dose.data[outside] == 0.0)
+
+    @pytest.mark.parametrize("counts", [
+        {"max_iters": -5}, {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
+        {"plan_count": 2.5}, {"plan_count": True}, {"plan_count": 0},
+    ], ids=lambda d: f"{next(iter(d))}={next(iter(d.values()))}")
+    def test_counts_are_positive_integers(self, case, counts):
+        # unchecked, max_iters=-5 saved a plan of -5 iterations, and 2.5 raised a
+        # bare TypeError from range
+        args = {"plan_count": 1, "max_iters": 10, **counts}
+        with pytest.raises(ValidationError, match="positive integer count"):
+            generate_plans(case, BeamConfig(), args["plan_count"], seed=0,
+                           max_iters=args["max_iters"])
+
+    def test_numpy_integer_counts(self, case):
+        plans = generate_plans(case, BeamConfig(), np.int64(1), seed=0, max_iters=np.int32(20))
+        assert len(plans) == 1 and plans[0].diagnostics.iterations == 20
+        assert type(plans[0].diagnostics.iterations) is int  # so that the plan saves as JSON
 
     def test_divergence_keeps_its_type_and_iteration(self, case, monkeypatch):
         monkeypatch.setattr(planner, "estimate_operator_norm", lambda G: 1e-3)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -314,6 +315,25 @@ class TestStructures:
         idx = m.linear_indices()
         assert list(idx) == sorted(idx)
         assert 0 in idx and 63 in idx
+
+    def test_linear_indices_computed_once_and_read_only(self, monkeypatch):
+        m = make_mask((4, 4, 4), [(3, 3, 3), (0, 0, 0), (1, 2, 3)])
+        expected = np.flatnonzero(m.mask.flat())
+        calls = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(a) or flatnonzero(a))
+        first, second = m.linear_indices(), m.linear_indices()
+        assert len(calls) == 1 and second is first
+        assert np.array_equal(first, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 5
+
+    def test_linear_indices_of_an_unpickled_mask_are_read_only(self):
+        m = make_mask((4, 4, 4), [(3, 3, 3), (0, 0, 0)])
+        m.linear_indices()
+        copy = pickle.loads(pickle.dumps(m, protocol=4))  # protocol 4 drops numpy's read-only flag
+        assert np.array_equal(copy.linear_indices(), m.linear_indices())
+        assert not copy.linear_indices().flags.writeable
 
 
 class TestCrop:
