@@ -4,7 +4,10 @@ Two built-in sites stand in for clinical cohorts: siteA has a single
 prescription level and a fixed organ count, siteB has two prescription levels
 and a widely varying organ count. Shape palettes are invented (no cohort
 geometry exists to copy); ellipsoids keep membership tests closed-form and
-generation exactly reproducible from (site, seed).
+generation exactly reproducible from (site, seed). Each draw is tested on the
+index box that can hold its ellipsoid, not on the whole grid (`_ellipsoid`), and
+only an accepted draw becomes a full-grid mask: a rejected draw costs the volume
+of its box, not of the grid.
 """
 
 from __future__ import annotations
@@ -163,19 +166,34 @@ def builtin_site(name: str) -> SiteSpec:
     raise ValidationError(f"unknown site preset {name!r}")
 
 
-def _voxel_centers(dims, spacing):
-    return [
-        (np.arange(dims[a], dtype=np.float64) + 0.5) * spacing[a]
-        for a in range(3)
-    ]
+def _ellipsoid(dims, spacing, center_mm, radii_mm):
+    """The voxels whose centres lie in the ellipsoid, as (box, mask): box is one
+    slice per axis, and mask the ellipsoid test on the voxels of that box. No
+    voxel outside the box passes the test.
+
+    The box is, per axis, the run of voxel centres whose own term of
+    ``fx + fy + fz <= 1`` is at most 1 (empty if none is): a voxel outside it
+    has a term above 1, and adding the other two terms, which are >= 0, cannot
+    round the sum back down to 1. The terms are the same IEEE values the test
+    takes on the whole grid, so the mask equals that test's values on the box.
+    """
+    box, terms = [], []
+    for a in range(3):
+        centres = (np.arange(dims[a], dtype=np.float64) + 0.5) * spacing[a]
+        term = ((centres - center_mm[a]) / radii_mm[a]) ** 2
+        within = np.flatnonzero(term <= 1.0)
+        lo, hi = (int(within[0]), int(within[-1]) + 1) if within.size else (0, 0)
+        box.append(slice(lo, hi))
+        terms.append(term[lo:hi])
+    fx, fy, fz = terms
+    return tuple(box), fx[:, None, None] + fy[None, :, None] + fz[None, None, :] <= 1.0
 
 
-def _ellipsoid(dims, spacing, center_mm, radii_mm) -> np.ndarray:
-    xs, ys, zs = _voxel_centers(dims, spacing)
-    fx = ((xs - center_mm[0]) / radii_mm[0]) ** 2
-    fy = ((ys - center_mm[1]) / radii_mm[1]) ** 2
-    fz = ((zs - center_mm[2]) / radii_mm[2]) ** 2
-    return fx[:, None, None] + fy[None, :, None] + fz[None, None, :] <= 1.0
+def _full_grid(dims, box, mask) -> np.ndarray:
+    """The boolean grid of shape `dims` that holds `mask` on `box` and False elsewhere."""
+    grid = np.zeros(dims, dtype=bool)
+    grid[box] = mask
+    return grid
 
 
 def _uniform(rng, lo, hi) -> float:
@@ -207,15 +225,16 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     def draw_body():
         center = jittered(grid_center, pal.body_center_jitter_mm)
         radii = tuple(_uniform(rng, *pal.body_radius_mm[a]) for a in range(3))
-        candidate = _ellipsoid(dims, spacing, center, radii)
-        return (center, candidate) if candidate.sum() >= MIN_BODY_COVERAGE * np.prod(dims) else None
+        box, mask = _ellipsoid(dims, spacing, center, radii)
+        return (center, box, mask) if mask.sum() >= MIN_BODY_COVERAGE * np.prod(dims) else None
 
     def grid(arr):
         return VoxelGrid(dims, spacing, arr.astype(np.float32))
 
-    body_center, body_arr = _place(
+    body_center, body_box, body_mask = _place(
         MAX_ATTEMPTS, f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
     )
+    body_arr = _full_grid(dims, body_box, body_mask)
     body = StructureMask("body", BODY, grid(body_arr))
 
     # Highest prescription first (the boost); lower levels grow around its center.
@@ -227,21 +246,22 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
             center = jittered(anchor, jitter)
             scale = PTV_LEVEL_GROWTH**rank
             radii = tuple(_uniform(rng, *pal.ptv_radius_mm) * scale for _ in range(3))
-            candidate = _ellipsoid(dims, spacing, center, radii)
-            inside = candidate.any() and not np.any(candidate & ~body_arr)
-            return (center, candidate) if inside else None
+            box, mask = _ellipsoid(dims, spacing, center, radii)
+            inside = mask.any() and not np.any(mask & ~body_arr[box])
+            return (center, box, mask) if inside else None
 
-        center, candidate = _place(MAX_ATTEMPTS, f"PTV level {level} inside the body", draw_ptv)
-        ptvs.append(StructureMask(ptv_name(level), PTV, grid(candidate), prescription=float(level)))
+        center, box, mask = _place(MAX_ATTEMPTS, f"PTV level {level} inside the body", draw_ptv)
+        ptvs.append(StructureMask(ptv_name(level), PTV, grid(_full_grid(dims, box, mask)),
+                                  prescription=float(level)))
         if rank == 0:
             boost_center = anchor = center
             jitter = 4.0
 
     lo, hi = spec.oar_count_range
     n_oars = int(rng.integers(lo, hi + 1))
-    body_idx = np.nonzero(body_arr)
-    bbox_lo = [float(body_idx[a].min()) for a in range(3)]
-    bbox_hi = [float(body_idx[a].max()) for a in range(3)]
+    body_idx = np.nonzero(body_mask)
+    bbox_lo = [float(body_idx[a].min() + body_box[a].start) for a in range(3)]
+    bbox_hi = [float(body_idx[a].max() + body_box[a].start) for a in range(3)]
     occupied = np.zeros(dims, dtype=bool)
 
     def draw_oar():
@@ -250,19 +270,20 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
             for a in range(3)
         )
         radii = tuple(_uniform(rng, *pal.oar_radius_mm) for _ in range(3))
-        candidate = _ellipsoid(dims, spacing, center, radii)
-        if (not candidate.any() or np.any(candidate & ~body_arr) or np.any(candidate & occupied)
+        box, mask = _ellipsoid(dims, spacing, center, radii)
+        if (not mask.any() or np.any(mask & ~body_arr[box]) or np.any(mask & occupied[box])
                 # an organ centered on the boost PTV's center is disallowed
                 or all(abs(center[a] - boost_center[a]) < spacing[a] for a in range(3))):
             return None
-        return candidate
+        return box, mask
 
     oars: list[StructureMask] = []
     for i in range(n_oars):
-        candidate = _place(MAX_ATTEMPTS, f"organ {i + 1}/{n_oars}", draw_oar)
+        box, mask = _place(MAX_ATTEMPTS, f"organ {i + 1}/{n_oars}", draw_oar)
         impact = "high" if rng.random() < 0.5 else "low"
-        oars.append(StructureMask(f"oar{i + 1:02d}", OAR, grid(candidate), impact=impact))
-        occupied |= candidate
+        oars.append(StructureMask(f"oar{i + 1:02d}", OAR, grid(_full_grid(dims, box, mask)),
+                                  impact=impact))
+        occupied[box] |= mask
 
     structures = StructureSet(tuple([body, *ptvs, *oars]))
     return PatientCase(structures, spec.site_id, int(patient_seed))

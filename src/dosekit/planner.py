@@ -1,15 +1,16 @@
 """Ground-truth plan factory.
 
 A simplified ray/attenuation model builds a sparse dose-influence matrix A for
-equispaced coplanar beams. Depths come from a ray march over the body's (x, y)
-columns, a chunk of ray steps at a time, whose in-box samples become one sparse
-visit-count product per beam; lateral entries are formed only for the (voxel,
-lateral beamlet) pairs within the cutoff, then expanded over the axial
-beamlets. Each beam's entries are kept as compact (int32 row, int32 column,
-value) arrays, and the CSR arrays of A are written from them in place: at the
-build's peak an entry takes about 28 bytes, 2.3x its 12 bytes in the finished
-matrix, where (row, column, value) triples and their COO-to-CSR copies took
-about 70. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
+equispaced coplanar beams. Each beam's work scales with the rows near its
+field, not with the body: depths come from a ray march over only the (x, y)
+columns that hold such a row, a chunk of ray steps at a time, whose in-box
+samples become one sparse visit-count product per beam; lateral entries are
+formed only for the (voxel, lateral beamlet) pairs within the cutoff, then
+expanded over the axial beamlets. Each beam's entries are kept as compact
+(int32 row, int32 column, value) arrays, and the CSR arrays of A are written
+from them in place: at the build's peak an entry takes about 28 bytes, 2.3x its
+12 bytes in the finished matrix, where (row, column, value) triples and their
+COO-to-CSR copies took about 70. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
 over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
 structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
 solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
@@ -53,7 +54,7 @@ if typing.TYPE_CHECKING:
 
 # `sample_weights` draws OAR weights log-uniform on [lo, hi].
 WEIGHT_BOUNDS = (0.01, 1.0)
-# Ray steps that `build_influence_matrix` samples at once for every column.
+# Ray steps that `build_influence_matrix` samples at once for every marched column.
 _MARCH_CHUNK = 16
 
 
@@ -146,29 +147,27 @@ class InfluenceMatrix:
         return pos.astype(np.int64)
 
 
-def _lateral_entries(pu, u_offsets, dz2, field_dz2, depth, cfg: BeamConfig):
+def _lateral_entries(near, pu, depth, level, level_dz2, u_offsets, cfg: BeamConfig):
     """One beam's entries as (int32 row, int32 beam-local column u * nv + v, value),
     rows ascending and columns ascending within a row.
 
-    pu is each row's lateral coordinate along the beam, dz2 its squared axial
-    distance to each axial beamlet centre and field_dz2 to the nearest one. Only
-    rows within the cutoff (plus a 1 % margin) of the rectangle spanned by the
-    beamlet centres are tested, and of those only the (row, u) pairs whose
-    lateral distance alone is within the cutoff are expanded over the axial
-    offsets, because r^2 = du^2 + dz^2 >= du^2. Each temporary is released once
-    the next is formed, so the kernel is evaluated with only the entries' own
-    arrays alive, and no two beams' temporaries are alive at once.
+    near holds the int32 rows, ascending, within the cutoff (plus a 1 % margin)
+    of the rectangle spanned by the beamlet centres; pu, depth and level hold
+    each near row's lateral coordinate along the beam, depth and z level, and
+    level_dz2[k, v] the squared axial distance from z level k to axial beamlet
+    v. Only the (row, u) pairs whose lateral distance alone is within the cutoff
+    are expanded over the axial offsets, because r^2 = du^2 + dz^2 >= du^2. Each
+    temporary is released once the next is formed, so the kernel is evaluated
+    with only the entries' own arrays alive, and no two beams' temporaries are
+    alive at once.
     """
     nu, nv = cfg.beamlet_grid
     cutoff2 = cfg.lateral_cutoff**2
-    field_du = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0)
-    near = np.flatnonzero(field_du**2 + field_dz2 <= (1.01 * cfg.lateral_cutoff) ** 2)
-    du2 = ((pu.take(near)[:, None] - u_offsets[None, :]) ** 2).ravel()
+    du2 = ((pu[:, None] - u_offsets[None, :]) ** 2).ravel()
     pair = np.flatnonzero(du2 <= cutoff2)  # the (row, u) pairs, flat in near x nu
     pair_near, pair_u = np.divmod(pair, nu)
-    pair_row = near.take(pair_near)
-    del pair_near
-    r2 = dz2.take(pair_row, axis=0)  # IEEE addition commutes, so r2 = du2 + dz2 exactly
+    # IEEE addition commutes, so r2 = du2 + dz2 exactly
+    r2 = level_dz2.take(level.take(pair_near), axis=0)
     r2 += du2.take(pair)[:, None]
     del du2, pair
     r2 = r2.ravel()
@@ -176,10 +175,12 @@ def _lateral_entries(pu, u_offsets, dz2, field_dz2, depth, cfg: BeamConfig):
     r2 = r2.take(entry)
     entry_pair, v = np.divmod(entry, nv)
     del entry
-    row = pair_row.take(entry_pair)
+    entry_near = pair_near.take(entry_pair)
     col = (pair_u.take(entry_pair) * nv + v).astype(np.int32)
-    del pair_row, pair_u, entry_pair, v
-    return row.astype(np.int32), col, beamlet_kernel(depth.take(row), r2, cfg)
+    del pair_near, pair_u, entry_pair, v
+    row, entry_depth = near.take(entry_near), depth.take(entry_near)
+    del entry_near
+    return row, col, beamlet_kernel(entry_depth, r2, cfg)
 
 
 def _csr_from_beams(beams: list, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -231,27 +232,34 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
 
     Precondition: every beam is coplanar, d = (cos phi, sin phi, 0). A sample
     then keeps its voxel's z cell, and all body voxels of one (x, y) column
-    visit the same (x, y) cells at the same steps. So the march runs over the
-    body's (x, y) columns, not its voxels. It samples every column at
-    _MARCH_CHUNK steps at once and keeps the samples whose cell lies in the
-    body mask's bounding box, as (column, cell) visits. A column's depth count
-    at height z is then the number of its visits to cells whose z is body: one
-    sparse product, per beam, of the (columns x box cells) visit matrix with
-    the body's per-cell z lines (box cells x box z-extent). The march stops at
-    the first chunk without an in-box sample: each axis of the sampled cell
-    moves monotonically with s, so a ray never re-enters the (convex) box, and
-    no body cell lies outside it.
+    visit the same (x, y) cells at the same steps. Each beam first finds its
+    near rows: those within the cutoff (plus a 1 % margin) of the rectangle
+    spanned by its beamlet centres. No other row has an entry, so depths are
+    counted for the near rows only, and the march runs over the (x, y) columns
+    that hold a near row, not over voxels or the whole body. It samples those
+    columns at _MARCH_CHUNK steps at once and keeps the samples whose cell lies
+    in the body mask's bounding box, as (column, cell) visits. A column's depth
+    count at height z is then the number of its visits to cells whose z is
+    body: one sparse product, per beam, of the (columns x box cells) visit
+    matrix with the body's per-cell z lines (box cells x box z-extent). Each
+    axis of the sampled cell moves monotonically with s, so a ray never
+    re-enters the (convex) box once it has left it, and no body cell lies
+    outside it. So a column is dropped after the first chunk whose last sample
+    has left the box, and the march ends when no column is left or a chunk has
+    no in-box sample.
 
     Lateral entries are formed only within ``lateral_cutoff``, by
     `_lateral_entries`, and each beam keeps them as an int32 row, an int32
-    beam-local column and a float64 value: 16 bytes per entry. `_csr_from_beams`
-    then writes the CSR index and data arrays in place (12 bytes per entry),
-    releasing each beam's entries once written. The build's memory is therefore
-    about 28 bytes per entry of the result, about 2.3x the matrix, plus
-    O(body voxels) per-voxel arrays and one beam's lateral temporaries, which are
-    O(body voxels x lateral beamlets per beam). By tracemalloc, its peak is
-    21.1 MB for the 5.0 MB matrix of 64x64x32 siteA patient 1 with 7 beams, and
-    55.3 MB for the 23 MB matrix of desk siteB patient 1 with 72 beams.
+    beam-local column and a float64 value: 16 bytes per entry. Axial distances
+    come from one (box z level x axial beamlet) table, indexed by each row's
+    level. `_csr_from_beams` then writes the CSR index and data arrays in place
+    (12 bytes per entry), releasing each beam's entries once written. The
+    build's memory is therefore about 28 bytes per entry of the result, about
+    2.3x the matrix, plus O(body voxels) per-voxel arrays and one beam's
+    lateral temporaries, which are O(near rows x lateral beamlets per beam). By
+    tracemalloc, its peak is 16.3 MB for the 5.0 MB matrix of 64x64x32 siteA
+    patient 1 with 7 beams, and 54.7 MB for the 23 MB matrix of desk siteB
+    patient 1 with 72 beams.
     """
     import scipy.sparse as sp
 
@@ -269,40 +277,44 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
 
     # the body's (x, y) columns (centres as an (axis, column) array) and the
-    # column of each body voxel; the body mask's z line at each (x, y) cell of
-    # the box, cell index x + box width * y from the box corner; and each body
-    # voxel's entry in the flattened (column, z) depth count
+    # column and box z level of each body voxel; the body mask's z line at each
+    # (x, y) cell of the box, cell index x + box width * y from the box corner
     col_keys, col_of = np.unique(gx + nx * gy, return_inverse=True)
     col_xy = (np.stack([col_keys % nx, col_keys // nx]) + 0.5) * spacing[:2, None]
     box = body_arr[box_lo[0]:box_hi[0] + 1, box_lo[1]:box_hi[1] + 1, box_lo[2]:box_hi[2] + 1]
     box_w, nz_box = box.shape[0], box.shape[2]
     z_lines = box.transpose(1, 0, 2).reshape(-1, nz_box).astype(np.int32)
-    count_at = col_of * nz_box + (gz - box_lo[2])
-    del cells, gx, gy, gz, col_of
+    level = gz - box_lo[2]
+    del cells, gx, gy, gz
 
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
         ptv_union |= ptv.bool_array()
     ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
     iso = ptv_pts.mean(axis=0)
+    centers -= iso  # from here on, each body voxel's centre relative to the isocentre
 
     diag = float(np.linalg.norm(np.asarray(dims) * spacing))
     steps = np.arange(1, int(np.ceil(diag / cfg.ray_step_mm)) + 1, dtype=np.float64)
     steps *= cfg.ray_step_mm
 
+    # squared axial distances per box z level, to each axial beamlet centre
+    # (level_dz2) and to the nearest one (field_dz2, taken per body voxel)
     nu, nv = cfg.beamlet_grid
     z_rel = ptv_pts[:, 2] - iso[2]
     z_lo, z_hi = z_rel.min() - cfg.field_margin_mm, z_rel.max() + cfg.field_margin_mm
     z_offsets = np.linspace(z_lo, z_hi, nv)
-    pz = centers[:, 2] - iso[2]
-    dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
-    field_dz2 = np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0) ** 2
+    pz = (np.arange(box_lo[2], box_hi[2] + 1, dtype=np.float64) + 0.5) * spacing[2] - iso[2]
+    level_dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
+    field_dz2 = (np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0) ** 2
+                 ).take(level)
+    near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
 
-    # one chunk's (axis, step, column) sample cells, their in-box flags and scratch
-    pos = np.empty((2, _MARCH_CHUNK, col_keys.size))
-    in_box = np.empty((_MARCH_CHUNK, col_keys.size), dtype=bool)
+    # one chunk's (axis, step, column) sample cells, their in-box flags and
+    # scratch, as flat buffers whose prefixes hold the still active columns
+    pos = np.empty(2 * _MARCH_CHUNK * col_keys.size)
+    in_box = np.empty(_MARCH_CHUNK * col_keys.size, dtype=bool)
     edge = np.empty_like(in_box)
-    col_ids = np.tile(np.arange(col_keys.size, dtype=np.int32), (_MARCH_CHUNK, 1))
     beams = []
     for b in range(cfg.n_beams):
         phi = 2.0 * np.pi * b / cfg.n_beams
@@ -313,13 +325,35 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         u_lo, u_hi = pu_ptv.min() - cfg.field_margin_mm, pu_ptv.max() + cfg.field_margin_mm
         u_offsets = np.linspace(u_lo, u_hi, nu)
 
-        # material path length upstream of each voxel along -d, counted per column
-        # (the empty arrays stand for a beam whose first samples all leave the box)
+        # the rows near the field: within the cutoff (plus a 1 % margin) of the
+        # rectangle spanned by the beamlet centres; no other row has an entry
+        pu = centers @ u
+        field_du = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0)
+        near = np.flatnonzero(field_du**2 + field_dz2 <= near_cutoff2)
+        pu = pu.take(near)
+        del field_du
+
+        # the columns that hold a near row, and each near row's index among them
+        near_col = col_of.take(near)
+        marched = np.zeros(col_keys.size, dtype=bool)
+        marched[near_col] = True
+        near_col = (np.cumsum(marched) - 1).take(near_col)
+        xy = col_xy[:, marched]
+        n_marched = xy.shape[1]
+
+        # material path length upstream of each near row along -d, counted per
+        # marched column; a column is dropped once its last sample of a chunk has
+        # left the box (the empty arrays stand for a beam whose first samples all
+        # leave the box)
+        active = np.arange(n_marched, dtype=np.int32)  # the marched columns still in the box
         visit_cols, visit_cells = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
         for first in range(0, steps.size, _MARCH_CHUNK):
             s = steps[first:first + _MARCH_CHUNK]
-            p, inside, t = pos[:, :s.size], in_box[:s.size], edge[:s.size]
-            np.subtract(col_xy[:, None, :], np.multiply.outer(d[:2], s)[:, :, None], out=p)
+            n = s.size * active.size
+            p = pos[:2 * n].reshape(2, s.size, active.size)
+            inside = in_box[:n].reshape(s.size, active.size)
+            t = edge[:n].reshape(s.size, active.size)
+            np.subtract(xy[:, None, :], np.multiply.outer(d[:2], s)[:, :, None], out=p)
             p /= spacing[:2, None, None]
             np.floor(p, out=p)
             x, y = p
@@ -334,17 +368,26 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
             y -= box_lo[1]
             y *= box_w
             x += y
-            visit_cols.append(col_ids[:s.size][inside])
+            visit_cols.append(np.broadcast_to(active, inside.shape)[inside])
             visit_cells.append(x[inside].astype(np.int32))
+            stay = inside[-1]  # a ray that has left the box never re-enters it
+            if not stay.all():
+                active, xy = active[stay], xy[:, stay]
+                if not active.size:
+                    break
         col = np.concatenate(visit_cols)
         visits = sp.coo_matrix((np.ones(col.size, dtype=np.int32),
                                 (col, np.concatenate(visit_cells))),
-                               shape=(col_keys.size, z_lines.shape[0]))
-        count = visits @ z_lines
-        depth = cfg.ray_step_mm * count.ravel()[count_at].astype(np.float64)
+                               shape=(n_marched, z_lines.shape[0]))
+        count = (visits @ z_lines).ravel()
+        del col, visits, visit_cols, visit_cells
+        near_lvl = level.take(near)
+        depth = cfg.ray_step_mm * count.take(near_col * nz_box + near_lvl).astype(np.float64)
+        del count, near_col
 
-        beams.append(_lateral_entries((centers - iso) @ u, u_offsets, dz2, field_dz2,
-                                      depth, cfg))
+        beams.append(_lateral_entries(near.astype(np.int32), pu, depth, near_lvl, level_dz2,
+                                      u_offsets, cfg))
+        del near, pu, depth, near_lvl
 
     matrix = _csr_from_beams(beams, (body_idx.size, cfg.n_beams * nu * nv))
     matrix.eliminate_zeros()  # entries that underflow to 0 inside the cutoff

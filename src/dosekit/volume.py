@@ -233,6 +233,12 @@ class VoxelGrid:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "data", data)
 
+    def __reduce__(self):
+        # copies (pickle, copy.deepcopy) are rebuilt through the constructor, so they
+        # are validated again and their data is read-only: a copied array, and one
+        # unpickled below protocol 5, is writeable
+        return VoxelGrid, (self.dims, self.spacing, self.data)
+
     @classmethod
     def zeros(cls, dims, spacing=DEFAULT_SPACING_MM) -> "VoxelGrid":
         return cls(tuple(dims), tuple(spacing), np.zeros(tuple(dims), dtype=np.float32))
@@ -286,8 +292,8 @@ class StructureMask:
         _check_name(self.name)
         if self.kind not in STRUCTURE_KINDS:
             raise ValidationError(f"unknown structure kind {self.kind!r}")
-        values = np.unique(self.mask.data)
-        if not np.all(np.isin(values, (0.0, 1.0))):
+        data = self.mask.data
+        if not np.all((data == 0.0) | (data == 1.0)):  # one pass; -0.0 == 0.0
             raise ValidationError(f"mask {self.name!r} has values outside {{0,1}}")
         if self.kind == PTV:
             if self.prescription is None or not 0 < self.prescription < math.inf:

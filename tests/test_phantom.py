@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosekit import volume
+from dosekit import phantom, volume
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import (
     MAX_ATTEMPTS,
+    MIN_BODY_COVERAGE,
+    PTV_LEVEL_GROWTH,
     SITE_VERSION,
     PatientCase,
     PhantomGenerationError,
@@ -28,8 +30,10 @@ from dosekit.phantom import (
     save_patient,
 )
 from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, KernelSpec, ManifestError,
-                            StructureMask, StructureSet, VoxelGrid, read_volume)
+                            StructureMask, StructureSet, VoxelGrid, read_volume, write_volume)
+from dosekit.seeds import rng_for
 
+from test_planner import scaled_site
 from test_volume import JSON_VALUES, stamped, without_version
 
 
@@ -264,6 +268,115 @@ class TestGeneratePatient:
             generate_patient(impossible, 0)
 
 
+def ellipsoid_reference(dims, spacing, center_mm, radii_mm):
+    """The whole-grid ellipsoid test that the boxed `phantom._ellipsoid` replaced.
+    Test-only reference."""
+    xs, ys, zs = [(np.arange(dims[a], dtype=np.float64) + 0.5) * spacing[a] for a in range(3)]
+    fx = ((xs - center_mm[0]) / radii_mm[0]) ** 2
+    fy = ((ys - center_mm[1]) / radii_mm[1]) ** 2
+    fz = ((zs - center_mm[2]) / radii_mm[2]) ** 2
+    return fx[:, None, None] + fy[None, :, None] + fz[None, None, :] <= 1.0
+
+
+def whole_grid_patient(spec, patient_seed):
+    """(name, kind, prescription, impact, mask) of each structure, as `generate_patient`
+    made them when every draw was tested on the whole grid. Test-only reference."""
+    rng = rng_for("phantom", spec.site_id, patient_seed)
+    dims, spacing, pal = spec.kernel.dims, volume.DEFAULT_SPACING_MM, spec.shape_palette
+    uniform = phantom._uniform
+
+    def place(draw):
+        for _ in range(MAX_ATTEMPTS):
+            placed = draw()
+            if placed is not None:
+                return placed
+        raise PhantomGenerationError("reference draw failed")
+
+    def jittered(anchor, jitter):
+        return tuple(anchor[a] + uniform(rng, -jitter, jitter) for a in range(3))
+
+    def draw_body():
+        center = jittered(tuple(dims[a] * spacing[a] / 2.0 for a in range(3)),
+                          pal.body_center_jitter_mm)
+        radii = tuple(uniform(rng, *pal.body_radius_mm[a]) for a in range(3))
+        body = ellipsoid_reference(dims, spacing, center, radii)
+        return (center, body) if body.sum() >= MIN_BODY_COVERAGE * np.prod(dims) else None
+
+    body_center, body = place(draw_body)
+    out = [("body", BODY, None, None, body)]
+    anchor, jitter = body_center, pal.ptv_center_jitter_mm
+    for rank, level in enumerate(sorted(spec.ptv_levels, reverse=True)):
+
+        def draw_ptv():
+            center = jittered(anchor, jitter)
+            radii = tuple(uniform(rng, *pal.ptv_radius_mm) * PTV_LEVEL_GROWTH**rank
+                          for _ in range(3))
+            ptv = ellipsoid_reference(dims, spacing, center, radii)
+            return (center, ptv) if ptv.any() and not np.any(ptv & ~body) else None
+
+        center, ptv = place(draw_ptv)
+        out.append((ptv_name(level), PTV, float(level), None, ptv))
+        if rank == 0:
+            boost_center = anchor = center
+            jitter = 4.0
+
+    n_oars = int(rng.integers(spec.oar_count_range[0], spec.oar_count_range[1] + 1))
+    body_idx = np.nonzero(body)
+    bbox = [(float(body_idx[a].min()), float(body_idx[a].max())) for a in range(3)]
+    occupied = np.zeros(dims, dtype=bool)
+
+    def draw_oar():
+        center = tuple(uniform(rng, (bbox[a][0] + 0.5) * spacing[a], (bbox[a][1] + 0.5) * spacing[a])
+                       for a in range(3))
+        radii = tuple(uniform(rng, *pal.oar_radius_mm) for _ in range(3))
+        oar = ellipsoid_reference(dims, spacing, center, radii)
+        if (not oar.any() or np.any(oar & ~body) or np.any(oar & occupied)
+                or all(abs(center[a] - boost_center[a]) < spacing[a] for a in range(3))):
+            return None
+        return oar
+
+    for i in range(n_oars):
+        oar = place(draw_oar)
+        out.append((f"oar{i + 1:02d}", OAR, None, "high" if rng.random() < 0.5 else "low", oar))
+        occupied |= oar
+    return out
+
+
+class TestBoxedEllipsoid:
+    @pytest.mark.parametrize("site", ["siteA", "siteB"])
+    @pytest.mark.parametrize("spec_factor, seeds", [(1, range(1, 9)), (2, (1, 2))],
+                             ids=["desk", "64x64x32"])
+    def test_patients_match_whole_grid_reference(self, site, spec_factor, seeds):
+        spec = builtin_site(site)
+        if spec_factor != 1:
+            spec = scaled_site(spec, spec_factor)
+        for seed in seeds:
+            structures = generate_patient(spec, seed).structures.structures
+            reference = whole_grid_patient(spec, seed)
+            assert len(structures) == len(reference)
+            for s, (name, kind, prescription, impact, mask) in zip(structures, reference):
+                assert (s.name, s.kind, s.prescription, s.impact) == (name, kind, prescription,
+                                                                      impact)
+                assert s.mask.data.tobytes() == mask.astype(np.float32).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+           spacing=st.tuples(*[st.floats(0.5, 6.0)] * 3),
+           center=st.tuples(*[st.floats(-1.0, 2.0)] * 3),
+           radii=st.tuples(*[st.floats(1e-3, 3.0) | st.sampled_from([1e-9, 0.5, 1.0])] * 3))
+    def test_box_holds_the_whole_grid_test(self, dims, spacing, center, radii):
+        # centres and radii in units of the grid's extent: centres outside the grid,
+        # radii below half a voxel (1e-3 of a 12-voxel axis) and above the grid's size
+        extent = [n * h for n, h in zip(dims, spacing)]
+        center_mm = tuple(c * e for c, e in zip(center, extent))
+        radii_mm = tuple(r * e for r, e in zip(radii, extent))
+        box, mask = phantom._ellipsoid(dims, spacing, center_mm, radii_mm)
+        assert mask.shape == tuple(len(range(n)[b]) for n, b in zip(dims, box))
+        full = np.zeros(dims, dtype=bool)
+        full[box] = mask
+        assert np.array_equal(full, ellipsoid_reference(dims, spacing, center_mm, radii_mm))
+
+
 class TestPatientPersistence:
     def test_round_trip(self, tmp_path):
         case = generate_patient(builtin_site("siteB"), 5)
@@ -276,6 +389,17 @@ class TestPatientPersistence:
             assert a.name == b.name
             assert a.mask.identical(b.mask)
             assert (a.prescription, a.impact) == (b.prescription, b.impact)
+
+    @pytest.mark.parametrize("stray", [0.5, 2.0, -1.0])
+    def test_mask_with_a_stray_voxel_is_refused(self, tmp_path, stray):
+        save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
+        path = tmp_path / MASK_DIR / "oar01.dvol"
+        grid = read_volume(path)
+        data = grid.data.copy()
+        data[tuple(np.argwhere(data == 1.0)[0])] = stray
+        write_volume(VoxelGrid(grid.dims, grid.spacing, data), path)
+        with pytest.raises(ManifestError, match="values outside"):
+            load_patient(tmp_path)
 
     def test_round_trip_of_spacing_not_exact_in_float32(self, tmp_path):
         # the mask files hold the spacing as float32

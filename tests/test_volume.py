@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import pickle
@@ -147,6 +148,59 @@ class TestVoxelGrid:
         assert g.flat()[23] == 7.0  # 1 + 2*(2 + 3*3)
 
 
+
+# a deep copy and pickle round trips at every protocol that numpy arrays support
+COPIES = [pytest.param(copy.deepcopy, id="deepcopy")] + [
+    pytest.param(lambda obj, protocol=protocol: pickle.loads(pickle.dumps(obj, protocol=protocol)),
+                 id=f"pickle-{protocol}")
+    for protocol in (2, 3, 4, 5)
+]
+
+
+class TestCopies:
+    """A copy of a VoxelGrid is rebuilt through its constructor: numpy's deep copy of an
+    array, and an array unpickled below protocol 5, are writeable, and a copy must be as
+    frozen and as valid as its original."""
+
+    @staticmethod
+    def assert_frozen_copy(copied, original):
+        assert copied is not original and copied.identical(original)
+        assert not copied.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            copied.data[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("copy_of", COPIES)
+    def test_voxel_grid(self, copy_of):
+        grid = VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+                                    spacing=(1.0, 2.0, 3.0))
+        self.assert_frozen_copy(copy_of(grid), grid)
+
+    @pytest.mark.parametrize("copy_of", COPIES)
+    def test_structure_mask(self, copy_of):
+        mask = make_mask((4, 4, 4), [(3, 3, 3), (0, 0, 0)], kind="OAR", impact="low")
+        mask.linear_indices()
+        copied = copy_of(mask)
+        assert (copied.name, copied.kind, copied.impact) == ("oar", "OAR", "low")
+        self.assert_frozen_copy(copied.mask, mask.mask)
+        assert np.array_equal(copied.linear_indices(), mask.linear_indices())
+        assert not copied.linear_indices().flags.writeable
+
+    @pytest.mark.parametrize("copy_of", COPIES)
+    def test_plan_dose(self, copy_of):
+        plan = Plan("siteA-p0001", 0, PlanWeights({"ptv70": 1.0}), np.array([0.5, 1.0]),
+                    VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
+                    PlanDiagnostics(iterations=1, converged=False, final_objective=0.5,
+                                    objective_at_zero=1.0, operator_norm=1.0, kkt_residual=0.1))
+        self.assert_frozen_copy(copy_of(plan).dose, plan.dose)
+
+    def test_unpickled_grid_is_validated(self):
+        grid = VoxelGrid.from_array(np.full((2, 2, 2), 1234.5, dtype=np.float32))
+        raw = pickle.dumps(grid, protocol=4)
+        assert raw.count(np.float32(1234.5).tobytes()) == 8
+        with pytest.raises(ValidationError, match="finite"):
+            pickle.loads(raw.replace(np.float32(1234.5).tobytes(), np.float32(np.nan).tobytes()))
+
+
 class TestVolumeRoundTrip:
     def test_zero_grid_file_size(self, tmp_path):
         g = VoxelGrid.zeros((2, 2, 2))
@@ -287,6 +341,20 @@ class TestStructures:
         arr = np.full((2, 2, 2), 0.5, dtype=np.float32)
         with pytest.raises(ValidationError):
             StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
+        # one stray voxel in an otherwise binary mask
+        for stray in (0.5, 2.0, -1.0):
+            arr = np.zeros((3, 3, 3), dtype=np.float32)
+            arr[0, 0, 0] = 1.0
+            arr[2, 1, 0] = stray
+            with pytest.raises(ValidationError, match="values outside"):
+                StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
+
+    def test_negative_zero_is_binary(self):
+        arr = np.full((2, 2, 2), -0.0, dtype=np.float32)
+        arr[1, 1, 1] = 1.0
+        mask = StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
+        assert mask.voxel_count == 1
+        assert mask.linear_indices().tolist() == [7]
 
     def test_set_requires_containment(self):
         body = make_mask((3, 3, 3), [(0, 0, 0)])
