@@ -6,11 +6,14 @@ field, not with the body: depths come from a ray march over only the (x, y)
 columns that hold such a row, a chunk of ray steps at a time, whose in-box
 samples become one sparse visit-count product per beam; lateral entries are
 formed only for the (voxel, lateral beamlet) pairs within the cutoff, then
-expanded over the axial beamlets. Each beam's entries are kept as compact
-(int32 row, int32 column, value) arrays, and the CSR arrays of A are written
-from them in place: at the build's peak an entry takes about 28 bytes, 2.3x its
-12 bytes in the finished matrix, where (row, column, value) triples and their
-COO-to-CSR copies took about 70. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
+expanded over the axial window of the voxel's z level: the axial beamlets
+whose axial distance alone is within the cutoff (2 of 6 at 64x64x32), as no
+other can hold an entry. Each beam's entries are kept row by row as compact
+(int32 column, value) arrays, with one (row, count) run per row, and the CSR
+arrays of A are written from them in place, counting each beam's rows once: at
+the build's peak an entry takes about 26 bytes, 2.2x its 12 bytes in the
+finished matrix, where (row, column, value) triples and their COO-to-CSR
+copies took about 70. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
 over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
 structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
 solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
@@ -147,79 +150,133 @@ class InfluenceMatrix:
         return pos.astype(np.int64)
 
 
-def _lateral_entries(near, pu, depth, level, level_dz2, u_offsets, cfg: BeamConfig):
-    """One beam's entries as (int32 row, int32 beam-local column u * nv + v, value),
-    rows ascending and columns ascending within a row.
+def _axial_windows(level_dz2, cfg: BeamConfig):
+    """The axial window of each (z level k, lateral beamlet u), in row k * nu + u
+    of (window_col, window_dz2), both ((z levels * nu) x W).
 
-    near holds the int32 rows, ascending, within the cutoff (plus a 1 % margin)
-    of the rectangle spanned by the beamlet centres; pu, depth and level hold
-    each near row's lateral coordinate along the beam, depth and z level, and
-    level_dz2[k, v] the squared axial distance from z level k to axial beamlet
-    v. Only the (row, u) pairs whose lateral distance alone is within the cutoff
-    are expanded over the axial offsets, because r^2 = du^2 + dz^2 >= du^2. Each
-    temporary is released once the next is formed, so the kernel is evaluated
-    with only the entries' own arrays alive, and no two beams' temporaries are
-    alive at once.
+    level_dz2[k, v] is the squared axial distance from z level k to axial
+    beamlet v. Level k's window lists, ascending, the v with level_dz2[k, v] <=
+    cutoff^2: window_col holds their beam-local columns u * nv + v and
+    window_dz2 their level_dz2. W is the largest such count, and a shorter
+    window is padded with unreached v and dz2 = inf. No other v can hold an
+    entry: under round-to-nearest fl(du2 + dz2) >= dz2 for du2 >= 0, so r^2 >
+    cutoff^2 wherever dz2 is, and inf + du2 is never within the cutoff.
     """
     nu, nv = cfg.beamlet_grid
+    reach = level_dz2 <= cfg.lateral_cutoff**2
+    width = int(reach.sum(axis=1).max(initial=0))
+    # a stable sort of ~reach puts each level's reached v first, in ascending order
+    v = np.argsort(~reach, axis=1, kind="stable")[:, :width]
+    dz2 = np.where(np.take_along_axis(reach, v, axis=1),
+                   np.take_along_axis(level_dz2, v, axis=1), np.inf)
+    col = v[:, None, :] + nv * np.arange(nu)[None, :, None]
+    return col.reshape(len(v) * nu, width).astype(np.int32), np.repeat(dz2, nu, axis=0)
+
+
+def _lateral_entries(near, pu, depth, level, window_col, window_dz2, u_offsets,
+                     cfg: BeamConfig):
+    """One beam's entries, row by row, as (row, count, column, value).
+
+    row holds the rows with an entry, ascending (as intp, which numpy indexes
+    with fastest), and count (int32) the length of each one's run of entries;
+    column (int32, beam-local u * nv + v) and value (float64) hold the entries,
+    the runs in row order and the columns ascending within a run. near holds
+    the rows (intp), ascending, within the cutoff
+    (plus a 1 % margin) of the rectangle spanned by the beamlet centres; pu,
+    depth and level hold each near row's lateral coordinate along the beam,
+    depth and z level, and window_col and window_dz2 the axial windows
+    (`_axial_windows`). Only the (row, u) pairs whose lateral distance alone is
+    within the cutoff are expanded, because r^2 = du^2 + dz^2 >= du^2, and each
+    only over the W slots of its level's window, not over all nv axial
+    beamlets: at 64x64x32 siteA patient 1, W is 2 of nv = 6, and the (pairs x W)
+    r^2 table a third of the (pairs x nv) one. Each temporary is released once
+    the next is formed, so the kernel is evaluated with only the entries' own
+    arrays alive, and no two beams' temporaries are alive at once.
+    """
+    nu = u_offsets.size
+    width = window_col.shape[1]
     cutoff2 = cfg.lateral_cutoff**2
-    du2 = ((pu[:, None] - u_offsets[None, :]) ** 2).ravel()
-    pair = np.flatnonzero(du2 <= cutoff2)  # the (row, u) pairs, flat in near x nu
-    pair_near, pair_u = np.divmod(pair, nu)
-    # IEEE addition commutes, so r2 = du2 + dz2 exactly
-    r2 = level_dz2.take(level.take(pair_near), axis=0)
-    r2 += du2.take(pair)[:, None]
-    del du2, pair
+    # du^2 as (nu x near), so that numpy's inner loop runs over the near rows;
+    # (u - pu)^2 is (pu - u)^2 bit for bit
+    du2 = np.subtract.outer(u_offsets, pu)
+    np.square(du2, out=du2)
+    pair = np.flatnonzero((du2 <= cutoff2).T)  # the (row, u) pairs, flat in near x nu
+    pair_near = pair // nu
+    pair_u = pair - pair_near * nu
+    del pair
+    du2 = du2.ravel().take(pair_u * pu.size + pair_near)
+    # each pair's window slots, flat in pairs x width: their beam-local column and
+    # r^2 (IEEE addition commutes, so r2 = du2 + dz2 exactly)
+    key = level.take(pair_near)
+    key *= nu
+    key += pair_u
+    del pair_u
+    col = window_col.take(key, axis=0)
+    r2 = window_dz2.take(key, axis=0)
+    r2 += du2[:, None]
+    del du2, key
     r2 = r2.ravel()
-    entry = np.flatnonzero(r2 <= cutoff2)  # flat in pairs x nv
+    entry = np.flatnonzero(r2 <= cutoff2)
     r2 = r2.take(entry)
-    entry_pair, v = np.divmod(entry, nv)
-    del entry
-    entry_near = pair_near.take(entry_pair)
-    col = (pair_u.take(entry_pair) * nv + v).astype(np.int32)
-    del pair_near, pair_u, entry_pair, v
-    row, entry_depth = near.take(entry_near), depth.take(entry_near)
-    del entry_near
-    return row, col, beamlet_kernel(entry_depth, r2, cfg)
+    col = col.ravel().take(entry)
+    entry //= width
+    entry_near = pair_near.take(entry)
+    del entry, pair_near
+    # each near row's entries are one run: its first entry, row and length
+    starts = np.empty(entry_near.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(entry_near[1:], entry_near[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    del starts
+    row = near.take(entry_near.take(first))
+    count = np.diff(first, append=entry_near.size).astype(np.int32)
+    entry_depth = depth.take(entry_near)
+    del entry_near, first
+    return row, count, col, beamlet_kernel(entry_depth, r2, cfg)
 
 
 def _csr_from_beams(beams: list, shape: tuple[int, int]) -> sp.csr_matrix:
     """The CSR matrix of equal-width column blocks, one per beam, written in place.
 
-    beams[b] is beam b's (row, beam-local column, value) from `_lateral_entries`.
-    indptr comes from each row's entry count over all beams. Columns run
-    beam-major, so in row r beam b's entries follow those of every earlier beam:
-    its k-th entry goes to indptr[r] + fill[r] + (k - first[r]), where fill[r]
-    counts the entries of earlier beams in row r and first[r] those of beam b in
-    rows before r. One running O(rows) array holds indptr[r] + fill[r]. Rows
-    ascend within a beam and columns within a row, so the result is canonical,
-    with the index dtype scipy gives the same matrix built from (row, column,
-    value) triples: int32, or int64 past 2^31 - 1. Each beam's entries are
-    released once written (beams[b] is set to None).
+    beams[b] is beam b's (row, count, beam-local column, value) from
+    `_lateral_entries`, one run of entries per row. The rows of a beam are
+    counted once, by `_lateral_entries`: indptr comes from the runs' counts over
+    all beams. Columns run beam-major, so in row r beam b's entries follow those
+    of every earlier beam: the k-th entry of row r's run goes to indptr[r] +
+    fill[r] + k, where fill[r] counts the entries of earlier beams in row r. One
+    running O(rows) array holds indptr[r] + fill[r]. Columns ascend within a
+    run, so the result is canonical, with the index dtype scipy gives the same
+    matrix built from (row, column, value) triples: int32, or int64 past 2^31 -
+    1. Each beam's entries are released once written (beams[b] is set to None).
     """
     import scipy.sparse as sp
 
     n_rows, n_cols = shape
     row_nnz = np.zeros(n_rows, dtype=np.int64)
-    for row, _, _ in beams:
-        row_nnz += np.bincount(row, minlength=n_rows)
+    for row, count, _, _ in beams:
+        row_nnz[row] += count
     nnz = int(row_nnz.sum())
     idx_dtype = np.int32 if max(nnz, n_cols) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
     np.cumsum(row_nnz, out=indptr[1:])
+    del row_nnz
     indices = np.empty(nnz, dtype=idx_dtype)
     data = np.empty(nnz)
     fill = indptr[:-1].astype(np.int64)
     width = n_cols // len(beams)
     for b in range(len(beams)):
-        row, col, val = beams[b]
+        row, count, col, val = beams[b]
         beams[b] = None
-        count = np.bincount(row, minlength=n_rows)
-        slot = (fill - (np.cumsum(count) - count))[row]
-        slot += np.arange(row.size)
-        indices[slot] = col + b * width
+        # row r's run holds the beam's entries first[r], first[r] + 1, ..., and
+        # its k-th entry goes to fill[r] + k
+        first = np.cumsum(count)
+        first -= count
+        slot = np.repeat(fill.take(row) - first, count)
+        slot += np.arange(col.size)
+        col += b * width
+        indices[slot] = col
         data[slot] = val
-        fill += count
+        fill[row] += count
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
@@ -249,17 +306,19 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     no in-box sample.
 
     Lateral entries are formed only within ``lateral_cutoff``, by
-    `_lateral_entries`, and each beam keeps them as an int32 row, an int32
-    beam-local column and a float64 value: 16 bytes per entry. Axial distances
-    come from one (box z level x axial beamlet) table, indexed by each row's
-    level. `_csr_from_beams` then writes the CSR index and data arrays in place
-    (12 bytes per entry), releasing each beam's entries once written. The
-    build's memory is therefore about 28 bytes per entry of the result, about
-    2.3x the matrix, plus O(body voxels) per-voxel arrays and one beam's
+    `_lateral_entries`, over each row's axial window: the axial beamlets within
+    the cutoff of its z level, from one table built per build
+    (`_axial_windows`). Each beam keeps its entries as an int32 beam-local
+    column and a float64 value, 12 bytes per entry, and each row's entries as
+    one run, an int64 row and an int32 count. `_csr_from_beams` then writes the
+    CSR index and data arrays in place (12 bytes per entry), releasing each
+    beam's entries once written. The build's memory is therefore about 24
+    bytes per entry of the result plus 12 per run (one run per row and beam),
+    about 2.2x the matrix, plus O(body voxels) per-voxel arrays and one beam's
     lateral temporaries, which are O(near rows x lateral beamlets per beam). By
-    tracemalloc, its peak is 16.3 MB for the 5.0 MB matrix of 64x64x32 siteA
-    patient 1 with 7 beams, and 54.7 MB for the 23 MB matrix of desk siteB
-    patient 1 with 72 beams.
+    tracemalloc, its peak is 16.3 MB (15.6 MiB) for the 5.0 MB matrix of
+    64x64x32 siteA patient 1 with 7 beams, and 50.3 MB for the 23 MB matrix of
+    desk siteB patient 1 with 72 beams.
     """
     import scipy.sparse as sp
 
@@ -270,29 +329,40 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
 
-    nx = dims[0]
-    gx, gy, gz = np.unravel_index(body_idx, dims, order="F")
-    cells = np.stack([gx, gy, gz], axis=1)
-    centers = (cells.astype(np.float64) + 0.5) * spacing
-    box_lo, box_hi = cells.min(axis=0), cells.max(axis=0)
+    # each body voxel's (x, y) column x + nx * y, and its cell and centre as
+    # (axis, voxel) arrays, whose reductions and arithmetic run along the voxels
+    nx, ny, _ = dims
+    col_of = body_idx % (nx * ny)
+    cells = np.stack([col_of % nx, col_of // nx, body_idx // (nx * ny)])
+    box_lo, box_hi = cells.min(axis=1), cells.max(axis=1)
+    centers = cells.astype(np.float64)
+    centers += 0.5
+    centers *= spacing[:, None]
 
     # the body's (x, y) columns (centres as an (axis, column) array) and the
     # column and box z level of each body voxel; the body mask's z line at each
     # (x, y) cell of the box, cell index x + box width * y from the box corner
-    col_keys, col_of = np.unique(gx + nx * gy, return_inverse=True)
+    has_col = np.zeros(nx * ny, dtype=bool)
+    has_col[col_of] = True
+    col_keys = np.flatnonzero(has_col)
+    col_of = (np.cumsum(has_col) - 1).take(col_of)
+    del has_col
     col_xy = (np.stack([col_keys % nx, col_keys // nx]) + 0.5) * spacing[:2, None]
     box = body_arr[box_lo[0]:box_hi[0] + 1, box_lo[1]:box_hi[1] + 1, box_lo[2]:box_hi[2] + 1]
     box_w, nz_box = box.shape[0], box.shape[2]
     z_lines = box.transpose(1, 0, 2).reshape(-1, nz_box).astype(np.int32)
-    level = gz - box_lo[2]
-    del cells, gx, gy, gz
+    level = cells[2] - box_lo[2]
+    del cells
 
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
         ptv_union |= ptv.bool_array()
     ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
     iso = ptv_pts.mean(axis=0)
-    centers -= iso  # from here on, each body voxel's centre relative to the isocentre
+    # from here on, each body voxel's centre relative to the isocentre, one row
+    # per voxel for each beam's `centers @ u`
+    centers -= iso[:, None]
+    centers = np.ascontiguousarray(centers.T)
 
     diag = float(np.linalg.norm(np.asarray(dims) * spacing))
     steps = np.arange(1, int(np.ceil(diag / cfg.ray_step_mm)) + 1, dtype=np.float64)
@@ -305,7 +375,7 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     z_lo, z_hi = z_rel.min() - cfg.field_margin_mm, z_rel.max() + cfg.field_margin_mm
     z_offsets = np.linspace(z_lo, z_hi, nv)
     pz = (np.arange(box_lo[2], box_hi[2] + 1, dtype=np.float64) + 0.5) * spacing[2] - iso[2]
-    level_dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
+    window_col, window_dz2 = _axial_windows((pz[:, None] - z_offsets[None, :]) ** 2, cfg)
     field_dz2 = (np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0) ** 2
                  ).take(level)
     near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
@@ -385,8 +455,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         depth = cfg.ray_step_mm * count.take(near_col * nz_box + near_lvl).astype(np.float64)
         del count, near_col
 
-        beams.append(_lateral_entries(near.astype(np.int32), pu, depth, near_lvl, level_dz2,
-                                      u_offsets, cfg))
+        beams.append(_lateral_entries(near, pu, depth, near_lvl, window_col,
+                                      window_dz2, u_offsets, cfg))
         del near, pu, depth, near_lvl
 
     matrix = _csr_from_beams(beams, (body_idx.size, cfg.n_beams * nu * nv))

@@ -317,7 +317,9 @@ class StructureMask:
 
     @functools.cached_property
     def _linear_indices(self) -> np.ndarray:
-        indices = np.flatnonzero(self.mask.flat())
+        # raster order of a bool copy, not of the float32 grid: a quarter of the
+        # strided copy, and the same indices (-0.0 != 0 is False, as for flat())
+        indices = np.flatnonzero((self.mask.data != 0).ravel(order="F"))
         indices.flags.writeable = False
         return indices
 

@@ -354,6 +354,15 @@ def scaled_site(spec, factor):
     return dataclasses.replace(spec, kernel=kernel, shape_palette=palette)
 
 
+# Narrow fields: each beam reaches fewer than half of the body's (x, y) columns, so
+# the march skips most columns and the near rows are a minority of the body rows.
+NARROW_FIELDS = [
+    BeamConfig(beamlet_grid=(16, 12), lateral_sigma=2.0, lateral_cutoff=4.0, field_margin_mm=1.0),
+    BeamConfig(n_beams=5, beamlet_grid=(16, 12), lateral_sigma=2.0, lateral_cutoff=4.0,
+               field_margin_mm=0.25, ray_step_mm=3.0),
+]
+
+
 class TestInfluenceMatchesDenseReference:
     @pytest.mark.parametrize("site", ["siteA", "siteB"])
     @pytest.mark.parametrize("patient", [1, 2])
@@ -390,6 +399,30 @@ class TestInfluenceMatchesDenseReference:
         case = generate_patient(builtin_site("siteB"), 1)
         assert_same_csr(build_influence_matrix(case, cfg).matrix,
                         dense_influence_reference(case, cfg))
+
+    @pytest.mark.parametrize("cfg, reached", [
+        # one axial beamlet, at the bottom of the field (a shorter cutoff leaves PTV
+        # voxels unreached): each level reaches it or not
+        (BeamConfig(beamlet_grid=(8, 1), lateral_cutoff=45.0),
+         lambda n, nv: n.max() == nv == 1 and n.min() == 0),
+        # a cutoff below the z spacing: some box z levels reach no axial beamlet, and
+        # none reaches more than 2 of 12
+        (NARROW_FIELDS[0], lambda n, nv: n.max() == 2 < nv and n.min() == 0),
+        # a cutoff beyond the field's z extent: every level reaches every beamlet
+        (BeamConfig(lateral_cutoff=60.0), lambda n, nv: n.min() == nv),
+    ], ids=["one-axial-beamlet", "levels-reach-none", "levels-reach-all"])
+    def test_axial_window_edges(self, cfg, reached, monkeypatch):
+        windows = []
+        axial_windows = planner._axial_windows
+        monkeypatch.setattr(planner, "_axial_windows",
+                            lambda *args: windows.append(axial_windows(*args)) or windows[-1])
+        case = generate_patient(builtin_site("siteB"), 1)
+        assert_same_csr(build_influence_matrix(case, cfg).matrix,
+                        dense_influence_reference(case, cfg))
+        (_, window_dz2), = windows
+        # the axial beamlets each box z level reaches (every lateral beamlet's row
+        # of a level holds the same window)
+        assert reached(np.isfinite(window_dz2).sum(axis=1), cfg.beamlet_grid[1])
 
 
 def column_march_reference(case, cfg):
@@ -473,15 +506,6 @@ def column_march_reference(case, cfg):
     )
     matrix.eliminate_zeros()
     return matrix
-
-
-# Narrow fields: each beam reaches fewer than half of the body's (x, y) columns, so
-# the march skips most columns and the near rows are a minority of the body rows.
-NARROW_FIELDS = [
-    BeamConfig(beamlet_grid=(16, 12), lateral_sigma=2.0, lateral_cutoff=4.0, field_margin_mm=1.0),
-    BeamConfig(n_beams=5, beamlet_grid=(16, 12), lateral_sigma=2.0, lateral_cutoff=4.0,
-               field_margin_mm=0.25, ray_step_mm=3.0),
-]
 
 
 def columns_reached(infl, cfg):
@@ -608,12 +632,12 @@ def test_influence_build_memory_at_64x64x32():
     case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
     assert case.dims == (64, 64, 32)
     _, peak = traced_build(case, BeamConfig())
-    assert peak < 22 * 2**20  # 15.6 MiB measured (19.8 MiB before the field-limited march)
+    assert peak < 17.9 * 2**20  # about 1.15x the 15.6 MiB measured
 
 
 def test_influence_build_memory_at_72_beams():
-    # the CSR arrays are written in place from 16-byte compact entries: about 2.4x
-    # the matrix here
+    # the CSR arrays are written in place from 12-byte compact entries and 12-byte
+    # row runs: about 2.2x the matrix here
     matrix, peak = traced_build(generate_patient(builtin_site("siteB"), 1),
                                 BeamConfig(n_beams=72))
     assert peak <= 3 * (matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes)

@@ -107,6 +107,22 @@ class TestLinearIndex:
         assert indices.tolist() == sorted((x + nx * (y + ny * z)).tolist())
         assert set(zip(*np.unravel_index(indices, dims, order="F"))) == set(zip(x, y, z))
 
+    @settings(max_examples=80, deadline=None)
+    # three distinct extents, so that reading the grid in C order instead of F fails
+    @given(st.lists(st.integers(1, 7), min_size=3, max_size=3, unique=True).map(tuple),
+           st.integers(0, 2**32 - 1))
+    @example((3, 1, 2), 0)
+    def test_matches_flat_raster_order(self, dims, seed):
+        # linear_indices reads a bool copy of the grid: it must give the nonzero
+        # indices of flat(), the float32 grid in raster order, -0.0 voxels excluded
+        rng = np.random.default_rng(seed)
+        zero = np.where(rng.random(dims) < 0.5, np.float32(-0.0), np.float32(0.0))
+        arr = np.where(rng.random(dims) < 0.5, np.float32(1.0), zero)
+        arr.flat[0] = -0.0
+        mask = StructureMask("body", "BODY", VoxelGrid.from_array(arr))
+        assert np.signbit(mask.mask.data).any()
+        assert np.array_equal(mask.linear_indices(), np.flatnonzero(mask.mask.flat()))
+
 
 class TestVoxelGrid:
     def test_rejects_nan(self):
