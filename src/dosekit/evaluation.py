@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DosekitError, ValidationError
-from .volume import BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid, write_manifest
+from .volume import BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid
 
 D98 = "D98"
 D95 = "D95"
@@ -188,13 +188,11 @@ class MetricValue(Record):
 
 @dataclass(frozen=True)
 class MetricsReport(Record):
-    """Per-structure DVH-metric comparison of a predicted dose to ground truth."""
+    """Per-structure DVH-metric comparison of a predicted dose to ground truth,
+    saved with ``write_manifest(path, report, REPORT_VERSION)``."""
 
     prescription: float
     rows: tuple[MetricValue, ...]
-
-    def write_json(self, path) -> None:
-        write_manifest(path, self, REPORT_VERSION)
 
 
 def metrics_for_kind(kind: str) -> tuple[str, ...]:

@@ -18,14 +18,16 @@ over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
 structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
 solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
 beamlet space: it carries s M^T y instead of the dual y, so each step is one
-product with the dense Gram matrix G = M^T M (8 n^2 bytes for n beamlets)
-instead of one product each with M and M^T. That product is one BLAS dsymv,
-which reads only one triangle of the symmetric G and folds the dual step's
-scaling into its alpha and beta. Every dense product of a plan goes through
-scipy.linalg.blas (see `_gram`). Neither scipy module is imported with this
-module: scipy.sparse is imported on a process's first influence build and
-scipy.linalg.blas on its first plan. They cost about 0.2-0.3 s and 50-70 ms
-to load, which importing the package (and `dosekit phantom`) should not pay.
+product with the Gram matrix G = M^T M instead of one product each with M and
+M^T. That product is one BLAS dsymv, which reads only the upper triangle of the
+symmetric G and folds the dual step's scaling into its alpha and beta; so G is
+kept as that triangle alone, the F-ordered n x n array (8 n^2 bytes for n
+beamlets) that dsyrk writes, its strict lower triangle 0. Every dense product
+of a plan goes through scipy.linalg.blas (see `_gram`). Neither scipy module is
+imported with this module: scipy.sparse is imported on a process's first
+influence build and scipy.linalg.blas on its first plan. They cost about
+0.2-0.3 s and 50-70 ms to load, which importing the package (and
+`dosekit phantom`) should not pay.
 At n = 336 beamlets that product is most of an iteration, so the loop keeps
 Python small around it: each iteration runs inline as one positional dsymv call
 and four ufunc calls writing into preallocated buffers, with no function call
@@ -66,7 +68,7 @@ class PlannerError(DosekitError):
 
 
 class PlannerGeometryError(PlannerError):
-    """Beam arrangement leaves target voxels with zero influence."""
+    """No PTV voxel to aim the beams at, or target voxels that no beamlet reaches."""
 
 
 class FluenceFileError(PlannerError):
@@ -328,6 +330,13 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     body = structures.body
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
+    # PTVs lie in the body, so this also stops an empty body before its reductions
+    ptv_union = np.zeros(dims, dtype=bool)
+    for ptv in structures.ptvs:
+        ptv_union |= ptv.bool_array()
+    ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
+    if not ptv_pts.size:
+        raise PlannerGeometryError("no PTV voxel to aim the beams at")
 
     # each body voxel's (x, y) column x + nx * y, and its cell and centre as
     # (axis, voxel) arrays, whose reductions and arithmetic run along the voxels
@@ -354,10 +363,6 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     level = cells[2] - box_lo[2]
     del cells
 
-    ptv_union = np.zeros(dims, dtype=bool)
-    for ptv in structures.ptvs:
-        ptv_union |= ptv.bool_array()
-    ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
     iso = ptv_pts.mean(axis=0)
     # from here on, each body voxel's centre relative to the isocentre, one row
     # per voxel for each beam's `centers @ u`
@@ -515,21 +520,19 @@ _BLOCK = 64
 
 
 def estimate_operator_norm(G) -> float:
-    """||M|| = sqrt(largest eigenvalue of G = M^T M), by POWER_STEPS power steps on G
-    from the all-ones vector.
+    """||M|| = sqrt(largest eigenvalue of M^T M), by POWER_STEPS power steps from the
+    all-ones vector, on G, the upper triangle of M^T M that `_gram` returns.
 
-    G is entrywise nonnegative, so by Perron-Frobenius it has a nonnegative
+    M^T M is entrywise nonnegative, so by Perron-Frobenius it has a nonnegative
     eigenvector for its largest eigenvalue, and the all-ones start overlaps it.
-    Each step is one dsymv on the symmetric G, through scipy's BLAS (see
-    `_gram`).
+    Each step is one dsymv (lower=0) on G, through scipy's BLAS (see `_gram`).
     """
     from scipy.linalg.blas import dsymv
 
-    Gt = G.T
     v = np.ones(G.shape[1]) / np.sqrt(G.shape[1])
     lam = 0.0
     for _ in range(POWER_STEPS):
-        w = dsymv(1.0, Gt, v)
+        w = dsymv(1.0, G, v)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 0.0
@@ -568,26 +571,26 @@ def _residual_sq(M, b, x) -> float:
 
 
 def _gram(M, b):
-    """G = M^T M (dense, 8 n^2 bytes for n beamlets: 0.9 MB at 336) and c = M^T b.
+    """G, the upper triangle of M^T M (8 n^2 bytes for n beamlets: 0.9 MB at 336),
+    and c = M^T b.
 
-    Forming G densifies M once, 8 n bytes per row of M. G is one BLAS dsyrk,
-    which fills the upper triangle of a zeroed matrix; adding its transpose
-    mirrors it exactly (each off-diagonal entry is added to 0), so G is exactly
-    symmetric, as `solve_stacked` requires. The dense products of a plan (here, in
-    `estimate_operator_norm` and in `solve_stacked`) all go through
-    scipy.linalg.blas, not numpy's matmul: numpy and scipy each bundle their own
-    OpenBLAS, and with more than one BLAS thread the idle workers of one spin
-    while the other's run, which made the solve 1.7-3.2x slower on a 2-core host.
-    G and c were bit-identical to numpy's ``dense.T @ dense`` and
-    ``dense.T @ b`` on every desk and 64x64x32 plan checked."""
+    Forming G densifies M once, 8 n bytes per row of M. G is one BLAS dsyrk, which
+    writes the upper triangle of a zeroed F-ordered array and leaves its strict
+    lower triangle 0. Every reader of G (dsymv, lower=0) reads that triangle alone,
+    so no mirrored copy is made, which would take a second 8 n^2 bytes: at n = 3456
+    (72 beams) this function's tracemalloc peak is 115.9 MB. The dense products
+    of a plan (here, in `estimate_operator_norm` and in `solve_stacked`) all go
+    through scipy.linalg.blas, not numpy's matmul: numpy and scipy each bundle
+    their own OpenBLAS, and with more than one BLAS thread the idle workers of one
+    spin while the other's run, which made the solve 1.7-3.2x slower on a 2-core
+    host. The upper triangle of G and c were bit-identical to numpy's
+    ``dense.T @ dense`` and ``dense.T @ b`` on every desk and 64x64x32 plan checked."""
     from scipy.linalg.blas import dgemv, dsyrk
 
     dense = M.toarray()
     n = dense.shape[1]
     # dense.T is the Fortran-ordered view of dense, so neither call copies it
-    upper = dsyrk(1.0, dense.T, c=np.zeros((n, n), order="F"), overwrite_c=1)
-    G = np.add(upper, upper.T, order="C")
-    np.fill_diagonal(G, upper.diagonal())
+    G = dsyrk(1.0, dense.T, c=np.zeros((n, n), order="F"), overwrite_c=1)
     return G, dgemv(1.0, dense.T, b)
 
 
@@ -597,8 +600,8 @@ def _finite(x, w) -> bool:
 
 def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     """Chambolle-Pock (theta = 1) on min_{x>=0} ||M x - b||^2, run in beamlet space
-    for exactly `max_iters` iterations. G must be exactly symmetric, as `_gram`
-    returns it: the iteration reads only one of its triangles.
+    for exactly `max_iters` iterations. G and c are as `_gram` returns them: G holds
+    M^T M as its upper triangle alone, the one triangle that the iteration reads.
 
     With f(v) = ||v - b||^2 the dual prox is
     prox_{s f*}(v) = (v - s b) / (1 + s/2); the primal prox is projection onto
@@ -609,10 +612,9 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     to the dual step gives w <- a w + s^2 a (G xbar - c), a = 1 / (1 + s/2), with
     G = M^T M and c = M^T b from `_gram`, and the primal step is
     x <- max(x - w, 0): the iterates are those of the row-space iteration in exact
-    arithmetic. a w + s^2 a G xbar is one BLAS dsymv (alpha s^2 a, beta a) on G.T,
-    the Fortran-ordered view of the C-ordered G, which is G itself because G is
-    symmetric. dsymv reads only the triangle it is told to (half of G's 8 n^2
-    bytes), where a general product streams all of G, and its alpha and beta
+    arithmetic. a w + s^2 a G xbar is one BLAS dsymv (alpha s^2 a, beta a,
+    lower=0) on G. dsymv reads only the upper triangle (half of G's 8 n^2 bytes),
+    where a general product would stream a full n x n G, and its alpha and beta
     replace the separate scaling passes over w. The final objective is
     ||M x - b||^2 from M, not x^T G x - 2 c^T x + b^T b, which cancels near the
     optimum.
@@ -638,7 +640,7 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     iteration is exact. Both run one loop body, `iterate`, whose flag turns the
     per-iteration check on.
 
-    Each iteration is w <- dsymv(ssa, G.T, xbar, beta=a, y=w) - ssa c, then
+    Each iteration is w <- dsymv(ssa, G, xbar, beta=a, y=w) - ssa c, then
     t <- max(x - w, 0) and xbar <- t + (t - x), after which t is the new x and
     the old x's buffer is the next iteration's t. Every step writes in place into
     the five preallocated length-n buffers (x, xbar, w, t and a zero vector for
@@ -651,7 +653,6 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     a = 1.0 / (1.0 + s / 2.0)
     ssa = s * s * a
     w_shift = ssa * c
-    Gt = G.T
     n = M.shape[1]
     x, xbar, w, t, zero = np.zeros(n), np.zeros(n), np.zeros(n), np.empty(n), np.zeros(n)
 
@@ -660,7 +661,7 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
         # its result is used, not assumed to be in w
         nonlocal x, xbar, w, t
         for it in block:
-            w = dsymv(ssa, Gt, xbar, a, w, 0, 1, 0, 1, 0, 1)
+            w = dsymv(ssa, G, xbar, a, w, 0, 1, 0, 1, 0, 1)
             w -= w_shift
             np.subtract(x, w, out=t)
             np.maximum(t, zero, out=t)
@@ -682,7 +683,7 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
             iterate(block, True)
     # a finite x near overflow can still give non-finite diagnostics
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = 2.0 * (dsymv(1.0, Gt, x) - c)
+        grad = 2.0 * (dsymv(1.0, G, x) - c)
         kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
         final_objective = _residual_sq(M, b, x)
         objective_at_zero = float(b @ b)
@@ -748,8 +749,8 @@ def solve_fluence(
     patient_id: str = "",
     index: int = 0,
 ) -> Plan:
-    """One plan: build M and b for `weights` and G = M^T M, c = M^T b from them,
-    estimate ||M|| on G, run the CP solve."""
+    """One plan: build M and b for `weights` and G (the upper triangle of M^T M) and
+    c = M^T b from them, estimate ||M|| on G, run the CP solve."""
     _check_count(max_iters, "max_iters")
     M, b = _objective_blocks(infl, structures, weights)
     G, c = _gram(M, b)

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dosekit.phantom import load_patient
 from dosekit.planner import load_plan
-from dosekit.volume import MANIFEST_NAME
+from dosekit.volume import MANIFEST_NAME, VoxelGrid, read_volume, write_volume
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,6 +99,17 @@ def test_missing_mask_file_exits_3(patient_dir, tmp_path):
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
     assert done.returncode == 3  # a MissingFileError
     assert "oar01.dvol: no such file" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_case_without_ptv_voxels_exits_3(patient_dir, tmp_path):
+    case = tmp_path / "case"
+    shutil.copytree(patient_dir, case)
+    for path in (case / "masks").glob("ptv*.dvol"):
+        mask = read_volume(path)
+        write_volume(VoxelGrid(mask.dims, mask.spacing, np.zeros_like(mask.data)), path)
+    done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
+    assert done.returncode == 3  # a PlannerGeometryError, not a bare ValueError
+    assert done.stderr.splitlines() == ["dosekit: no PTV voxel to aim the beams at"]
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -24,7 +24,7 @@ from dosekit.evaluation import (
     metric_error,
     paired_t_test,
 )
-from dosekit.volume import StructureMask, StructureSet, VoxelGrid, read_manifest
+from dosekit.volume import StructureMask, StructureSet, VoxelGrid, read_manifest, write_manifest
 
 from test_volume import make_mask
 
@@ -291,14 +291,14 @@ class TestEvaluatePlan:
         sset = _tiny_case()
         dose = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
         report = evaluate_plan(dose, dose, sset)
-        report.write_json(tmp_path / "r.json")
+        write_manifest(tmp_path / "r.json", report, REPORT_VERSION)
         assert read_manifest(tmp_path / "r.json", MetricsReport, REPORT_VERSION) == report
 
 
 def _write_report(level, path):
     sset = _tiny_case()
     dose = VoxelGrid.from_array(np.full((3, 3, 3), level, dtype=np.float32))
-    evaluate_plan(dose, dose, sset).write_json(path)
+    write_manifest(path, evaluate_plan(dose, dose, sset), REPORT_VERSION)
 
 
 @pytest.mark.parametrize("write", [_write_report], ids=["write_json"])

@@ -95,8 +95,9 @@ def row_space_cp_reference(M, b, operator_norm, max_iters):
 
 def plain_cp_reference(M, b, G, c, operator_norm, max_iters):
     """`solve_stacked` without its block check and in-place buffers: the same
-    arithmetic, w = s M^T y updated by one dsymv per iteration, out of place, with
-    a finiteness check after every iteration."""
+    arithmetic, w = s M^T y updated by one dsymv per iteration (on the upper
+    triangle G that `_gram` returns), out of place, with a finiteness check after
+    every iteration."""
     s = 0.95 / max(operator_norm, 1e-12)
     a = 1.0 / (1.0 + s / 2.0)
     ssa = s * s * a
@@ -105,13 +106,13 @@ def plain_cp_reference(M, b, G, c, operator_norm, max_iters):
     w = np.zeros(M.shape[1])
     for it in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = dsymv(ssa, G.T, xbar, beta=a, y=w) - ssa * c
+            w = dsymv(ssa, G, xbar, beta=a, y=w) - ssa * c
             x_old = x
             x = np.maximum(x - w, 0.0)
             xbar = x + (x - x_old)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
             raise SolverDivergenceError(it)
-    grad = 2.0 * (dsymv(1.0, G.T, x) - c)
+    grad = 2.0 * (dsymv(1.0, G, x) - c)
     kkt = float(np.linalg.norm(x - np.maximum(x - grad, 0.0)))
     return x, PlanDiagnostics(
         iterations=max_iters,
@@ -236,6 +237,20 @@ class TestInfluenceMatrix:
         cfg = BeamConfig(beamlet_grid=(2, 2), lateral_cutoff=0.1, lateral_sigma=0.05)
         with pytest.raises(PlannerGeometryError):
             build_influence_matrix(case, cfg)
+
+    @pytest.mark.parametrize("emptied", [{"PTV"}, {"PTV", "OAR", "BODY"}],
+                             ids=["ptvs", "every-mask"])
+    def test_geometry_error_without_ptv_voxels(self, case, emptied):
+        # unchecked, the empty PTV union warned of an empty mean and raised a bare
+        # ValueError from a reduction over the PTV points (or, with an empty body
+        # as well, over the body voxels)
+        empty = VoxelGrid(case.dims, case.spacing, np.zeros(case.dims, dtype=np.float32))
+        structures = StructureSet(tuple(
+            dataclasses.replace(s, mask=empty) if s.kind in emptied else s
+            for s in case.structures.structures))
+        with pytest.raises(PlannerGeometryError, match="no PTV voxel to aim the beams at"):
+            build_influence_matrix(dataclasses.replace(case, structures=structures),
+                                   BeamConfig())
 
 
 def dense_influence_reference(case, cfg):
@@ -617,30 +632,44 @@ class TestInfluenceEntries:
             assert value == pytest.approx(beamlet_kernel(depth, lateral**2, cfg), rel=1e-12)
 
 
-def traced_build(case, cfg):
-    """The influence matrix of `case` and the tracemalloc peak of building it."""
+def traced(call, *args):
+    """`call(*args)` and the tracemalloc peak of making that call."""
     tracemalloc.start()
     try:
-        matrix = build_influence_matrix(case, cfg).matrix
+        result = call(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return matrix, peak
+    return result, peak
 
 
 def test_influence_build_memory_at_64x64x32():
     case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
     assert case.dims == (64, 64, 32)
-    _, peak = traced_build(case, BeamConfig())
+    _, peak = traced(build_influence_matrix, case, BeamConfig())
     assert peak < 17.9 * 2**20  # about 1.15x the 15.6 MiB measured
 
 
 def test_influence_build_memory_at_72_beams():
     # the CSR arrays are written in place from 12-byte compact entries and 12-byte
     # row runs: about 2.2x the matrix here
-    matrix, peak = traced_build(generate_patient(builtin_site("siteB"), 1),
-                                BeamConfig(n_beams=72))
+    infl, peak = traced(build_influence_matrix, generate_patient(builtin_site("siteB"), 1),
+                        BeamConfig(n_beams=72))
+    matrix = infl.matrix
     assert peak <= 3 * (matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes)
+
+
+def test_gram_memory_at_72_beams():
+    # the dense rows of M and the one n x n array that dsyrk writes (115.9 MB
+    # here); a mirrored copy of G would add a second 8 n^2 bytes
+    case = generate_patient(builtin_site("siteB"), 1)
+    weights = sample_weights(case.structures, seed=derive_seed(0, "weights", 0))
+    M, b = _objective_blocks(build_influence_matrix(case, BeamConfig(n_beams=72)),
+                             case.structures, weights)
+    m, n = M.shape
+    assert n == 3456
+    _, peak = traced(_gram, M, b)
+    assert peak <= 8 * m * n + 1.1 * 8 * n * n
 
 
 class TestObjective:
@@ -834,20 +863,33 @@ class TestBlockedLoopMatchesPlainReference:
         assert exc.value.iteration == 140
 
 
-class TestGramIsSymmetric:
-    """`solve_stacked` reads only one triangle of G (dsymv), so a G that is not
-    exactly symmetric would give a wrong plan without any error."""
+class TestGramIsUpperTriangle:
+    """`_gram` returns M^T M as its upper triangle alone, with the strict lower
+    triangle 0, and every consumer reads that triangle (dsymv, lower=0). A
+    consumer that read the other triangle would give a wrong plan without any
+    error; here it fails the comparison with the mirrored G."""
 
     @pytest.mark.parametrize("site, patient, factor", [
         ("siteA", 1, 1), ("siteA", 2, 1), ("siteB", 1, 1), ("siteB", 2, 1), ("siteA", 1, 2),
     ], ids=["siteA-1", "siteA-2", "siteB-1", "siteB-2", "siteA-1-64x64x32"])
-    def test_gram_is_exactly_symmetric(self, site, patient, factor):
+    def test_gram_is_the_upper_triangle(self, site, patient, factor):
         case = generate_patient(scaled_site(builtin_site(site), factor), patient)
         infl = build_influence_matrix(case, BeamConfig())
         for i in range(3):
             weights = sample_weights(case.structures, seed=derive_seed(0, "weights", i))
-            G, _ = _gram(*_objective_blocks(infl, case.structures, weights))
-            assert np.array_equal(G, G.T)
+            M, b = _objective_blocks(infl, case.structures, weights)
+            G, c = _gram(M, b)
+            assert G.flags.f_contiguous
+            np.testing.assert_allclose(np.triu(G), np.triu((M.T @ M).toarray()),
+                                       rtol=1e-12, atol=0.0)
+            assert not np.tril(G, -1).any()
+            full = np.asfortranarray(G + np.triu(G, 1).T)  # each mirrored entry added to 0
+            norm = estimate_operator_norm(G)
+            assert estimate_operator_norm(full) == norm
+            x, diag = solve_stacked(M, b, G, c, norm, 2000)
+            x_full, diag_full = solve_stacked(M, b, full, c, norm, 2000)
+            assert x.tobytes() == x_full.tobytes()
+            assert diag == diag_full
 
 
 class TestGramFormMatchesRowSpace:
@@ -882,7 +924,7 @@ class TestOperatorNorm:
             G, _ = _gram(M, b)
             norm = estimate_operator_norm(G)
             assert norm == pytest.approx(sparse_power_norm_reference(M), rel=1e-12, abs=0.0)
-            assert norm == pytest.approx(np.sqrt(np.linalg.eigvalsh(G).max()), rel=1e-6, abs=0.0)
+            assert norm == pytest.approx(np.sqrt(np.linalg.eigvalsh(G, UPLO="U").max()), rel=1e-6, abs=0.0)
 
     def test_reducible_gram(self):
         # block-diagonal M, so G is reducible: a small block, two empty beamlet
@@ -893,7 +935,7 @@ class TestOperatorNorm:
         M = sp.csr_matrix(sp.block_diag([small, np.zeros((0, 2)), large]))
         assert M.shape == (10, 10) and M[:, 3:5].nnz == 0
         G, _ = _gram(M, np.zeros(M.shape[0]))
-        expected = np.sqrt(np.linalg.eigvalsh(G).max())
+        expected = np.sqrt(np.linalg.eigvalsh(G, UPLO="U").max())
         assert estimate_operator_norm(G) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_zero_matrix(self):

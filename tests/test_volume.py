@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosekit.errors import DosekitError, ValidationError
-from dosekit.evaluation import MetricsReport, MetricValue
+from dosekit.evaluation import REPORT_VERSION, MetricsReport, MetricValue
 from dosekit.phantom import (PatientCase, SiteSpec, builtin_site, generate_patient,
                              load_patient, save_patient)
 from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
@@ -518,8 +518,9 @@ class TestManifest:
         save_plan(tmp_path / "plan", plan)
         save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
         builtin_site("siteB").save(tmp_path / "siteB.json")
-        MetricsReport(0.9, (_ROW, MetricValue("oar01", "OAR", "high", "Dmean", 0.25, 0.3, 5.0))
-                      ).write_json(tmp_path / "report.json")
+        write_manifest(tmp_path / "report.json", MetricsReport(
+            0.9, (_ROW, MetricValue("oar01", "OAR", "high", "Dmean", 0.25, 0.3, 5.0))),
+            REPORT_VERSION)
         digests = {name: sha256_of(tmp_path / name) for name in [
             "plan/plan.json", "plan/dose.dvol", "plan/fluence.f32",
             f"patient/{MANIFEST_NAME}", "siteB.json", "report.json"]}
