@@ -23,7 +23,7 @@ from .planner import BeamConfig, generate_plans, save_plan
 def _phantom(args) -> None:
     case = generate_patient(builtin_site(args.site), args.seed)
     save_patient(args.out, case)
-    print(f"{case.id} {'x'.join(map(str, case.dims))} -> {args.out}")
+    print(f"{case.id} {'x'.join(map(str, case.structures.dims))} -> {args.out}")
 
 
 def _plan(args) -> None:

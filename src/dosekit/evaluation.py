@@ -61,10 +61,6 @@ class DvhCurve:
             raise EvaluationError(f"structure {mask.name!r} has an empty mask")
         return cls(mask.name, np.sort(values)[::-1])
 
-    @property
-    def voxel_count(self) -> int:
-        return int(self.doses.size)
-
     def dose_at_fraction(self, q: float) -> float:
         if not 0.0 < q <= 1.0:
             raise EvaluationError(f"volume fraction must be in (0, 1], got {q}")
@@ -195,10 +191,6 @@ class MetricsReport(Record):
     rows: tuple[MetricValue, ...]
 
 
-def metrics_for_kind(kind: str) -> tuple[str, ...]:
-    return PTV_METRICS if kind == PTV else OAR_METRICS
-
-
 def evaluate_plan(pred_dose: VoxelGrid, gt, structures: StructureSet) -> MetricsReport:
     """Table 2/3 style metric errors for every nonempty structure.
 
@@ -219,7 +211,7 @@ def evaluate_plan(pred_dose: VoxelGrid, gt, structures: StructureSet) -> Metrics
         try:
             pred_curve = DvhCurve.from_dose(pred_dose, s)
             gt_curve = DvhCurve.from_dose(gt_dose, s)
-            for metric in metrics_for_kind(s.kind):
+            for metric in PTV_METRICS if s.kind == PTV else OAR_METRICS:
                 pv = dvh_metric(pred_curve, metric)
                 gv = dvh_metric(gt_curve, metric)
                 rows.append(

@@ -102,13 +102,6 @@ class SiteSpec(Record):
         object.__setattr__(self, "ptv_levels", levels)
         object.__setattr__(self, "oar_count_range", (int(lo), int(hi)))
 
-    def save(self, path) -> None:
-        write_manifest(path, self, SITE_VERSION)
-
-    @classmethod
-    def load(cls, path) -> "SiteSpec":
-        return read_manifest(path, cls, SITE_VERSION)
-
 
 @dataclass(frozen=True, eq=False)
 class PatientCase:
@@ -119,14 +112,6 @@ class PatientCase:
     @property
     def id(self) -> str:
         return f"{self.site_id}-p{self.seed:04d}"
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return self.structures.spacing
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.structures.dims
 
 
 def ptv_name(level: float) -> str:

@@ -3,8 +3,9 @@
 A simplified ray/attenuation model builds a sparse dose-influence matrix A for
 equispaced coplanar beams. Each beam's work scales with the rows near its
 field, not with the body: depths come from a ray march over only the (x, y)
-columns that hold such a row, a chunk of ray steps at a time, whose in-box
-samples become one sparse visit-count product per beam; lateral entries are
+columns that hold such a row, each sampled in one pass up to two steps past its
+exit from the body box, whose in-box samples become one sparse visit-count
+product per beam; lateral entries are
 formed only for the (voxel, lateral beamlet) pairs within the cutoff, then
 expanded over the axial window of the voxel's z level: the axial beamlets
 whose axial distance alone is within the cutoff (2 of 6 at 64x64x32), as no
@@ -59,8 +60,6 @@ if typing.TYPE_CHECKING:
 
 # `sample_weights` draws OAR weights log-uniform on [lo, hi].
 WEIGHT_BOUNDS = (0.01, 1.0)
-# Ray steps that `build_influence_matrix` samples at once for every marched column.
-_MARCH_CHUNK = 16
 
 
 class PlannerError(DosekitError):
@@ -72,7 +71,8 @@ class PlannerGeometryError(PlannerError):
 
 
 class FluenceFileError(PlannerError):
-    """A saved fluence file that is not the plan's beamlet count of <f4 values."""
+    """A saved fluence file that is not the plan's beamlet count of finite,
+    nonnegative <f4 values."""
 
 
 class SolverDivergenceError(PlannerError):
@@ -295,17 +295,13 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     near rows: those within the cutoff (plus a 1 % margin) of the rectangle
     spanned by its beamlet centres. No other row has an entry, so depths are
     counted for the near rows only, and the march runs over the (x, y) columns
-    that hold a near row, not over voxels or the whole body. It samples those
-    columns at _MARCH_CHUNK steps at once and keeps the samples whose cell lies
-    in the body mask's bounding box, as (column, cell) visits. A column's depth
-    count at height z is then the number of its visits to cells whose z is
-    body: one sparse product, per beam, of the (columns x box cells) visit
-    matrix with the body's per-cell z lines (box cells x box z-extent). Each
-    axis of the sampled cell moves monotonically with s, so a ray never
-    re-enters the (convex) box once it has left it, and no body cell lies
-    outside it. So a column is dropped after the first chunk whose last sample
-    has left the box, and the march ends when no column is left or a chunk has
-    no in-box sample.
+    that hold a near row, not over voxels or the whole body. Each beam samples
+    all those columns in one pass, each up to two steps past its exit from the
+    body mask's bounding box, worked out from the geometry, and keeps the
+    samples whose cell lies in the box, as (column, cell) visits. A column's
+    depth count at height z is then the number of its visits to cells whose z
+    is body: one sparse product, per beam, of the (columns x box cells) visit
+    matrix with the body's per-cell z lines (box cells x box z-extent).
 
     Lateral entries are formed only within ``lateral_cutoff``, by
     `_lateral_entries`, over each row's axial window: the axial beamlets within
@@ -318,8 +314,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     bytes per entry of the result plus 12 per run (one run per row and beam),
     about 2.2x the matrix, plus O(body voxels) per-voxel arrays and one beam's
     lateral temporaries, which are O(near rows x lateral beamlets per beam). By
-    tracemalloc, its peak is 16.3 MB (15.6 MiB) for the 5.0 MB matrix of
-    64x64x32 siteA patient 1 with 7 beams, and 50.3 MB for the 23 MB matrix of
+    tracemalloc, its peak is 15.5 MB (14.8 MiB) for the 5.0 MB matrix of
+    64x64x32 siteA patient 1 with 7 beams, and 50.1 MB for the 23 MB matrix of
     desk siteB patient 1 with 72 beams.
     """
     import scipy.sparse as sp
@@ -385,11 +381,6 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
                  ).take(level)
     near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
 
-    # one chunk's (axis, step, column) sample cells, their in-box flags and
-    # scratch, as flat buffers whose prefixes hold the still active columns
-    pos = np.empty(2 * _MARCH_CHUNK * col_keys.size)
-    in_box = np.empty(_MARCH_CHUNK * col_keys.size, dtype=bool)
-    edge = np.empty_like(in_box)
     beams = []
     for b in range(cfg.n_beams):
         phi = 2.0 * np.pi * b / cfg.n_beams
@@ -417,45 +408,38 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         n_marched = xy.shape[1]
 
         # material path length upstream of each near row along -d, counted per
-        # marched column; a column is dropped once its last sample of a chunk has
-        # left the box (the empty arrays stand for a beam whose first samples all
-        # leave the box)
-        active = np.arange(n_marched, dtype=np.int32)  # the marched columns still in the box
-        visit_cols, visit_cells = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-        for first in range(0, steps.size, _MARCH_CHUNK):
-            s = steps[first:first + _MARCH_CHUNK]
-            n = s.size * active.size
-            p = pos[:2 * n].reshape(2, s.size, active.size)
-            inside = in_box[:n].reshape(s.size, active.size)
-            t = edge[:n].reshape(s.size, active.size)
-            np.subtract(xy[:, None, :], np.multiply.outer(d[:2], s)[:, :, None], out=p)
-            p /= spacing[:2, None, None]
-            np.floor(p, out=p)
-            x, y = p
-            np.greater_equal(x, box_lo[0], out=inside)
-            inside &= np.less_equal(x, box_hi[0], out=t)
-            inside &= np.greater_equal(y, box_lo[1], out=t)
-            inside &= np.less_equal(y, box_hi[1], out=t)
-            if not inside.any():
-                break
-            # integer-valued floats, so the box cell index is exact
-            x -= box_lo[0]
-            y -= box_lo[1]
-            y *= box_w
-            x += y
-            visit_cols.append(np.broadcast_to(active, inside.shape)[inside])
-            visit_cells.append(x[inside].astype(np.int32))
-            stay = inside[-1]  # a ray that has left the box never re-enters it
-            if not stay.all():
-                active, xy = active[stay], xy[:, stay]
-                if not active.size:
-                    break
-        col = np.concatenate(visit_cols)
-        visits = sp.coo_matrix((np.ones(col.size, dtype=np.int32),
-                                (col, np.concatenate(visit_cells))),
+        # marched column over its steps 1..k. Each axis of a sample's floored
+        # position, rounding included, moves monotonically with s, so a ray
+        # never re-enters the convex box once it has left it, and no body cell
+        # lies outside it. reach is the distance along -d to the box edge the
+        # ray heads for, the nearer of x and y (inf on an axis with d = 0), and
+        # k = floor(reach / ray_step_mm + 2), at most steps.size. Two steps are
+        # enough: an axis sets k below steps.size only when its exit lies within
+        # steps.size steps, so only when |d_axis| >= (half a voxel) / (about the
+        # grid diagonal), about 0.005 at 64x64x32. Every step past k then lies at
+        # least ray_step_mm * |d_axis| (0.013 mm) outside the box on that axis,
+        # far beyond the ~1e-13 mm rounding of a floored position.
+        edge = np.where(d[:2] > 0, box_lo[:2], box_hi[:2] + 1) * spacing[:2]
+        with np.errstate(divide="ignore"):
+            reach = (np.abs(xy - edge[:, None]) / np.abs(d[:2, None])).min(axis=0)
+        k = np.minimum(reach / cfg.ray_step_mm + 2, steps.size).astype(np.intp)
+        col = np.repeat(np.arange(n_marched, dtype=np.int32), k)
+        s = steps.take(np.arange(col.size) - np.repeat(np.cumsum(k) - k, k))
+        # the samples' cells, floored as (centre - s * d) / spacing; those in the
+        # body mask's bounding box become (column, box cell) visits
+        p = xy.take(col, axis=1)
+        p -= np.multiply.outer(d[:2], s)
+        p /= spacing[:2, None]
+        np.floor(p, out=p)
+        x, y = p
+        inside = (x >= box_lo[0]) & (x <= box_hi[0]) & (y >= box_lo[1]) & (y <= box_hi[1])
+        # integer-valued floats, so the box cell index is exact
+        cell = ((y[inside] - box_lo[1]) * box_w + (x[inside] - box_lo[0])).astype(np.int32)
+        visits = sp.coo_matrix((np.ones(cell.size, dtype=np.int32), (col[inside], cell)),
                                shape=(n_marched, z_lines.shape[0]))
+        del col, s, p, x, y, inside, cell
         count = (visits @ z_lines).ravel()
-        del col, visits, visit_cols, visit_cells
+        del visits
         near_lvl = level.take(near)
         depth = cfg.ray_step_mm * count.take(near_col * nz_box + near_lvl).astype(np.float64)
         del count, near_col
@@ -823,14 +807,21 @@ def save_plan(directory, plan: Plan) -> None:
 
 
 def load_plan(directory) -> Plan:
+    """Inverse of save_plan. A fluence file of the wrong size, or holding a value
+    that is not finite or is negative, raises FluenceFileError naming it; a bad
+    dose file raises VolumeFormatError, a bad PLAN_JSON ManifestError, and a
+    missing file MissingFileError."""
     directory = Path(directory)
     meta = read_manifest(directory / PLAN_JSON, PlanManifest, PLAN_VERSION)
-    raw = _read_bytes(directory / FLUENCE_FILE)
+    path = directory / FLUENCE_FILE
+    raw = _read_bytes(path)
     if len(raw) != 4 * meta.n_beamlets:
-        raise FluenceFileError(f"{directory / FLUENCE_FILE}: {len(raw)} bytes, "
+        raise FluenceFileError(f"{path}: {len(raw)} bytes, "
                                f"expected {meta.n_beamlets} <f4 values")
-    with np.errstate(invalid="ignore"):  # casting a signalling NaN, which Plan rejects
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN, rejected below
         fluence = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(fluence) & (fluence >= 0)):
+        raise FluenceFileError(f"{path}: fluence values must be finite and nonnegative")
     return Plan(
         patient_id=meta.patient_id,
         index=meta.index,

@@ -248,11 +248,6 @@ class VoxelGrid:
         array = np.asarray(array)
         return cls(array.shape, tuple(spacing), array.astype(np.float32, copy=False))
 
-    @property
-    def voxel_count(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
     def flat(self) -> np.ndarray:
         """Values in raster (z-major, x fastest) order."""
         return self.data.ravel(order="F")
@@ -510,7 +505,9 @@ def write_volume(grid: VoxelGrid, path) -> None:
 
 
 def read_volume(path) -> VoxelGrid:
-    """Inverse of write_volume; read(write(g)) is bit-exact."""
+    """Inverse of write_volume; read(write(g)) is bit-exact. A file that is not a
+    valid grid raises VolumeFormatError naming `path`: a bad header or payload
+    size, and also dims, spacing or values that VoxelGrid rejects."""
     raw = _read_bytes(Path(path))
     if len(raw) < 4 or raw[:4] != DVOL_MAGIC:
         raise BadMagicError(f"{path}: not a DVOL file")
@@ -527,7 +524,10 @@ def read_volume(path) -> VoxelGrid:
         raise PayloadSizeError(f"{path}: payload has {actual} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     data = flat.reshape((nx, ny, nz), order="F")
-    return VoxelGrid((nx, ny, nz), (sx, sy, sz), data)
+    try:
+        return VoxelGrid((nx, ny, nz), (sx, sy, sz), data)
+    except ValidationError as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from exc
 
 
 MANIFEST_NAME = "structures.json"

@@ -101,6 +101,21 @@ def test_missing_mask_file_exits_3(patient_dir, tmp_path):
     assert "oar01.dvol: no such file" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_nan_mask_spacing_exits_3(patient_dir, tmp_path):
+    # a corrupt value in a saved file is a bad file (exit 3) that the message names,
+    # not a bad configuration (exit 2)
+    case = tmp_path / "case"
+    shutil.copytree(patient_dir, case)
+    path = case / "masks" / "oar01.dvol"
+    raw = bytearray(path.read_bytes())
+    raw[18:22] = np.float32(np.nan).tobytes()  # the x spacing of the header
+    path.write_bytes(bytes(raw))
+    done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
+    assert done.returncode == 3  # a VolumeFormatError
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"dosekit: {path}: spacing must be finite")
+
+
 def test_case_without_ptv_voxels_exits_3(patient_dir, tmp_path):
     case = tmp_path / "case"
     shutil.copytree(patient_dir, case)

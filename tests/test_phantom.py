@@ -30,7 +30,8 @@ from dosekit.phantom import (
     save_patient,
 )
 from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, KernelSpec, ManifestError,
-                            StructureMask, StructureSet, VoxelGrid, read_volume, write_volume)
+                            StructureMask, StructureSet, VoxelGrid, read_manifest, read_volume,
+                            write_manifest, write_volume)
 from dosekit.seeds import rng_for
 
 from test_planner import scaled_site
@@ -56,8 +57,8 @@ class TestBuiltinSites:
 
     def test_preset_round_trip(self, tmp_path):
         spec = builtin_site("siteB")
-        spec.save(tmp_path / "siteB.json")
-        assert SiteSpec.load(tmp_path / "siteB.json") == spec
+        write_manifest(tmp_path / "siteB.json", spec, SITE_VERSION)
+        assert read_manifest(tmp_path / "siteB.json", SiteSpec, SITE_VERSION) == spec
 
     @pytest.mark.parametrize("text", [
         "{",
@@ -75,19 +76,19 @@ class TestBuiltinSites:
         # stamped, so a JSON object fails on the fault its id names, not on the version
         path.write_text(stamped(text, SITE_VERSION))
         with pytest.raises(ManifestError):
-            SiteSpec.load(path)
+            read_manifest(path, SiteSpec, SITE_VERSION)
 
     @pytest.mark.parametrize("version", [None, SITE_VERSION + 1], ids=["missing", "wrong"])
     def test_preset_version_is_checked(self, tmp_path, version):
         path = tmp_path / "site.json"
-        builtin_site("siteA").save(path)
+        write_manifest(path, builtin_site("siteA"), SITE_VERSION)
         without_version(path, version)
         with pytest.raises(ManifestError, match="schema_version"):
-            SiteSpec.load(path)
+            read_manifest(path, SiteSpec, SITE_VERSION)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "site.json"
-        builtin_site("siteA").save(path)
+        write_manifest(path, builtin_site("siteA"), SITE_VERSION)
         before = path.read_bytes()
 
         def fail(*args):
@@ -95,7 +96,7 @@ class TestBuiltinSites:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            builtin_site("siteB").save(path)
+            write_manifest(path, builtin_site("siteB"), SITE_VERSION)
         assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -122,7 +123,7 @@ class TestBuiltinSites:
         path = tmp_path / "site.json"
         path.write_text(stamped(json.dumps(site), SITE_VERSION))
         with pytest.raises(ManifestError, match=message):
-            SiteSpec.load(path)
+            read_manifest(path, SiteSpec, SITE_VERSION)
 
     @pytest.mark.parametrize("counts", [
         (4.7, 5.9), (4.0, 5), (True, True), (False, 3), (-1, 2), (5, 4), (None, 3),
@@ -208,7 +209,7 @@ class TestGeneratePatient:
     def test_body_coverage(self):
         spec = builtin_site("siteA")
         case = generate_patient(spec, 3)
-        total = np.prod(case.dims)
+        total = np.prod(case.structures.dims)
         assert case.structures.body.voxel_count >= 0.25 * total
 
     def test_siteA_structure_roster(self):
@@ -236,7 +237,7 @@ class TestGeneratePatient:
 
     def test_oars_pairwise_disjoint(self):
         case = generate_patient(builtin_site("siteB"), 9)
-        taken = np.zeros(case.dims, dtype=bool)
+        taken = np.zeros(case.structures.dims, dtype=bool)
         for oar in case.structures.oars:
             arr = oar.bool_array()
             assert not np.any(arr & taken)
@@ -407,7 +408,8 @@ class TestPatientPersistence:
         body = StructureMask("body", BODY, VoxelGrid.from_array(arr, spacing=(0.1, 0.2, 0.3)))
         ptv = StructureMask("ptv", PTV, body.mask, prescription=1.0)
         save_patient(tmp_path, PatientCase(StructureSet((body, ptv)), "site", 0))
-        assert load_patient(tmp_path).spacing == tuple(np.float32((0.1, 0.2, 0.3)).tolist())
+        assert (load_patient(tmp_path).structures.spacing
+                == tuple(np.float32((0.1, 0.2, 0.3)).tolist()))
 
     def test_id_is_derived_from_site_and_seed(self, tmp_path):
         save_patient(tmp_path, generate_patient(builtin_site("siteB"), 12))

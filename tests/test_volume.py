@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.evaluation import REPORT_VERSION, MetricsReport, MetricValue
-from dosekit.phantom import (PatientCase, SiteSpec, builtin_site, generate_patient,
-                             load_patient, save_patient)
+from dosekit.phantom import (SITE_VERSION, PatientCase, SiteSpec, builtin_site,
+                             generate_patient, load_patient, save_patient)
 from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
 from dosekit.volume import (
     MANIFEST_NAME,
@@ -32,6 +33,7 @@ from dosekit.volume import (
     StructureSet,
     TruncatedVolumeError,
     VersionMismatchError,
+    VolumeFormatError,
     VoxelGrid,
     crop_to_kernel,
     crop_with_offset,
@@ -309,13 +311,28 @@ class TestVolumeRoundTrip:
         raw[offset] = value
         self.corrupt_volume_loads_or_is_typed(bytes(raw))
 
+    @staticmethod
+    def rejected_with_path(path, raw: bytes, message: str) -> None:
+        """read_volume of `raw` raises VolumeFormatError naming `path` and then `message`."""
+        path.write_bytes(raw)
+        with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            read_volume(path)
+
     def test_nan_spacing_is_rejected(self, tmp_path):
         raw = bytearray(self.valid_volume())
         raw[25] = 0x7F  # the top byte of spacing y: 5.0 = 0x40a00000 becomes a NaN
-        p = tmp_path / "g.dvol"
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValidationError, match="finite"):
-            read_volume(p)
+        self.rejected_with_path(tmp_path / "g.dvol", bytes(raw), "spacing must be finite")
+
+    def test_zero_dims_header_is_rejected(self, tmp_path):
+        # nx = 0 and no payload, so the payload size matches the header
+        raw = bytearray(self.valid_volume()[:30])
+        raw[6:10] = bytes(4)
+        self.rejected_with_path(tmp_path / "g.dvol", bytes(raw), "dims must be")
+
+    def test_nan_payload_is_rejected(self, tmp_path):
+        raw = bytearray(self.valid_volume())
+        raw[30:34] = np.float32(np.nan).tobytes()  # the first value
+        self.rejected_with_path(tmp_path / "g.dvol", bytes(raw), "grid values must be finite")
 
     def test_payload_too_long(self, tmp_path):
         p = tmp_path / "g.dvol"
@@ -517,7 +534,7 @@ class TestManifest:
         )
         save_plan(tmp_path / "plan", plan)
         save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
-        builtin_site("siteB").save(tmp_path / "siteB.json")
+        write_manifest(tmp_path / "siteB.json", builtin_site("siteB"), SITE_VERSION)
         write_manifest(tmp_path / "report.json", MetricsReport(
             0.9, (_ROW, MetricValue("oar01", "OAR", "high", "Dmean", 0.25, 0.3, 5.0))),
             REPORT_VERSION)
