@@ -25,19 +25,22 @@ from .volume import (
     DEFAULT_SPACING_MM,
     MANIFEST_NAME,
     MANIFEST_VERSION,
+    MASK_DIR,
     OAR,
     PTV,
     KernelSpec,
+    ManifestError,
     Record,
     StructureEntry,
     StructureMask,
     StructureSet,
+    VolumeFormatError,
     VoxelGrid,
     _is_count,
-    load_structure_set,
     read_manifest,
-    save_structure_set,
+    read_volume,
     write_manifest,
+    write_volume,
 )
 
 # Shared by every site: the dose that prescription 1.0 names (ptv_name), the radius
@@ -287,14 +290,39 @@ class PatientManifest(Record):
 
 
 def save_patient(directory, case: PatientCase) -> None:
-    entries = save_structure_set(directory, case.structures)
-    manifest = PatientManifest(case.site_id, case.seed, entries)
-    write_manifest(Path(directory) / MANIFEST_NAME, manifest, MANIFEST_VERSION)
+    """Write each mask to ``MASK_DIR/<name>.dvol``, then MANIFEST_NAME, in `directory`."""
+    directory = Path(directory)
+    for s in case.structures.structures:
+        write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
+    entries = tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
+                    for s in case.structures.structures)
+    write_manifest(directory / MANIFEST_NAME, PatientManifest(case.site_id, case.seed, entries),
+                   MANIFEST_VERSION)
 
 
 def load_patient(directory) -> PatientCase:
-    """Inverse of save_patient. A malformed manifest raises ManifestError; a
-    missing manifest or mask raises MissingFileError."""
-    manifest = read_manifest(Path(directory) / MANIFEST_NAME, PatientManifest, MANIFEST_VERSION)
-    structures = load_structure_set(directory, manifest.structures)
+    """Inverse of save_patient. Each fault raises a typed error naming its file:
+    a missing file, MissingFileError; a MANIFEST_NAME file that is no JSON, has
+    another schema_version or holds an entry that StructureEntry refuses,
+    ManifestError, before any mask is read; a mask file that is no valid grid,
+    holds a value outside {0, 1} or has another grid than the first mask,
+    VolumeFormatError; masks that StructureSet refuses (duplicate names, not one
+    BODY, no PTV, voxels outside the body), ManifestError on MANIFEST_NAME."""
+    directory = Path(directory)
+    manifest = read_manifest(directory / MANIFEST_NAME, PatientManifest, MANIFEST_VERSION)
+    masks = []
+    for e in manifest.structures:
+        path = directory / MASK_DIR / f"{e.name}.dvol"
+        grid = read_volume(path)
+        if masks and (grid.dims, grid.spacing) != (masks[0].mask.dims, masks[0].mask.spacing):
+            raise VolumeFormatError(f"{path}: grid {grid.dims} at {grid.spacing} mm differs "
+                                    f"from {masks[0].name!r}'s, the case grid")
+        try:  # the entry's fields passed as it was decoded: only the grid can fail
+            masks.append(StructureMask(e.name, e.kind, grid, e.prescription, e.impact))
+        except ValidationError as exc:
+            raise VolumeFormatError(f"{path}: {exc}") from exc
+    try:
+        structures = StructureSet(tuple(masks))
+    except ValidationError as exc:
+        raise ManifestError(f"{directory / MANIFEST_NAME}: bad structure set ({exc})") from exc
     return PatientCase(structures, manifest.site_id, manifest.seed)

@@ -684,10 +684,11 @@ def solve_stacked(M, b, G, c, operator_norm: float, max_iters: int):
     )
 
 
-def _objective_blocks(infl: InfluenceMatrix, structures: StructureSet,
-                      weights: PlanWeights):
-    """M and b with objective = ||M x - b||^2: structure s's influence rows and
-    target, scaled by sqrt(w_s / N_s)."""
+def objective_rows(infl: InfluenceMatrix, structures: StructureSet,
+                   weights: PlanWeights):
+    """(M, b) with ||M x - b||^2 = sum_s (w_s / N_s) ||A_s x - p_s||^2, the plan objective:
+    s runs over every PTV and OAR, A_s is its N_s influence rows and p_s its prescription
+    (PTV) or 0 (OAR), so M stacks each A_s and b each p_s, scaled by sqrt(w_s / N_s)."""
     rows_list, scale_list, b_list = [], [], []
     for s in (*structures.ptvs, *structures.oars):
         if s.name not in weights.weights:
@@ -707,13 +708,13 @@ def _objective_blocks(infl: InfluenceMatrix, structures: StructureSet,
 
 def objective(infl: InfluenceMatrix, structures: StructureSet,
               weights: PlanWeights, fluence: np.ndarray) -> float:
-    """sum_s (w_s / N_s) * ||A_s x - p_s||^2 with p = prescription (PTV) or 0 (OAR)."""
+    """The plan objective (see `objective_rows`) at `fluence`."""
     fluence = np.asarray(fluence, dtype=np.float64)
     if fluence.shape != (infl.n_beamlets,):
         raise ValidationError(
             f"fluence length {fluence.shape} does not match {infl.n_beamlets} beamlets"
         )
-    M, b = _objective_blocks(infl, structures, weights)
+    M, b = objective_rows(infl, structures, weights)
     return _residual_sq(M, b, fluence)
 
 
@@ -736,7 +737,7 @@ def solve_fluence(
     """One plan: build M and b for `weights` and G (the upper triangle of M^T M) and
     c = M^T b from them, estimate ||M|| on G, run the CP solve."""
     _check_count(max_iters, "max_iters")
-    M, b = _objective_blocks(infl, structures, weights)
+    M, b = objective_rows(infl, structures, weights)
     G, c = _gram(M, b)
     x, diagnostics = solve_stacked(M, b, G, c, estimate_operator_norm(G), max_iters)
     return Plan(

@@ -1,5 +1,5 @@
-"""Voxel grids, structure sets, kernel cropping, the .dvol binary format, and the
-one JSON codec of dosekit.
+"""Voxel grids, structure sets (`phantom.save_patient` writes them), kernel
+cropping, the .dvol binary format, and the one JSON codec of dosekit.
 
 Conventions used everywhere in this package:
 
@@ -261,20 +261,33 @@ class VoxelGrid:
         )
 
 
-def _check_name(name: str) -> None:
-    """Raise ValidationError unless `name` is a plain file stem: nonempty, not
-    ``.`` or ``..``, and without ``/``, ``\\`` or NUL, so that
-    ``MASK_DIR/<name>.dvol`` stays inside its case directory."""
+def _check_fields(name: str, kind: str, prescription, impact) -> None:
+    """Raise ValidationError unless `name` is a plain file stem (nonempty, not ``.``
+    or ``..``, without ``/``, ``\\`` or NUL: ``MASK_DIR/<name>.dvol`` stays inside
+    its case), `kind` is known, a PTV and nothing else has a positive finite
+    `prescription`, and an OAR and nothing else has an `impact` tag."""
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ValidationError(f"structure name {name!r} is not a plain file name")
+    if kind not in STRUCTURE_KINDS:
+        raise ValidationError(f"unknown structure kind {kind!r}")
+    if kind == PTV:
+        if prescription is None or not 0 < prescription < math.inf:
+            raise ValidationError(f"PTV {name!r} needs a positive finite prescription")
+    elif prescription is not None:
+        raise ValidationError(f"{kind} {name!r} must not carry a prescription")
+    if kind == OAR:
+        if impact not in IMPACT_TAGS:
+            raise ValidationError(f"OAR {name!r} needs an impact tag in {sorted(IMPACT_TAGS)}")
+    elif impact is not None:
+        raise ValidationError(f"{kind} {name!r} must not carry an impact tag")
 
 
 @dataclass(frozen=True, eq=False)
 class StructureMask:
     """Named binary mask tagged PTV/OAR/BODY.
 
-    The name is a plain file stem (`_check_name`). PTVs carry a positive normalized
-    prescription; OARs carry a clinical impact tag; BODY carries neither.
+    The name is a plain file stem. PTVs carry a positive normalized prescription;
+    OARs carry a clinical impact tag; BODY carries neither (`_check_fields`).
     """
 
     name: str
@@ -284,22 +297,10 @@ class StructureMask:
     impact: str | None = None
 
     def __post_init__(self):
-        _check_name(self.name)
-        if self.kind not in STRUCTURE_KINDS:
-            raise ValidationError(f"unknown structure kind {self.kind!r}")
+        _check_fields(self.name, self.kind, self.prescription, self.impact)
         data = self.mask.data
         if not np.all((data == 0.0) | (data == 1.0)):  # one pass; -0.0 == 0.0
             raise ValidationError(f"mask {self.name!r} has values outside {{0,1}}")
-        if self.kind == PTV:
-            if self.prescription is None or not 0 < self.prescription < math.inf:
-                raise ValidationError(f"PTV {self.name!r} needs a positive finite prescription")
-        elif self.prescription is not None:
-            raise ValidationError(f"{self.kind} {self.name!r} must not carry a prescription")
-        if self.kind == OAR:
-            if self.impact not in IMPACT_TAGS:
-                raise ValidationError(f"OAR {self.name!r} needs an impact tag in {sorted(IMPACT_TAGS)}")
-        elif self.impact is not None:
-            raise ValidationError(f"{self.kind} {self.name!r} must not carry an impact tag")
 
     @property
     def voxel_count(self) -> int:
@@ -548,7 +549,8 @@ class StructureEntry(Record):
     impact: str | None = None
 
     def __post_init__(self):
-        _check_name(self.name)  # before load_structure_set reads the file it names
+        # as the manifest is decoded: load_patient reads no mask of a bad entry
+        _check_fields(self.name, self.kind, self.prescription, self.impact)
 
     @classmethod
     def from_json_dict(cls, d: dict):
@@ -585,26 +587,3 @@ def read_manifest(path, cls: type[Record], version: int) -> Record:
         return cls.from_json_dict(manifest)
     except ValidationError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
-
-
-def save_structure_set(directory, structures: StructureSet) -> tuple[StructureEntry, ...]:
-    """Write each mask to ``MASK_DIR/<name>.dvol`` under `directory`; returns the
-    manifest entries of the structures."""
-    directory = Path(directory)
-    for s in structures.structures:
-        write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
-    return tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
-                 for s in structures.structures)
-
-
-def load_structure_set(directory, entries: tuple[StructureEntry, ...]) -> StructureSet:
-    """Inverse of save_structure_set. Entries that StructureMask or StructureSet
-    reject raise ManifestError; a missing mask file raises MissingFileError."""
-    directory = Path(directory)
-    masks = [(e, read_volume(directory / MASK_DIR / f"{e.name}.dvol")) for e in entries]
-    try:
-        return StructureSet(tuple(StructureMask(e.name, e.kind, mask, e.prescription, e.impact)
-                                  for e, mask in masks))
-    except ValidationError as exc:
-        raise ManifestError(f"{directory / MANIFEST_NAME}: bad structure entry or set ({exc})"
-                            ) from exc

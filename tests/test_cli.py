@@ -116,6 +116,20 @@ def test_nan_mask_spacing_exits_3(patient_dir, tmp_path):
     assert line.startswith(f"dosekit: {path}: spacing must be finite")
 
 
+def test_stray_mask_value_exits_3(patient_dir, tmp_path):
+    # a mask value outside {0, 1} is a fault of its .dvol file, not of structures.json
+    case = tmp_path / "case"
+    shutil.copytree(patient_dir, case)
+    path = case / "masks" / "oar01.dvol"
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.float32(2.0).tobytes()  # the last payload value
+    path.write_bytes(bytes(raw))
+    done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
+    assert done.returncode == 3  # a VolumeFormatError
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"dosekit: {path}: mask 'oar01' has values outside")
+
+
 def test_case_without_ptv_voxels_exits_3(patient_dir, tmp_path):
     case = tmp_path / "case"
     shutil.copytree(patient_dir, case)

@@ -3,13 +3,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dosekit import phantom, volume
@@ -30,8 +31,8 @@ from dosekit.phantom import (
     save_patient,
 )
 from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, KernelSpec, ManifestError,
-                            StructureMask, StructureSet, VoxelGrid, read_manifest, read_volume,
-                            write_manifest, write_volume)
+                            StructureMask, StructureSet, VolumeFormatError, VoxelGrid,
+                            read_manifest, read_volume, write_manifest, write_volume)
 from dosekit.seeds import rng_for
 
 from test_planner import scaled_site
@@ -399,7 +400,34 @@ class TestPatientPersistence:
         data = grid.data.copy()
         data[tuple(np.argwhere(data == 1.0)[0])] = stray
         write_volume(VoxelGrid(grid.dims, grid.spacing, data), path)
-        with pytest.raises(ManifestError, match="values outside"):
+        # the fault lies in the mask file, not in structures.json
+        with pytest.raises(VolumeFormatError,
+                           match=f"^{re.escape(str(path))}: mask 'oar01' has values outside"):
+            load_patient(tmp_path)
+
+    @pytest.mark.parametrize("dims, spacing", [((32, 32, 15), (5.0, 5.0, 5.0)),
+                                               ((32, 32, 16), (5.0, 5.0, 2.5))],
+                             ids=["dims", "spacing"])
+    def test_mask_on_another_grid_is_refused(self, tmp_path, dims, spacing):
+        save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
+        path = tmp_path / MASK_DIR / "oar01.dvol"
+        write_volume(VoxelGrid.zeros(dims, spacing), path)
+        with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: grid "):
+            load_patient(tmp_path)
+
+    @pytest.mark.parametrize("change", [
+        lambda m, d: m["structures"].append(m["structures"][0]),
+        lambda m, d: m["structures"].remove(next(e for e in m["structures"] if e["kind"] == PTV)),
+        lambda m, d: m["structures"][-1].update(kind=BODY, impact=None),
+        lambda m, d: write_volume(VoxelGrid.zeros((32, 32, 16)), d / MASK_DIR / "body.dvol"),
+    ], ids=["duplicate-name", "no-ptv", "two-bodies", "outside-the-body"])
+    def test_bad_structure_set_is_a_manifest_fault(self, tmp_path, change):
+        save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        change(manifest, tmp_path)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: bad structure set"):
             load_patient(tmp_path)
 
     def test_round_trip_of_spacing_not_exact_in_float32(self, tmp_path):
@@ -457,7 +485,7 @@ class TestPatientPersistence:
         next(e for e in manifest["structures"] if e["name"] == "oar01")["name"] = name
         path.write_text(json.dumps(manifest))
         read = []
-        monkeypatch.setattr(volume, "read_volume", lambda p: read.append(p) or read_volume(p))
+        monkeypatch.setattr(phantom, "read_volume", lambda p: read.append(p) or read_volume(p))
         with pytest.raises(ManifestError, match="not a plain file name"):
             load_patient(tmp_path / "p1")
         assert read == []  # the name is refused before any mask is read
@@ -472,13 +500,14 @@ BAD_NAMES = st.sampled_from([
 ]) | st.text(max_size=12)
 
 
-class TestMutatedManifest:
-    @pytest.fixture(scope="class")
-    def saved(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("case")
-        save_patient(directory, generate_patient(builtin_site("siteA"), 1))
-        return directory
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("case")
+    save_patient(directory, generate_patient(builtin_site("siteA"), 1))
+    return directory
 
+
+class TestMutatedManifest:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_mutated_structures_json_loads_or_is_typed(self, saved, data):
@@ -509,3 +538,29 @@ class TestMutatedManifest:
                 load_patient(directory)
             except DosekitError:
                 pass
+
+
+# float32 bit patterns of a mask value: 0.0, -0.0 and 1.0 are the only binary ones
+BINARY_BITS = frozenset(int(np.float32(v).view(np.uint32)) for v in (0.0, -0.0, 1.0))
+
+
+class TestMutatedMask:
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.integers(0, 2**32 - 1).filter(lambda b: b not in BINARY_BITS),
+           voxel=st.integers(0, 32 * 32 * 16 - 1))
+    @example(bits=0x7FC00000, voxel=0)  # NaN
+    @example(bits=0x7F800000, voxel=0)  # +inf
+    @example(bits=0xFF800000, voxel=0)  # -inf
+    @example(bits=0x00000001, voxel=0)  # the least subnormal
+    @example(bits=0x40000000, voxel=0)  # 2.0
+    def test_any_stray_mask_value_names_its_file(self, saved, bits, voxel):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d) / "case"
+            shutil.copytree(saved, directory)
+            path = directory / MASK_DIR / "oar01.dvol"
+            raw = bytearray(path.read_bytes())
+            at = len(raw) - 4 * (32 * 32 * 16 - voxel)  # the payload is the file's tail
+            raw[at:at + 4] = np.uint32(bits).astype("<u4").tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: "):
+                load_patient(directory)

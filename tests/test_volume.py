@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dosekit import phantom
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.evaluation import REPORT_VERSION, MetricsReport, MetricValue
 from dosekit.phantom import (SITE_VERSION, PatientCase, SiteSpec, builtin_site,
@@ -37,10 +38,8 @@ from dosekit.volume import (
     VoxelGrid,
     crop_to_kernel,
     crop_with_offset,
-    load_structure_set,
     read_manifest,
     read_volume,
-    save_structure_set,
     uncrop,
     write_manifest,
     write_volume,
@@ -570,12 +569,13 @@ class TestManifest:
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv70", prescription=1.0)
         oar = make_mask((3, 3, 3), [(2, 2, 2)], kind="OAR", name="oar01", impact="low")
         sset = StructureSet((body, ptv, oar))
-        entries = save_structure_set(tmp_path, sset)
+        save_patient(tmp_path, PatientCase(sset, "site", 0))
         names = ["body", "ptv70", "oar01"]
-        assert [e.name for e in entries] == names
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert [e["name"] for e in manifest["structures"]] == names
         assert sorted(p.name for p in (tmp_path / MASK_DIR).iterdir()) == sorted(
             f"{n}.dvol" for n in names)
-        loaded = load_structure_set(tmp_path, entries)
+        loaded = load_patient(tmp_path).structures
         assert [s.name for s in loaded.structures] == names
         for a, b in zip(loaded.structures, sset.structures):
             assert a.mask.identical(b.mask)
@@ -598,16 +598,19 @@ class TestManifest:
 
     @pytest.mark.parametrize("key, value", [
         ("prescription", "x"), ("prescription", True), ("kind", ["PTV"]), ("name", 5),
-        ("prescription", float("nan")), ("prescription", float("inf")),
+        ("prescription", float("nan")), ("prescription", float("inf")), ("kind", "GTV"),
     ], ids=["string-prescription", "bool-prescription", "list-kind", "int-name",
-            "nan-prescription", "infinite-prescription"])
-    def test_mistyped_structure_entry_is_typed(self, tmp_path, key, value):
+            "nan-prescription", "infinite-prescription", "unknown-kind"])
+    def test_mistyped_structure_entry_is_typed(self, tmp_path, monkeypatch, key, value):
         path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         next(e for e in manifest["structures"] if e["kind"] == "PTV")[key] = value
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match="bad structure entry"):
+        read = []
+        monkeypatch.setattr(phantom, "read_volume", lambda p: read.append(p) or read_volume(p))
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: bad structure entry"):
             load_patient(tmp_path)
+        assert read == []  # the entry is refused as the manifest is decoded
 
     @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True,
                                          float(MANIFEST_VERSION)],
