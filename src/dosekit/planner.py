@@ -110,11 +110,10 @@ class BeamConfig(Record):
 
 
 def beamlet_kernel(depth_mm, lateral_sq_mm2, cfg: BeamConfig) -> np.ndarray:
-    """exp(-mu*depth) * exp(-r^2 / (2 sigma^2)) elementwise, zero where r^2 > cutoff^2."""
-    value = np.exp(-cfg.attenuation_mu * depth_mm) * np.exp(
+    """exp(-mu*depth) * exp(-r^2 / (2 sigma^2)) elementwise; the builder applies the cutoff."""
+    return np.exp(-cfg.attenuation_mu * depth_mm) * np.exp(
         -lateral_sq_mm2 / (2.0 * cfg.lateral_sigma**2)
     )
-    return np.where(lateral_sq_mm2 <= cfg.lateral_cutoff**2, value, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,6 +302,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     is body: one sparse product, per beam, of the (columns x box cells) visit
     matrix with the body's per-cell z lines (box cells x box z-extent).
 
+    The lateral coordinate along u has no z part, so it and its distance to the
+    field are worked out per (x, y) column and taken per near row.
     Lateral entries are formed only within ``lateral_cutoff``, by
     `_lateral_entries`, over each row's axial window: the axial beamlets within
     the cutoff of its z level, from one table built per build
@@ -312,10 +313,10 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     CSR index and data arrays in place (12 bytes per entry), releasing each
     beam's entries once written. The build's memory is therefore about 24
     bytes per entry of the result plus 12 per run (one run per row and beam),
-    about 2.2x the matrix, plus O(body voxels) per-voxel arrays and one beam's
+    about 2.2x the matrix, plus O(body voxels) index arrays and one beam's
     lateral temporaries, which are O(near rows x lateral beamlets per beam). By
-    tracemalloc, its peak is 15.5 MB (14.8 MiB) for the 5.0 MB matrix of
-    64x64x32 siteA patient 1 with 7 beams, and 50.1 MB for the 23 MB matrix of
+    tracemalloc, its peak is 14.6 MB (13.9 MiB) for the 5.0 MB matrix of
+    64x64x32 siteA patient 1 with 7 beams, and 50.0 MB for the 23 MB matrix of
     desk siteB patient 1 with 72 beams.
     """
     import scipy.sparse as sp
@@ -334,36 +335,33 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     if not ptv_pts.size:
         raise PlannerGeometryError("no PTV voxel to aim the beams at")
 
-    # each body voxel's (x, y) column x + nx * y, and its cell and centre as
-    # (axis, voxel) arrays, whose reductions and arithmetic run along the voxels
+    # each body voxel's (x, y) column x + nx * y, and its cell as an (axis,
+    # voxel) array, whose reductions run along the voxels
     nx, ny, _ = dims
     col_of = body_idx % (nx * ny)
     cells = np.stack([col_of % nx, col_of // nx, body_idx // (nx * ny)])
     box_lo, box_hi = cells.min(axis=1), cells.max(axis=1)
-    centers = cells.astype(np.float64)
-    centers += 0.5
-    centers *= spacing[:, None]
+    iso = ptv_pts.mean(axis=0)
 
-    # the body's (x, y) columns (centres as an (axis, column) array) and the
-    # column and box z level of each body voxel; the body mask's z line at each
-    # (x, y) cell of the box, cell index x + box width * y from the box corner
+    # the body's (x, y) columns and the column and box z level of each body
+    # voxel; the body mask's z line at each (x, y) cell of the box, cell index
+    # x + box width * y from the box corner. The columns' centres, as an (axis,
+    # column) array for the march, and relative to the isocentre as C-order
+    # (column, axis) rows with z = 0: then each beam's lateral coordinates
+    # `col_rel @ u` round as a per-voxel (voxel, axis) product would
     has_col = np.zeros(nx * ny, dtype=bool)
     has_col[col_of] = True
     col_keys = np.flatnonzero(has_col)
     col_of = (np.cumsum(has_col) - 1).take(col_of)
     del has_col
     col_xy = (np.stack([col_keys % nx, col_keys // nx]) + 0.5) * spacing[:2, None]
+    col_rel = np.zeros((col_keys.size, 3))
+    col_rel[:, :2] = col_xy.T - iso[:2]
     box = body_arr[box_lo[0]:box_hi[0] + 1, box_lo[1]:box_hi[1] + 1, box_lo[2]:box_hi[2] + 1]
     box_w, nz_box = box.shape[0], box.shape[2]
     z_lines = box.transpose(1, 0, 2).reshape(-1, nz_box).astype(np.int32)
     level = cells[2] - box_lo[2]
     del cells
-
-    iso = ptv_pts.mean(axis=0)
-    # from here on, each body voxel's centre relative to the isocentre, one row
-    # per voxel for each beam's `centers @ u`
-    centers -= iso[:, None]
-    centers = np.ascontiguousarray(centers.T)
 
     diag = float(np.linalg.norm(np.asarray(dims) * spacing))
     steps = np.arange(1, int(np.ceil(diag / cfg.ray_step_mm)) + 1, dtype=np.float64)
@@ -393,14 +391,14 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
 
         # the rows near the field: within the cutoff (plus a 1 % margin) of the
         # rectangle spanned by the beamlet centres; no other row has an entry
-        pu = centers @ u
-        field_du = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0)
-        near = np.flatnonzero(field_du**2 + field_dz2 <= near_cutoff2)
-        pu = pu.take(near)
-        del field_du
+        pu = col_rel @ u
+        field_du2 = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0) ** 2
+        near = np.flatnonzero(field_du2.take(col_of) + field_dz2 <= near_cutoff2)
+        del field_du2
 
         # the columns that hold a near row, and each near row's index among them
         near_col = col_of.take(near)
+        pu = pu.take(near_col)
         marched = np.zeros(col_keys.size, dtype=bool)
         marched[near_col] = True
         near_col = (np.cumsum(marched) - 1).take(near_col)
@@ -796,6 +794,9 @@ class PlanManifest(Record):
 
     def __post_init__(self):
         PlanWeights(self.weights)  # so that bad weights fail to decode
+        _check_count(self.n_beamlets, "n_beamlets")
+        if not _is_count(self.index, 0):
+            raise ValidationError(f"index must be a nonnegative integer, got {self.index!r}")
 
 
 def save_plan(directory, plan: Plan) -> None:

@@ -46,22 +46,6 @@ class VolumeFormatError(DosekitError):
     """Malformed .dvol file."""
 
 
-class BadMagicError(VolumeFormatError):
-    pass
-
-
-class VersionMismatchError(VolumeFormatError):
-    pass
-
-
-class TruncatedVolumeError(VolumeFormatError):
-    pass
-
-
-class PayloadSizeError(VolumeFormatError):
-    pass
-
-
 class ManifestError(DosekitError):
     """Malformed or incomplete JSON manifest."""
 
@@ -198,15 +182,6 @@ def _counts(dims, what: str, length: int = 3) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
-def _spacing(spacing, what: str) -> tuple[float, ...]:
-    """`spacing` as a tuple of three finite, strictly positive floats; anything
-    else raises ValidationError."""
-    spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
-        raise ValidationError(f"{what} must be finite and strictly positive, got {spacing}")
-    return spacing
-
-
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
     """Dense 3D scalar field with voxel spacing in millimeters.
@@ -221,7 +196,9 @@ class VoxelGrid:
 
     def __post_init__(self):
         dims = _counts(self.dims, "dims")
-        spacing = _spacing(self.spacing, "spacing")
+        spacing = tuple(float(s) for s in self.spacing)
+        if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
+            raise ValidationError(f"spacing must be finite and strictly positive, got {spacing}")
         data = np.asarray(self.data, dtype=np.float32)
         if data.shape != dims:
             raise ValidationError(f"data shape {data.shape} does not match dims {dims}")
@@ -507,22 +484,21 @@ def write_volume(grid: VoxelGrid, path) -> None:
 
 def read_volume(path) -> VoxelGrid:
     """Inverse of write_volume; read(write(g)) is bit-exact. A file that is not a
-    valid grid raises VolumeFormatError naming `path`: a bad header or payload
-    size, and also dims, spacing or values that VoxelGrid rejects."""
+    valid grid raises VolumeFormatError("<path>: <fault>"): "not a DVOL file",
+    "truncated header", "format version V, expected 1", "payload has N bytes,
+    expected M", or what VoxelGrid rejects of its dims, spacing or values."""
     raw = _read_bytes(Path(path))
-    if len(raw) < 4 or raw[:4] != DVOL_MAGIC:
-        raise BadMagicError(f"{path}: not a DVOL file")
+    if raw[:4] != DVOL_MAGIC:
+        raise VolumeFormatError(f"{path}: not a DVOL file")
     if len(raw) < _HEADER.size:
-        raise TruncatedVolumeError(f"{path}: truncated header")
+        raise VolumeFormatError(f"{path}: truncated header")
     _, version, nx, ny, nz, sx, sy, sz = _HEADER.unpack_from(raw)
     if version != DVOL_VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}, expected {DVOL_VERSION}")
+        raise VolumeFormatError(f"{path}: format version {version}, expected {DVOL_VERSION}")
     expected = nx * ny * nz * 4
     actual = len(raw) - _HEADER.size
-    if actual < expected:
-        raise TruncatedVolumeError(f"{path}: payload has {actual} bytes, expected {expected}")
-    if actual > expected:
-        raise PayloadSizeError(f"{path}: payload has {actual} bytes, expected {expected}")
+    if actual != expected:
+        raise VolumeFormatError(f"{path}: payload has {actual} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     data = flat.reshape((nx, ny, nz), order="F")
     try:
