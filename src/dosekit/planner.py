@@ -182,8 +182,8 @@ def _lateral_entries(near, pu, depth, level, window_col, window_dz2, u_offsets,
     with fastest), and count (int32) the length of each one's run of entries;
     column (int32, beam-local u * nv + v) and value (float64) hold the entries,
     the runs in row order and the columns ascending within a run. near holds
-    the rows (intp), ascending, within the cutoff
-    (plus a 1 % margin) of the rectangle spanned by the beamlet centres; pu,
+    the rows (intp), ascending, within the cutoff of the rectangle spanned by
+    the beamlet centres, which include every row with an entry; pu,
     depth and level hold each near row's lateral coordinate along the beam,
     depth and z level, and window_col and window_dz2 the axial windows
     (`_axial_windows`). Only the (row, u) pairs whose lateral distance alone is
@@ -291,16 +291,16 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     Precondition: every beam is coplanar, d = (cos phi, sin phi, 0). A sample
     then keeps its voxel's z cell, and all body voxels of one (x, y) column
     visit the same (x, y) cells at the same steps. Each beam first finds its
-    near rows: those within the cutoff (plus a 1 % margin) of the rectangle
-    spanned by its beamlet centres. No other row has an entry, so depths are
-    counted for the near rows only, and the march runs over the (x, y) columns
-    that hold a near row, not over voxels or the whole body. Each beam samples
-    all those columns in one pass, each up to two steps past its exit from the
-    body mask's bounding box, worked out from the geometry, and keeps the
-    samples whose cell lies in the box, as (column, cell) visits. A column's
-    depth count at height z is then the number of its visits to cells whose z
-    is body: one sparse product, per beam, of the (columns x box cells) visit
-    matrix with the body's per-cell z lines (box cells x box z-extent).
+    near rows: those within the cutoff of the rectangle spanned by its beamlet
+    centres (a lower bound on every entry's r^2). No other row has an entry, so
+    depths are counted for the near rows only, and the march runs over the
+    (x, y) columns that hold a near row, not over voxels or the whole body. Each
+    beam samples all those columns in one pass, each up to two steps past its
+    exit from the body mask's bounding box, worked out from the geometry, and
+    keeps the samples whose cell lies in the box, as (column, cell) visits. A
+    column's depth count at height z is then the number of its visits to cells
+    whose z is body: one sparse product, per beam, of the (columns x box cells)
+    visit matrix with the body's per-cell z lines (box cells x box z-extent).
 
     The lateral coordinate along u has no z part, so it and its distance to the
     field are worked out per (x, y) column and taken per near row.
@@ -315,8 +315,8 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     bytes per entry of the result plus 12 per run (one run per row and beam),
     about 2.2x the matrix, plus O(body voxels) index arrays and one beam's
     lateral temporaries, which are O(near rows x lateral beamlets per beam). By
-    tracemalloc, its peak is 14.6 MB (13.9 MiB) for the 5.0 MB matrix of
-    64x64x32 siteA patient 1 with 7 beams, and 50.0 MB for the 23 MB matrix of
+    tracemalloc, its peak is 13.4 MB (12.75 MiB) for the 5.0 MB matrix of
+    64x64x32 siteA patient 1 with 7 beams, and 49.8 MB for the 23 MB matrix of
     desk siteB patient 1 with 72 beams.
     """
     import scipy.sparse as sp
@@ -367,17 +367,16 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     steps = np.arange(1, int(np.ceil(diag / cfg.ray_step_mm)) + 1, dtype=np.float64)
     steps *= cfg.ray_step_mm
 
-    # squared axial distances per box z level, to each axial beamlet centre
-    # (level_dz2) and to the nearest one (field_dz2, taken per body voxel)
+    # squared axial distances per box z level to each axial beamlet centre, and
+    # per body voxel to the nearest one
     nu, nv = cfg.beamlet_grid
     z_rel = ptv_pts[:, 2] - iso[2]
     z_lo, z_hi = z_rel.min() - cfg.field_margin_mm, z_rel.max() + cfg.field_margin_mm
     z_offsets = np.linspace(z_lo, z_hi, nv)
     pz = (np.arange(box_lo[2], box_hi[2] + 1, dtype=np.float64) + 0.5) * spacing[2] - iso[2]
-    window_col, window_dz2 = _axial_windows((pz[:, None] - z_offsets[None, :]) ** 2, cfg)
-    field_dz2 = (np.maximum(np.maximum(z_offsets[0] - pz, pz - z_offsets[-1]), 0.0) ** 2
-                 ).take(level)
-    near_cutoff2 = (1.01 * cfg.lateral_cutoff) ** 2
+    level_dz2 = (pz[:, None] - z_offsets[None, :]) ** 2
+    window_col, window_dz2 = _axial_windows(level_dz2, cfg)
+    nearest_dz2 = level_dz2.min(axis=1).take(level)
 
     beams = []
     for b in range(cfg.n_beams):
@@ -389,11 +388,12 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         u_lo, u_hi = pu_ptv.min() - cfg.field_margin_mm, pu_ptv.max() + cfg.field_margin_mm
         u_offsets = np.linspace(u_lo, u_hi, nu)
 
-        # the rows near the field: within the cutoff (plus a 1 % margin) of the
-        # rectangle spanned by the beamlet centres; no other row has an entry
+        # the rows near the field, within the cutoff of the beamlet rectangle; no
+        # row with an entry is dropped, as field_du2 and nearest_dz2 are <= every
+        # du2 and dz2 bit for bit, and rounded addition is monotone
         pu = col_rel @ u
         field_du2 = np.maximum(np.maximum(u_offsets[0] - pu, pu - u_offsets[-1]), 0.0) ** 2
-        near = np.flatnonzero(field_du2.take(col_of) + field_dz2 <= near_cutoff2)
+        near = np.flatnonzero(field_du2.take(col_of) + nearest_dz2 <= cfg.lateral_cutoff**2)
         del field_du2
 
         # the columns that hold a near row, and each near row's index among them
@@ -446,6 +446,7 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
                                       window_dz2, u_offsets, cfg))
         del near, pu, depth, near_lvl
 
+    del col_of, level, nearest_dz2, col_rel, col_xy, z_lines, box, body_arr, ptv_union
     matrix = _csr_from_beams(beams, (body_idx.size, cfg.n_beams * nu * nv))
     matrix.eliminate_zeros()  # entries that underflow to 0 inside the cutoff
 

@@ -279,10 +279,6 @@ class StructureMask:
         if not np.all((data == 0.0) | (data == 1.0)):  # one pass; -0.0 == 0.0
             raise ValidationError(f"mask {self.name!r} has values outside {{0,1}}")
 
-    @property
-    def voxel_count(self) -> int:
-        return int(np.count_nonzero(self.mask.data))
-
     def linear_indices(self) -> np.ndarray:
         """Raster indices of mask voxels, ascending: a read-only array, computed on
         the first call (the mask's data is read-only, so it cannot go stale)."""
@@ -412,19 +408,6 @@ def kernel_offset_for(body: StructureMask, kernel: KernelSpec) -> CropOffset:
     return CropOffset(tuple(origin), body.mask.dims, kernel.dims)
 
 
-def _overlap(offset: CropOffset):
-    """(source slices, kernel slices) of the kernel window's overlap with the source
-    grid, one slice per axis; None when the two do not overlap."""
-    src, ker = [], []
-    for o, k, n in zip(offset.origin, offset.kernel_dims, offset.source_dims):
-        s0, s1 = max(0, o), min(n, o + k)
-        if s0 >= s1:
-            return None
-        src.append(slice(s0, s1))
-        ker.append(slice(s0 - o, s1 - o))
-    return tuple(src), tuple(ker)
-
-
 def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
     """Extract the kernel window; voxels outside the source grid become zero."""
     if grid.dims != offset.source_dims:
@@ -432,10 +415,14 @@ def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
             f"grid dims {grid.dims} do not match crop source dims {offset.source_dims}"
         )
     out = np.zeros(offset.kernel_dims, dtype=np.float32)
-    overlap = _overlap(offset)
-    if overlap is not None:
-        src, ker = overlap
-        out[ker] = grid.data[src]
+    src, ker = [], []
+    for o, k, n in zip(offset.origin, offset.kernel_dims, offset.source_dims):
+        s0, s1 = max(0, o), min(n, o + k)
+        if s0 >= s1:  # no overlap; a negative slice stop would select voxels
+            return VoxelGrid(offset.kernel_dims, grid.spacing, out)
+        src.append(slice(s0, s1))
+        ker.append(slice(s0 - o, s1 - o))
+    out[tuple(ker)] = grid.data[tuple(src)]
     return VoxelGrid(offset.kernel_dims, grid.spacing, out)
 
 
@@ -448,17 +435,10 @@ def crop_to_kernel(
 
 
 def uncrop(kernel_grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
-    """Scatter a kernel-shaped grid back onto the source geometry (zeros elsewhere)."""
-    if kernel_grid.dims != offset.kernel_dims:
-        raise ValidationError(
-            f"grid dims {kernel_grid.dims} do not match kernel dims {offset.kernel_dims}"
-        )
-    out = np.zeros(offset.source_dims, dtype=np.float32)
-    overlap = _overlap(offset)
-    if overlap is not None:
-        src, ker = overlap
-        out[src] = kernel_grid.data[ker]
-    return VoxelGrid(offset.source_dims, kernel_grid.spacing, out)
+    """Scatter a kernel-shaped grid back onto the source geometry (zeros elsewhere):
+    the crop by the inverse offset, with source and kernel dims swapped."""
+    inverse = CropOffset(tuple(-o for o in offset.origin), offset.kernel_dims, offset.source_dims)
+    return crop_with_offset(kernel_grid, inverse)
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:

@@ -294,6 +294,11 @@ class TestEvaluatePlan:
         write_manifest(tmp_path / "r.json", report, REPORT_VERSION)
         assert read_manifest(tmp_path / "r.json", MetricsReport, REPORT_VERSION) == report
 
+    def test_dose_of_other_dims_names_the_structure(self):
+        dose = VoxelGrid.from_array(np.zeros((4, 4, 4), dtype=np.float32))
+        with pytest.raises(EvaluationError, match=r"^dose dims \(4, 4, 4\) do not match mask 'ptv70'"):
+            evaluate_plan(dose, dose, _tiny_case())
+
 
 def _write_report(level, path):
     sset = _tiny_case()

@@ -178,7 +178,7 @@ class TestShapePalette:
         pal = palette(ptv_radius_mm=(20.0, 20.0), body_center_jitter_mm=0.0,
                       ptv_center_jitter_mm=0)
         spec = SiteSpec("fixed", KernelSpec((32, 32, 16)), (1.0,), (4, 4), pal)
-        assert generate_patient(spec, 1).structures.ptvs[0].voxel_count > 0
+        assert generate_patient(spec, 1).structures.ptvs[0].linear_indices().size > 0
 
 
 class TestGeneratePatient:
@@ -211,7 +211,7 @@ class TestGeneratePatient:
         spec = builtin_site("siteA")
         case = generate_patient(spec, 3)
         total = np.prod(case.structures.dims)
-        assert case.structures.body.voxel_count >= 0.25 * total
+        assert case.structures.body.linear_indices().size >= 0.25 * total
 
     def test_siteA_structure_roster(self):
         case = generate_patient(builtin_site("siteA"), 11)

@@ -663,7 +663,9 @@ def test_influence_build_memory_at_64x64x32():
     case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
     assert case.structures.dims == (64, 64, 32)
     _, peak = traced(build_influence_matrix, case, BeamConfig())
-    assert peak < 16.0 * 2**20  # about 1.15x the 13.9 MiB measured
+    # 12.77 MiB measured; 14.24 MiB if the per-voxel arrays stay alive through
+    # `_csr_from_beams`
+    assert peak < 13.5 * 2**20
 
 
 def test_influence_build_memory_at_72_beams():

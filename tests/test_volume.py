@@ -363,7 +363,6 @@ class TestStructures:
         arr = np.full((2, 2, 2), -0.0, dtype=np.float32)
         arr[1, 1, 1] = 1.0
         mask = StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
-        assert mask.voxel_count == 1
         assert mask.linear_indices().tolist() == [7]
 
     def test_set_requires_containment(self):
@@ -490,6 +489,11 @@ class TestCrop:
         _, off = crop_to_kernel(body.mask, body, KernelSpec((4, 4, 4)))
         with pytest.raises(ValidationError):
             crop_with_offset(VoxelGrid.zeros((5, 5, 5)), off)
+
+    def test_uncrop_rejects_wrong_dims(self):
+        offset = CropOffset((0, 0, 0), (4, 4, 4), (3, 3, 3))
+        with pytest.raises(ValidationError):
+            uncrop(VoxelGrid.zeros((4, 4, 4)), offset)
 
 
 def sha256_of(path) -> str:
