@@ -21,7 +21,8 @@ DMEAN = "Dmean"
 DMAX = "Dmax"
 PTV_METRICS = (DMEAN, DMAX, D98, D95, D02)
 OAR_METRICS = (DMEAN, DMAX)
-REPORT_VERSION = 1
+ISODOSE_PERCENT = 10.0  # isodose_mse's region: ground truth at >= this % of the prescription
+T_TEST_ALPHA = 0.05  # paired_t_test's significance level
 
 
 class EvaluationError(DosekitError):
@@ -91,19 +92,15 @@ def metric_error(pred: float, gt: float, prescription: float) -> float:
     return abs(pred - gt) / prescription * 100.0
 
 
-def isodose_mse(
-    pred: VoxelGrid, gt: VoxelGrid, prescription: float, v_percent: float = 10.0
-) -> float:
-    """MSE restricted to voxels where gt >= v% of the prescription."""
+def isodose_mse(pred: VoxelGrid, gt: VoxelGrid, prescription: float) -> float:
+    """MSE restricted to voxels where gt >= ISODOSE_PERCENT% of the prescription."""
     if pred.dims != gt.dims:
         raise EvaluationError(f"dims mismatch: {pred.dims} vs {gt.dims}")
     _check_prescription(prescription)
-    if not 0 < v_percent < math.inf:
-        raise ValidationError(f"isodose level must be positive and finite, got {v_percent}%")
-    region = gt.data >= (v_percent / 100.0) * prescription
+    region = gt.data >= (ISODOSE_PERCENT / 100.0) * prescription
     n = int(np.count_nonzero(region))
     if n == 0:
-        raise EvaluationError(f"{v_percent}% isodose region is empty")
+        raise EvaluationError(f"{ISODOSE_PERCENT}% isodose region is empty")
     diff = pred.data[region].astype(np.float64) - gt.data[region].astype(np.float64)
     return float(np.mean(diff * diff))
 
@@ -117,15 +114,16 @@ class TTestResult:
     degenerate: bool = False
 
 
-def paired_t_test(a, b, alpha: float = 0.05) -> TTestResult:
+def paired_t_test(a, b) -> TTestResult:
     """Two-sided paired t-test on equal-length samples.
 
     The p-value comes from the Student-t CDF via the regularized incomplete
     beta function, scipy.special.betainc, which is imported on a process's first
     t-test, not with this module: scipy.special costs about 0.2-0.3 s to load.
     Zero-variance difference vectors are flagged degenerate: p=1 when every
-    difference is zero, p=0 otherwise. Non-finite samples, differences whose
-    mean or spread overflows, and an alpha outside (0, 1) raise ValidationError.
+    difference is zero, p=0 otherwise. A result is significant when p < T_TEST_ALPHA.
+    Non-finite samples and differences whose mean or spread overflows raise
+    ValidationError.
     """
     from scipy.special import betainc
 
@@ -138,8 +136,6 @@ def paired_t_test(a, b, alpha: float = 0.05) -> TTestResult:
         raise ValidationError("paired t-test needs n >= 2")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("paired t-test samples must be finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     with np.errstate(over="ignore", invalid="ignore"):
         d = a - b
         mean = float(np.mean(d))
@@ -154,7 +150,7 @@ def paired_t_test(a, b, alpha: float = 0.05) -> TTestResult:
         return TTestResult(t=t, df=df, p=0.0, significant=True, degenerate=True)
     t = mean / (sd / math.sqrt(n))
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return TTestResult(t=t, df=df, p=p, significant=p < alpha)
+    return TTestResult(t=t, df=df, p=p, significant=p < T_TEST_ALPHA)
 
 
 _KIND_ORDER = {PTV: 0, OAR: 1, BODY: 2}
@@ -179,7 +175,9 @@ class MetricValue(Record):
 @dataclass(frozen=True)
 class MetricsReport(Record):
     """Per-structure DVH-metric comparison of a predicted dose to ground truth,
-    saved with ``write_manifest(path, report, REPORT_VERSION)``."""
+    saved with ``write_manifest(path, report)``."""
+
+    SCHEMA_VERSION = 1
 
     prescription: float
     rows: tuple[MetricValue, ...]

@@ -24,7 +24,6 @@ from .volume import (
     BODY,
     DEFAULT_SPACING_MM,
     MANIFEST_NAME,
-    MANIFEST_VERSION,
     MASK_DIR,
     OAR,
     PTV,
@@ -76,14 +75,13 @@ class ShapePalette(Record):
                 raise ValidationError(f"jitter {jitter} must be finite and >= 0")
 
 
-# 2: normalization, spacing, PTV level growth and attempts are module constants
-SITE_VERSION = 2
-
-
 @dataclass(frozen=True)
 class SiteSpec(Record):
     """What sets one treatment site's patients apart; the grid spacing
     (DEFAULT_SPACING_MM) and the constants above are the same for every site."""
+
+    # 2: normalization, spacing, PTV level growth and attempts are module constants
+    SCHEMA_VERSION = 2
 
     site_id: str
     kernel: KernelSpec
@@ -284,6 +282,10 @@ class PatientManifest(Record):
     case id follows from (site_id, seed), each mask's path from its name, and the
     grid from each mask's .dvol header."""
 
+    # 2: the grid (dims and spacing) is gone; the masks hold it
+    # 3: the entries' mask_path and the case id are gone; both are derived
+    SCHEMA_VERSION = 3
+
     site_id: str
     seed: int
     structures: tuple[StructureEntry, ...]
@@ -296,8 +298,7 @@ def save_patient(directory, case: PatientCase) -> None:
         write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
     entries = tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
                     for s in case.structures.structures)
-    write_manifest(directory / MANIFEST_NAME, PatientManifest(case.site_id, case.seed, entries),
-                   MANIFEST_VERSION)
+    write_manifest(directory / MANIFEST_NAME, PatientManifest(case.site_id, case.seed, entries))
 
 
 def load_patient(directory) -> PatientCase:
@@ -309,7 +310,7 @@ def load_patient(directory) -> PatientCase:
     VolumeFormatError; masks that StructureSet refuses (duplicate names, not one
     BODY, no PTV, voxels outside the body), ManifestError on MANIFEST_NAME."""
     directory = Path(directory)
-    manifest = read_manifest(directory / MANIFEST_NAME, PatientManifest, MANIFEST_VERSION)
+    manifest = read_manifest(directory / MANIFEST_NAME, PatientManifest)
     masks = []
     for e in manifest.structures:
         path = directory / MASK_DIR / f"{e.name}.dvol"

@@ -777,15 +777,16 @@ def generate_plans(
 PLAN_JSON = "plan.json"
 DOSE_FILE = "dose.dvol"
 FLUENCE_FILE = "fluence.f32"
-# 2: the diagnostics changed shape, and `converged` became the KKT-residual bound;
-# 3: the sampler's weight bounds are no longer saved
-PLAN_VERSION = 3
 
 
 @dataclass(frozen=True)
 class PlanManifest(Record):
     """A saved plan's PLAN_JSON file; its dose and fluence are the DOSE_FILE and
     FLUENCE_FILE next to it."""
+
+    # 2: the diagnostics changed shape, and `converged` became the KKT-residual bound;
+    # 3: the sampler's weight bounds are no longer saved
+    SCHEMA_VERSION = 3
 
     patient_id: str
     index: int
@@ -806,7 +807,7 @@ def save_plan(directory, plan: Plan) -> None:
     _atomic_write_bytes(directory / FLUENCE_FILE, np.asarray(plan.fluence, dtype="<f4").tobytes())
     write_manifest(directory / PLAN_JSON, PlanManifest(
         plan.patient_id, plan.index, plan.weights.weights, plan.diagnostics,
-        int(plan.fluence.size)), PLAN_VERSION)
+        int(plan.fluence.size)))
 
 
 def load_plan(directory) -> Plan:
@@ -815,7 +816,7 @@ def load_plan(directory) -> Plan:
     dose file raises VolumeFormatError, a bad PLAN_JSON ManifestError, and a
     missing file MissingFileError."""
     directory = Path(directory)
-    meta = read_manifest(directory / PLAN_JSON, PlanManifest, PLAN_VERSION)
+    meta = read_manifest(directory / PLAN_JSON, PlanManifest)
     path = directory / FLUENCE_FILE
     raw = _read_bytes(path)
     if len(raw) != 4 * meta.n_beamlets:

@@ -9,8 +9,8 @@ Conventions used everywhere in this package:
   bit-exact.
 * All types are immutable after construction; operations are pure functions.
 * Every JSON file is one frozen-dataclass `Record`, written by `write_manifest`
-  and read back by `read_manifest`, which checks its ``schema_version`` and
-  decodes it from the record's field type hints.
+  stamped with its class's ``SCHEMA_VERSION`` and read back by `read_manifest`,
+  which checks that version and decodes it from the record's field type hints.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class ManifestError(DosekitError):
 
 
 class MissingFileError(DosekitError):
-    """A path that names no file: it does not exist, or it or one of its parents
-    is not what the path needs (a directory where a file is read, a file where a
-    directory is walked)."""
+    """A path that names no file to read or write: it does not exist, or it or one
+    of its parents is not what the path needs (a directory where a file is read
+    or written, a file where a directory is walked or made)."""
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -79,6 +79,9 @@ class Record:
     record: a value that is not a JSON object, an unknown key, a value that does
     not match its field's hint (naming the field too), and a missing key without
     a default or a value that the constructor rejects.
+
+    A Record saved as a file of its own sets the class attribute
+    ``SCHEMA_VERSION``, which `write_manifest` stamps and `read_manifest` checks.
     """
 
     def to_json_dict(self) -> dict:
@@ -158,14 +161,7 @@ def _decode(hint, value, record: str, field: str):
 
 
 class KernelTooSmallError(ValidationError):
-    """Body bounding box exceeds the crop kernel along `axis`."""
-
-    def __init__(self, axis: str, needed: int, available: int):
-        self.axis = axis
-        super().__init__(
-            f"body bounding box needs {needed} voxels on axis {axis}, "
-            f"kernel provides {available}"
-        )
+    """Body bounding box exceeds the crop kernel along an axis."""
 
 
 def _is_count(n, least: int = 1) -> bool:
@@ -402,7 +398,8 @@ def kernel_offset_for(body: StructureMask, kernel: KernelSpec) -> CropOffset:
         extent = hi[axis] - lo[axis] + 1
         k = kernel.dims[axis]
         if extent > k:
-            raise KernelTooSmallError(name, extent, k)
+            raise KernelTooSmallError(f"body bounding box needs {extent} voxels on axis "
+                                      f"{name}, kernel provides {k}")
         start_in_kernel = (k - extent) // 2
         origin.append(lo[axis] - start_in_kernel)
     return CropOffset(tuple(origin), body.mask.dims, kernel.dims)
@@ -442,15 +439,23 @@ def uncrop(kernel_grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write `payload` to `path` through a temporary file beside it, which a failed
+    write removes. A file among `path`'s parents, or a directory at `path`,
+    raises MissingFileError naming `path`."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except (NotADirectoryError, FileExistsError) as exc:  # FileExistsError: mkdir of a file
+        raise MissingFileError(f"{path}: a parent is not a directory") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, IsADirectoryError):
+            raise MissingFileError(f"{path}: is a directory") from exc
         raise
 
 
@@ -488,9 +493,6 @@ def read_volume(path) -> VoxelGrid:
 
 
 MANIFEST_NAME = "structures.json"
-# 2: the grid (dims and spacing) is gone; the masks hold it
-# 3: the entries' mask_path and the case id are gone; both are derived
-MANIFEST_VERSION = 3
 MASK_DIR = "masks"
 
 
@@ -516,18 +518,20 @@ class StructureEntry(Record):
             raise ValidationError(f"bad structure entry {d!r} ({exc})") from exc
 
 
-def write_manifest(path, record: Record, version: int) -> None:
-    """Write `record` stamped with ``"schema_version": version`` as JSON (sorted
-    keys, indent 2, trailing newline) atomically; `read_manifest` reads it back."""
-    text = json.dumps({**record.to_json_dict(), "schema_version": version},
+def write_manifest(path, record: Record) -> None:
+    """Write `record` stamped with ``"schema_version"``, its class's SCHEMA_VERSION,
+    as JSON (sorted keys, indent 2, trailing newline) atomically; `read_manifest`
+    reads it back."""
+    text = json.dumps({**record.to_json_dict(), "schema_version": type(record).SCHEMA_VERSION},
                       indent=2, sort_keys=True) + "\n"
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def read_manifest(path, cls: type[Record], version: int) -> Record:
-    """The `cls` record that `write_manifest` wrote to `path` with `version`.
-    Malformed JSON, a missing or other version, and JSON that `cls.from_json_dict`
-    rejects raise ManifestError; a missing file raises MissingFileError."""
+def read_manifest(path, cls: type[Record]) -> Record:
+    """The `cls` record that `write_manifest` wrote to `path`. Malformed JSON, a
+    schema_version missing or other than ``cls.SCHEMA_VERSION``, and JSON that
+    `cls.from_json_dict` rejects raise ManifestError; a missing file raises
+    MissingFileError."""
     try:
         manifest = json.loads(_read_bytes(Path(path)).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -537,8 +541,8 @@ def read_manifest(path, cls: type[Record], version: int) -> Record:
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: expected a JSON object")
     found = manifest.pop("schema_version", None)
-    if type(found) is not int or found != version:  # JSON true and 1.0 equal 1 in Python
-        raise ManifestError(f"{path}: schema_version {found}, expected {version}")
+    if type(found) is not int or found != cls.SCHEMA_VERSION:  # JSON true and 1.0 equal 1
+        raise ManifestError(f"{path}: schema_version {found}, expected {cls.SCHEMA_VERSION}")
     try:
         return cls.from_json_dict(manifest)
     except ValidationError as exc:

@@ -92,6 +92,16 @@ def test_missing_case_exits_3(tmp_path):
     assert "structures.json: no such file" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_out_under_a_file_exits_3(tmp_path):
+    # a file where the output needs a directory is a bad path, not a traceback
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "case"
+    done = dosekit("phantom", "--site", "siteA", "--seed", 1, "--out", out)
+    assert done.returncode == 3  # a MissingFileError
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"dosekit: {out}{os.sep}")
+
+
 def test_missing_mask_file_exits_3(patient_dir, tmp_path):
     case = tmp_path / "case"
     shutil.copytree(patient_dir, case)

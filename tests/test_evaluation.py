@@ -15,7 +15,6 @@ from dosekit.evaluation import (
     DMAX,
     DMEAN,
     DvhCurve,
-    REPORT_VERSION,
     EvaluationError,
     MetricsReport,
     dvh_metric,
@@ -180,15 +179,24 @@ class TestIsodoseMse:
         with pytest.raises(EvaluationError):
             isodose_mse(gt, gt, 1.0)
 
-    @pytest.mark.parametrize("prescription, v_percent", [
-        (math.nan, 10.0), (math.inf, 10.0), (0.0, 10.0),
-        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
-    ], ids=["nan-prescription", "infinite-prescription", "zero-prescription",
-            "nan-level", "infinite-level", "zero-level"])
-    def test_rejects_bad_prescription_or_level(self, prescription, v_percent):
+    def test_region_boundary(self):
+        # prescription 5.0 puts the 10% threshold at 0.5, exact in float32 and float64:
+        # a voxel at 0.5 lies in the region, one just below it does not
+        gt_arr = np.array([0.5, np.nextafter(np.float32(0.5), 0)], dtype=np.float32)
+        gt = VoxelGrid.from_array(gt_arr.reshape(2, 1, 1))
+        pred = VoxelGrid.from_array((gt_arr + np.float32([1.0, 3.0])).reshape(2, 1, 1))
+        assert isodose_mse(pred, gt, 5.0) == 1.0
+        below = VoxelGrid.from_array(gt_arr[1:].reshape(1, 1, 1))
+        with pytest.raises(EvaluationError, match="region is empty"):
+            isodose_mse(below, below, 5.0)
+
+    @pytest.mark.parametrize("prescription", [math.nan, math.inf, 0.0],
+                             ids=["nan-prescription", "infinite-prescription",
+                                  "zero-prescription"])
+    def test_rejects_bad_prescription_or_level(self, prescription):
         g = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
         with pytest.raises(ValidationError, match="positive and finite"):
-            isodose_mse(g, g, prescription, v_percent)
+            isodose_mse(g, g, prescription)
 
 
 class TestPairedTTest:
@@ -245,11 +253,6 @@ class TestPairedTTest:
         with pytest.raises(ValidationError, match=message):
             paired_t_test(a, b)
 
-    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 5.0, -0.05])
-    def test_rejects_alpha_outside_unit_interval(self, alpha):
-        with pytest.raises(ValidationError, match="alpha"):
-            paired_t_test([1.0, 2.0, 3.0], [0.0, 0.5, 1.0], alpha)
-
 
 def _tiny_case(with_oar=True):
     shape = (3, 3, 3)
@@ -291,8 +294,8 @@ class TestEvaluatePlan:
         sset = _tiny_case()
         dose = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
         report = evaluate_plan(dose, dose, sset)
-        write_manifest(tmp_path / "r.json", report, REPORT_VERSION)
-        assert read_manifest(tmp_path / "r.json", MetricsReport, REPORT_VERSION) == report
+        write_manifest(tmp_path / "r.json", report)
+        assert read_manifest(tmp_path / "r.json", MetricsReport) == report
 
     def test_dose_of_other_dims_names_the_structure(self):
         dose = VoxelGrid.from_array(np.zeros((4, 4, 4), dtype=np.float32))
@@ -303,7 +306,7 @@ class TestEvaluatePlan:
 def _write_report(level, path):
     sset = _tiny_case()
     dose = VoxelGrid.from_array(np.full((3, 3, 3), level, dtype=np.float32))
-    write_manifest(path, evaluate_plan(dose, dose, sset), REPORT_VERSION)
+    write_manifest(path, evaluate_plan(dose, dose, sset))
 
 
 @pytest.mark.parametrize("write", [_write_report], ids=["write_json"])

@@ -19,7 +19,6 @@ from dosekit.phantom import (
     MAX_ATTEMPTS,
     MIN_BODY_COVERAGE,
     PTV_LEVEL_GROWTH,
-    SITE_VERSION,
     PatientCase,
     PhantomGenerationError,
     ShapePalette,
@@ -58,8 +57,8 @@ class TestBuiltinSites:
 
     def test_preset_round_trip(self, tmp_path):
         spec = builtin_site("siteB")
-        write_manifest(tmp_path / "siteB.json", spec, SITE_VERSION)
-        assert read_manifest(tmp_path / "siteB.json", SiteSpec, SITE_VERSION) == spec
+        write_manifest(tmp_path / "siteB.json", spec)
+        assert read_manifest(tmp_path / "siteB.json", SiteSpec) == spec
 
     @pytest.mark.parametrize("text", [
         "{",
@@ -75,21 +74,22 @@ class TestBuiltinSites:
     def test_corrupt_preset_is_typed(self, tmp_path, text):
         path = tmp_path / "site.json"
         # stamped, so a JSON object fails on the fault its id names, not on the version
-        path.write_text(stamped(text, SITE_VERSION))
+        path.write_text(stamped(text, SiteSpec.SCHEMA_VERSION))
         with pytest.raises(ManifestError):
-            read_manifest(path, SiteSpec, SITE_VERSION)
+            read_manifest(path, SiteSpec)
 
-    @pytest.mark.parametrize("version", [None, SITE_VERSION + 1], ids=["missing", "wrong"])
+    @pytest.mark.parametrize("version", [None, SiteSpec.SCHEMA_VERSION + 1],
+                             ids=["missing", "wrong"])
     def test_preset_version_is_checked(self, tmp_path, version):
         path = tmp_path / "site.json"
-        write_manifest(path, builtin_site("siteA"), SITE_VERSION)
+        write_manifest(path, builtin_site("siteA"))
         without_version(path, version)
         with pytest.raises(ManifestError, match="schema_version"):
-            read_manifest(path, SiteSpec, SITE_VERSION)
+            read_manifest(path, SiteSpec)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "site.json"
-        write_manifest(path, builtin_site("siteA"), SITE_VERSION)
+        write_manifest(path, builtin_site("siteA"))
         before = path.read_bytes()
 
         def fail(*args):
@@ -97,7 +97,7 @@ class TestBuiltinSites:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            write_manifest(path, builtin_site("siteB"), SITE_VERSION)
+            write_manifest(path, builtin_site("siteB"))
         assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -122,9 +122,9 @@ class TestBuiltinSites:
         site["shape_palette"].update(change.get("shape_palette", {}))
         site.update({k: v for k, v in change.items() if k != "shape_palette"})
         path = tmp_path / "site.json"
-        path.write_text(stamped(json.dumps(site), SITE_VERSION))
+        path.write_text(stamped(json.dumps(site), SiteSpec.SCHEMA_VERSION))
         with pytest.raises(ManifestError, match=message):
-            read_manifest(path, SiteSpec, SITE_VERSION)
+            read_manifest(path, SiteSpec)
 
     @pytest.mark.parametrize("counts", [
         (4.7, 5.9), (4.0, 5), (True, True), (False, 3), (-1, 2), (5, 4), (None, 3),

@@ -22,13 +22,13 @@ from dosekit.planner import (
     DOSE_FILE,
     FLUENCE_FILE,
     PLAN_JSON,
-    PLAN_VERSION,
     KKT_RTOL,
     WEIGHT_BOUNDS,
     BeamConfig,
     FluenceFileError,
     InfluenceMatrix,
     PlanDiagnostics,
+    PlanManifest,
     PlannerGeometryError,
     PlanWeights,
     SolverDivergenceError,
@@ -1188,7 +1188,7 @@ def broken_json(directory):
 
 def empty_object(directory):
     # stamped, so the fault is the missing keys, not the version
-    (directory / PLAN_JSON).write_text(f'{{"schema_version": {PLAN_VERSION}}}')
+    (directory / PLAN_JSON).write_text(f'{{"schema_version": {PlanManifest.SCHEMA_VERSION}}}')
 
 
 def no_schema_version(directory):
@@ -1197,7 +1197,7 @@ def no_schema_version(directory):
 
 def schema_version_1(directory):
     path = directory / PLAN_JSON
-    path.write_text(path.read_text().replace(f'"schema_version": {PLAN_VERSION}',
+    path.write_text(path.read_text().replace(f'"schema_version": {PlanManifest.SCHEMA_VERSION}',
                                              '"schema_version": 1', 1))
 
 

@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 
 from dosekit import phantom
 from dosekit.errors import ValidationError
-from dosekit.evaluation import REPORT_VERSION, MetricsReport, MetricValue
-from dosekit.phantom import (SITE_VERSION, PatientCase, SiteSpec, builtin_site,
+from dosekit.evaluation import MetricsReport, MetricValue
+from dosekit.phantom import (PatientCase, PatientManifest, SiteSpec, builtin_site,
                              generate_patient, load_patient, save_patient)
 from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
 from dosekit.volume import (
     MANIFEST_NAME,
-    MANIFEST_VERSION,
     MASK_DIR,
     CropOffset,
     KernelSpec,
     KernelTooSmallError,
     ManifestError,
+    MissingFileError,
     Record,
     StructureEntry,
     StructureMask,
@@ -441,9 +441,8 @@ class TestCrop:
 
     def test_kernel_too_small_names_axis(self):
         body = self._body((64, 8, 8), (0, 0, 0), (39, 3, 3))
-        with pytest.raises(KernelTooSmallError) as exc:
+        with pytest.raises(KernelTooSmallError, match="axis x"):
             crop_to_kernel(body.mask, body, KernelSpec((32, 32, 16)))
-        assert exc.value.axis == "x"
 
     def test_tie_breaks_toward_lower_index(self):
         # extent 2 in kernel 5: start (5-2)//2 = 1, not 2
@@ -496,6 +495,23 @@ class TestCrop:
             uncrop(VoxelGrid.zeros((4, 4, 4)), offset)
 
 
+class TestWriteFaults:
+    @pytest.mark.parametrize("write", [
+        lambda path: write_volume(VoxelGrid.zeros((2, 2, 2)), path),
+        lambda path: write_manifest(path, MetricsReport(0.9, (_ROW,))),
+    ], ids=["volume", "manifest"])
+    @pytest.mark.parametrize("target", ["file/x", "file/sub/x", "directory"],
+                             ids=["under-a-file", "below-a-file", "onto-a-directory"])
+    def test_bad_path_is_typed(self, tmp_path, write, target):
+        # FileExistsError, NotADirectoryError and IsADirectoryError as the OS raises them
+        (tmp_path / "file").write_bytes(b"")
+        (tmp_path / "directory").mkdir()
+        path = tmp_path / target
+        with pytest.raises(MissingFileError, match=f"^{re.escape(str(path))}: "):
+            write(path)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -515,10 +531,9 @@ class TestManifest:
         )
         save_plan(tmp_path / "plan", plan)
         save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
-        write_manifest(tmp_path / "siteB.json", builtin_site("siteB"), SITE_VERSION)
+        write_manifest(tmp_path / "siteB.json", builtin_site("siteB"))
         write_manifest(tmp_path / "report.json", MetricsReport(
-            0.9, (_ROW, MetricValue("oar01", "OAR", "high", "Dmean", 0.25, 0.3, 5.0))),
-            REPORT_VERSION)
+            0.9, (_ROW, MetricValue("oar01", "OAR", "high", "Dmean", 0.25, 0.3, 5.0))))
         digests = {name: sha256_of(tmp_path / name) for name in [
             "plan/plan.json", "plan/dose.dvol", "plan/fluence.f32",
             f"patient/{MANIFEST_NAME}", "siteB.json", "report.json"]}
@@ -535,15 +550,17 @@ class TestManifest:
     def test_write_manifest_format(self, tmp_path):
         @dataclass(frozen=True)
         class Pair(Record):
+            SCHEMA_VERSION = 3
+
             b: tuple[int, ...]
             a: dict[str, float | None]
 
         record = Pair(b=(1, 2), a={"y": 1.5, "x": None})
-        write_manifest(tmp_path / "m.json", record, 3)
+        write_manifest(tmp_path / "m.json", record)
         text = (tmp_path / "m.json").read_text()
         assert text == ('{\n  "a": {\n    "x": null,\n    "y": 1.5\n  },\n  "b": [\n    1,\n    2\n  ],\n'
                         '  "schema_version": 3\n}\n')
-        assert read_manifest(tmp_path / "m.json", Pair, 3) == record
+        assert read_manifest(tmp_path / "m.json", Pair) == record
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_round_trip(self, tmp_path):
@@ -574,7 +591,7 @@ class TestManifest:
                                       '{"structures": [{"name": "body"}]}'])
     def test_corrupt_manifest_is_typed(self, tmp_path, text):
         # stamped, so a JSON object fails on the fault its text shows, not on the version
-        self._saved(tmp_path).write_text(stamped(text, MANIFEST_VERSION))
+        self._saved(tmp_path).write_text(stamped(text, PatientManifest.SCHEMA_VERSION))
         with pytest.raises(ManifestError):
             load_patient(tmp_path)
 
@@ -594,14 +611,15 @@ class TestManifest:
             load_patient(tmp_path)
         assert read == []  # the entry is refused as the manifest is decoded
 
-    @pytest.mark.parametrize("version", [None, MANIFEST_VERSION + 1, True,
-                                         float(MANIFEST_VERSION)],
+    @pytest.mark.parametrize("version", [None, PatientManifest.SCHEMA_VERSION + 1, True,
+                                         float(PatientManifest.SCHEMA_VERSION)],
                              ids=["missing", "wrong", "bool", "float"])
     def test_manifest_version_is_checked(self, tmp_path, version):
         if version is True:
             # JSON true equals 1 in Python, so only a version-1 reader shows it refused
-            path, load = tmp_path / "site.json", lambda p: read_manifest(p, SiteSpec, 1)
-            write_manifest(path, builtin_site("siteA"), 1)
+            assert MetricsReport.SCHEMA_VERSION == 1
+            path, load = tmp_path / "report.json", lambda p: read_manifest(p, MetricsReport)
+            write_manifest(path, MetricsReport(0.9, (_ROW,)))
         else:
             path, load = self._saved(tmp_path), lambda p: load_patient(p.parent)
         without_version(path, version)
