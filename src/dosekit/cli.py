@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import DosekitError, ValidationError
 from .phantom import builtin_site, generate_patient, load_patient, save_patient
 from .planner import BeamConfig, generate_plans, save_plan
+from .volume import _make_parents
 
 
 def _phantom(args) -> None:
@@ -27,10 +28,12 @@ def _phantom(args) -> None:
 
 
 def _plan(args) -> None:
+    out = Path(args.out)
     case = load_patient(args.case)
+    _make_parents(out / "plan0")  # a file in the way of --out fails here, not after the solve
     plans = generate_plans(case, BeamConfig(), args.count, args.seed)
     for plan in plans:
-        save_plan(Path(args.out) / f"plan{plan.index}", plan)
+        save_plan(out / f"plan{plan.index}", plan)
     print(f"{case.id}: {len(plans)} plans -> {args.out}")
 
 

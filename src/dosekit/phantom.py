@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DosekitError, ValidationError
-from .seeds import rng_for
+from .seeds import derive_seed
 from .volume import (
     BODY,
     DEFAULT_SPACING_MM,
@@ -35,7 +35,7 @@ from .volume import (
     StructureSet,
     VolumeFormatError,
     VoxelGrid,
-    _is_count,
+    _counts,
     read_manifest,
     read_volume,
     write_manifest,
@@ -96,12 +96,12 @@ class SiteSpec(Record):
         names = [ptv_name(v) for v in levels]
         if len(set(names)) != len(names):
             raise ValidationError(f"ptv_levels collide after naming: {names}")
-        lo, hi = self.oar_count_range
-        if not (_is_count(lo, least=0) and _is_count(hi, least=0) and lo <= hi):
-            raise ValidationError("oar_count_range must be two integer counts (0 allowed) "
-                                  f"with lo <= hi, got {self.oar_count_range!r}")
+        lo, hi = _counts(self.oar_count_range, "oar_count_range", 2, least=0)
+        if lo > hi:
+            raise ValidationError(f"oar_count_range must be two integer counts with lo <= hi, "
+                                  f"got {(lo, hi)}")
         object.__setattr__(self, "ptv_levels", levels)
-        object.__setattr__(self, "oar_count_range", (int(lo), int(hi)))
+        object.__setattr__(self, "oar_count_range", (lo, hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +199,7 @@ def _place(attempts: int, what: str, draw):
 
 def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     """Synthesize one case; bit-identical for identical (spec, seed)."""
-    rng = rng_for("phantom", spec.site_id, patient_seed)
+    rng = np.random.default_rng(derive_seed("phantom", spec.site_id, patient_seed))
     dims = spec.kernel.dims
     spacing = DEFAULT_SPACING_MM
     pal = spec.shape_palette

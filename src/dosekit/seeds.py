@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(*parts: object) -> int:
     """Hash (master seed, purpose labels...) into a 63-bit sub-seed."""
     text = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def rng_for(*parts: object) -> np.random.Generator:
-    """A PCG64 generator seeded from derive_seed(*parts)."""
-    return np.random.default_rng(derive_seed(*parts))

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -164,18 +163,27 @@ class KernelTooSmallError(ValidationError):
     """Body bounding box exceeds the crop kernel along an axis."""
 
 
-def _is_count(n, least: int = 1) -> bool:
-    """Whether `n` is an integer (Python's or numpy's; a bool is none) of at least `least`."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+def _count(value, what: str, least: int = 1) -> int:
+    """`value` as a Python int if it is a count: an integer (Python's or numpy's; a
+    bool is none) of at least `least`, which is 1 (a positive count) or 0. Anything
+    else raises ValidationError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{what} must be {'a positive' if least else 'an'} integer count, "
+                              f"got {value!r}")
+    return int(value)
 
 
-def _counts(dims, what: str, length: int = 3) -> tuple[int, ...]:
-    """`dims` as a tuple of `length` counts (see `_is_count`) as Python ints; any
-    other length or value raises ValidationError."""
-    dims = tuple(dims)
-    if len(dims) != length or not all(_is_count(d) for d in dims):
-        raise ValidationError(f"{what} must be {length} positive integer counts, got {dims}")
-    return tuple(int(d) for d in dims)
+def _counts(values, what: str, length: int = 3, least: int = 1) -> tuple[int, ...]:
+    """`values` as a tuple of `length` (2 or 3) counts of at least `least` (see
+    `_count`); any other length or value raises ValidationError naming `what`."""
+    values = tuple(values)
+    try:
+        if len(values) == length:
+            return tuple(_count(v, what, least) for v in values)
+    except ValidationError:
+        pass
+    raise ValidationError(f"{what} must be {'two' if length == 2 else 'three'} "
+                          f"{'positive ' if least else ''}integer counts, got {values}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,17 +446,25 @@ def uncrop(kernel_grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
     return crop_with_offset(kernel_grid, inverse)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write `payload` to `path` through a temporary file beside it, which a failed
-    write removes. A file among `path`'s parents, or a directory at `path`,
-    raises MissingFileError naming `path`."""
+def _make_parents(path: Path) -> None:
+    """Make the directories above `path`; a file among them raises MissingFileError
+    naming `path`."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     except (NotADirectoryError, FileExistsError) as exc:  # FileExistsError: mkdir of a file
         raise MissingFileError(f"{path}: a parent is not a directory") from exc
+
+
+def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write `payload` to `path` through a temporary file beside it, which a failed
+    write removes. The file gets the mode that the umask gives a new file, as
+    ``open(path, "wb")`` would. A file among `path`'s parents (`_make_parents`), or
+    a directory at `path`, raises MissingFileError naming `path`."""
+    _make_parents(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")  # opened before the try: a name in use is not ours to remove
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException as exc:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dosekit import cli
 from dosekit.phantom import load_patient
 from dosekit.planner import load_plan
 from dosekit.volume import MANIFEST_NAME, VoxelGrid, read_volume, write_volume
@@ -99,6 +100,20 @@ def test_out_under_a_file_exits_3(tmp_path):
     done = dosekit("phantom", "--site", "siteA", "--seed", 1, "--out", out)
     assert done.returncode == 3  # a MissingFileError
     (line,) = done.stderr.splitlines()
+    assert line.startswith(f"dosekit: {out}{os.sep}")
+
+
+def test_plan_checks_out_before_solving(patient_dir, tmp_path, monkeypatch, capsys):
+    # unchecked, an --out under a file failed only once every plan was solved
+    def solve(*args, **kwargs):
+        raise AssertionError("generate_plans ran before --out was checked")
+
+    monkeypatch.setattr(cli, "generate_plans", solve)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "plans"
+    argv = ["plan", "--case", str(patient_dir), "--count", "8", "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 3  # a MissingFileError
+    (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"dosekit: {out}{os.sep}")
 
 

@@ -32,7 +32,7 @@ from dosekit.phantom import (
 from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, KernelSpec, ManifestError,
                             StructureMask, StructureSet, VolumeFormatError, VoxelGrid,
                             read_manifest, read_volume, write_manifest, write_volume)
-from dosekit.seeds import rng_for
+from dosekit.seeds import derive_seed
 
 from test_planner import scaled_site
 from test_volume import JSON_VALUES, stamped, without_version
@@ -283,7 +283,7 @@ def ellipsoid_reference(dims, spacing, center_mm, radii_mm):
 def whole_grid_patient(spec, patient_seed):
     """(name, kind, prescription, impact, mask) of each structure, as `generate_patient`
     made them when every draw was tested on the whole grid. Test-only reference."""
-    rng = rng_for("phantom", spec.site_id, patient_seed)
+    rng = np.random.default_rng(derive_seed("phantom", spec.site_id, patient_seed))
     dims, spacing, pal = spec.kernel.dims, volume.DEFAULT_SPACING_MM, spec.shape_palette
     uniform = phantom._uniform
 

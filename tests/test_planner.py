@@ -648,6 +648,71 @@ class TestInfluenceEntries:
             assert value == pytest.approx(beamlet_kernel(depth, lateral**2, cfg), rel=1e-12)
 
 
+def mirrored(case, axis):
+    """`case` with every mask flipped along `axis` (1: y, 2: z)."""
+    return dataclasses.replace(case, structures=StructureSet(tuple(
+        dataclasses.replace(s, mask=VoxelGrid(s.mask.dims, s.mask.spacing,
+                                              np.flip(s.mask.data, axis)))
+        for s in case.structures.structures)))
+
+
+def mirror_order(infl, axis, cfg):
+    """(voxel_indices, rows, columns): the influence matrix of `mirrored(case, axis)`
+    is expected to have these body voxels and to be ``infl.matrix[rows][:, columns]``.
+    Its row i is the body voxel of rank i in raster order, the mirror image of an
+    original one. A y-mirror maps beam angle 2 pi b / n to 2 pi (n - b) / n and
+    reverses the lateral beamlets; a z-mirror keeps every coplanar beam and
+    reverses the axial beamlets."""
+    coords = list(np.unravel_index(infl.voxel_indices, infl.dims, order="F"))
+    coords[axis] = infl.dims[axis] - 1 - coords[axis]
+    images = np.ravel_multi_index(coords, infl.dims, order="F")
+    rows = np.argsort(images)
+    n, (nu, nv) = cfg.n_beams, cfg.beamlet_grid
+    b, iu, iv = np.meshgrid(np.arange(n), np.arange(nu), np.arange(nv), indexing="ij")
+    if axis == 1:
+        b, iu = (n - b) % n, nu - 1 - iu
+    else:
+        iv = nv - 1 - iv
+    return images[rows], rows, ((b * nu + iu) * nv + iv).ravel()
+
+
+class TestMirrorEquivariance:
+    """A mirrored case must give the mirrored influence matrix and plans: a check of
+    the builder and the solver against themselves under a transform, not against
+    a reference that copies the builder's sampling rule. Desk patients, 7 beams."""
+
+    @pytest.fixture(scope="class", params=["siteA", "siteB"])
+    def case(self, request):
+        return generate_patient(builtin_site(request.param), 1)
+
+    @pytest.mark.parametrize("axis, rtol", [(1, 1e-12), (2, 0.0)], ids=["y", "z"])
+    def test_influence_matrix_is_permuted(self, case, axis, rtol):
+        # the y-mirrored rays take other roundings (measured: 1.4e-14 relative);
+        # the z-mirror keeps every ray, so its entries are bit-identical
+        cfg = BeamConfig()
+        infl = build_influence_matrix(case, cfg)
+        voxel_indices, rows, columns = mirror_order(infl, axis, cfg)
+        expected = infl.matrix[rows][:, columns].tocsr()
+        expected.sort_indices()
+        actual = build_influence_matrix(mirrored(case, axis), cfg)
+        assert np.array_equal(actual.voxel_indices, voxel_indices)
+        assert np.array_equal(actual.matrix.indptr, expected.indptr)
+        assert np.array_equal(actual.matrix.indices, expected.indices)
+        np.testing.assert_allclose(actual.matrix.data, expected.data, rtol=rtol, atol=0.0)
+
+    @pytest.fixture(scope="class")
+    def plans(self, case):
+        return generate_plans(case, BeamConfig(), 2, seed=0)
+
+    @pytest.mark.parametrize("axis", [1, 2], ids=["y", "z"])
+    def test_plans_are_mirrored(self, case, plans, axis):
+        # measured float32-identical; the bound does not rest on that rounding
+        images = generate_plans(mirrored(case, axis), BeamConfig(), 2, seed=0)
+        for plan, image in zip(plans, images, strict=True):
+            np.testing.assert_allclose(image.dose.data, np.flip(plan.dose.data, axis), rtol=0.0,
+                                       atol=1e-6 * plan.dose.data.max())
+
+
 def traced(call, *args):
     """`call(*args)` and the tracemalloc peak of making that call."""
     tracemalloc.start()
@@ -927,6 +992,34 @@ class TestGramIsUpperTriangle:
             x_full, diag_full = solve_stacked(M, b, full, c, norm, 2000)
             assert x.tobytes() == x_full.tobytes()
             assert diag == diag_full
+
+
+def placed(G, offset):
+    """A copy of the F-ordered G whose data starts `offset` bytes past a 64-byte boundary."""
+    n = G.shape[0]
+    buffer = np.zeros(n * n + 16)
+    start = (-buffer.ctypes.data % 64 + offset) // 8
+    copy = buffer[start:start + n * n].reshape((n, n), order="F")
+    copy[...] = G
+    return copy
+
+
+@pytest.mark.parametrize("site", ["siteA", "siteB"])
+def test_gram_starts_on_a_cache_line(site):
+    # numpy aligns an array to 16 bytes only, and dsymv on a G at 16 mod 32 bytes
+    # took about 1.3x as long; the solve's result does not depend on where G lies
+    case = generate_patient(builtin_site(site), 1)
+    infl = build_influence_matrix(case, BeamConfig())
+    for i in range(3):
+        weights = sample_weights(case.structures, seed=derive_seed(0, "weights", i))
+        M, b = objective_rows(infl, case.structures, weights)
+        G, c = _gram(M, b)
+        assert G.ctypes.data % 64 == 0 and G.flags.f_contiguous
+        norm = estimate_operator_norm(G)
+        x, diag = solve_stacked(M, b, G, c, norm, 500)
+        x_off, diag_off = solve_stacked(M, b, placed(G, 16), c, norm, 500)
+        assert x.tobytes() == x_off.tobytes()
+        assert diag == diag_off
 
 
 class TestGramFormMatchesRowSpace:

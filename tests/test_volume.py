@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import json
+import os
 import pickle
 import re
+import stat
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +19,8 @@ from dosekit.errors import ValidationError
 from dosekit.evaluation import MetricsReport, MetricValue
 from dosekit.phantom import (PatientCase, PatientManifest, SiteSpec, builtin_site,
                              generate_patient, load_patient, save_patient)
-from dosekit.planner import BeamConfig, Plan, PlanDiagnostics, PlanWeights, save_plan
+from dosekit.planner import (DOSE_FILE, PLAN_JSON, BeamConfig, Plan, PlanDiagnostics, PlanWeights,
+                             save_plan)
 from dosekit.volume import (
     MANIFEST_NAME,
     MASK_DIR,
@@ -516,20 +519,23 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def hand_built_plan() -> Plan:
+    """A plan built by hand, not solved: CP diagnostics depend on the BLAS thread count."""
+    return Plan(
+        patient_id="siteA-p0001",
+        index=3,
+        weights=PlanWeights({"ptv70": 1.0, "oar01": 0.25, "oar02": 0.0625}),
+        fluence=np.array([0.0, 0.5, 1.25, 3.0]),
+        dose=VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
+        diagnostics=PlanDiagnostics(iterations=2000, converged=False, final_objective=0.125,
+                                    objective_at_zero=1.5, operator_norm=0.75,
+                                    kkt_residual=1e-4),
+    )
+
+
 class TestManifest:
     def test_saved_files_keep_their_bytes(self, tmp_path):
-        # a hand-built plan, not a solved one: CP diagnostics depend on the BLAS thread count
-        plan = Plan(
-            patient_id="siteA-p0001",
-            index=3,
-            weights=PlanWeights({"ptv70": 1.0, "oar01": 0.25, "oar02": 0.0625}),
-            fluence=np.array([0.0, 0.5, 1.25, 3.0]),
-            dose=VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
-            diagnostics=PlanDiagnostics(iterations=2000, converged=False, final_objective=0.125,
-                                        objective_at_zero=1.5, operator_norm=0.75,
-                                        kkt_residual=1e-4),
-        )
-        save_plan(tmp_path / "plan", plan)
+        save_plan(tmp_path / "plan", hand_built_plan())
         save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
         write_manifest(tmp_path / "siteB.json", builtin_site("siteB"))
         write_manifest(tmp_path / "report.json", MetricsReport(
@@ -546,6 +552,19 @@ class TestManifest:
             "siteB.json": "87377223358964a6a22c507b0ad3bd41ab55fd88573a08afe083ef7e8363c46d",
             "report.json": "798ce1681c2ac5ef60cbf200e0971f54f6dc4cac101b3f7a13e4864ce16c3d45",
         }
+
+    def test_saved_files_get_the_umask_mode(self, tmp_path):
+        # a temporary file from tempfile.mkstemp is 0600, and os.replace kept that
+        # mode whatever the umask
+        umask = os.umask(0o022)
+        try:
+            save_plan(tmp_path, hand_built_plan())
+            (tmp_path / "reference").write_bytes(b"")
+        finally:
+            os.umask(umask)
+        modes = {name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ["reference", DOSE_FILE, PLAN_JSON]}
+        assert modes == dict.fromkeys(modes, 0o644)
 
     def test_write_manifest_format(self, tmp_path):
         @dataclass(frozen=True)
