@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import DosekitError, ValidationError
 from .phantom import builtin_site, generate_patient, load_patient, save_patient
 from .planner import BeamConfig, generate_plans, save_plan
-from .volume import _make_parents
+from .volume import _count, _make_parents
 
 
 def _phantom(args) -> None:
@@ -29,6 +29,7 @@ def _phantom(args) -> None:
 
 def _plan(args) -> None:
     out = Path(args.out)
+    _count(args.count, "plan_count")  # a refused count leaves no --out behind
     case = load_patient(args.case)
     _make_parents(out / "plan0")  # a file in the way of --out fails here, not after the solve
     plans = generate_plans(case, BeamConfig(), args.count, args.seed)

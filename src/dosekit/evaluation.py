@@ -33,9 +33,9 @@ class EvaluationError(DosekitError):
 class DvhCurve:
     """Cumulative dose-volume curve of one structure.
 
-    ``doses`` holds one dose per structure voxel, sorted descending, so
-    ``dose_at_fraction(q)`` is the exact order statistic d(ceil(q*N)): the
-    dose received by at least a fraction q of the volume. No interpolation.
+    The constructor sorts ``doses``, one per structure voxel, descending into a new
+    read-only array, so ``dose_at_fraction(q)`` is the exact order statistic
+    d(ceil(q*N)): the dose received by at least a fraction q of the volume.
     """
 
     structure: str
@@ -45,28 +45,28 @@ class DvhCurve:
         doses = np.asarray(self.doses)
         if doses.ndim != 1 or doses.size == 0:
             raise EvaluationError(f"curve for {self.structure!r} needs at least one dose")
-        if np.any(np.diff(doses) > 0):
-            raise EvaluationError(f"curve for {self.structure!r} must be nonincreasing")
-        doses = doses.copy()
+        doses = np.sort(doses)[::-1]
         doses.flags.writeable = False
         object.__setattr__(self, "doses", doses)
 
     @classmethod
     def from_dose(cls, dose: VoxelGrid, mask: StructureMask) -> "DvhCurve":
-        if dose.dims != mask.mask.dims:
-            raise EvaluationError(
-                f"dose dims {dose.dims} do not match mask {mask.name!r} dims {mask.mask.dims}"
-            )
-        values = dose.data[mask.bool_array()]
-        if values.size == 0:
-            raise EvaluationError(f"structure {mask.name!r} has an empty mask")
-        return cls(mask.name, np.sort(values)[::-1])
+        _check_grid(dose, mask.mask, f"mask {mask.name!r}")
+        return cls(mask.name, dose.data[mask.bool_array()])
 
     def dose_at_fraction(self, q: float) -> float:
         if not 0.0 < q <= 1.0:
             raise EvaluationError(f"volume fraction must be in (0, 1], got {q}")
         n = self.doses.size
         return float(self.doses[min(math.ceil(q * n), n) - 1])
+
+
+def _check_grid(dose: VoxelGrid, ref: VoxelGrid, what: str) -> None:
+    """Raise EvaluationError unless `dose` has `ref`'s dims and exactly its spacing."""
+    if dose.dims != ref.dims:
+        raise EvaluationError(f"dose dims {dose.dims} do not match {what} dims {ref.dims}")
+    if dose.spacing != ref.spacing:
+        raise EvaluationError(f"dose spacing {dose.spacing} does not match {what}'s {ref.spacing}")
 
 
 def dvh_metric(curve: DvhCurve, metric: str) -> float:
@@ -94,8 +94,7 @@ def metric_error(pred: float, gt: float, prescription: float) -> float:
 
 def isodose_mse(pred: VoxelGrid, gt: VoxelGrid, prescription: float) -> float:
     """MSE restricted to voxels where gt >= ISODOSE_PERCENT% of the prescription."""
-    if pred.dims != gt.dims:
-        raise EvaluationError(f"dims mismatch: {pred.dims} vs {gt.dims}")
+    _check_grid(pred, gt, "ground truth")
     _check_prescription(prescription)
     region = gt.data >= (ISODOSE_PERCENT / 100.0) * prescription
     n = int(np.count_nonzero(region))

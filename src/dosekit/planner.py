@@ -13,11 +13,10 @@ other can hold an entry. Each beam's entries are kept row by row as compact
 (int32 column, value) arrays, with one (row, count) run per row, and the CSR
 arrays of A are written from them in place, counting each beam's rows once: at
 the build's peak an entry takes about 26 bytes, 2.2x its 12 bytes in the
-finished matrix, where (row, column, value) triples and their COO-to-CSR
-copies took about 70. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2
-over fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling
-structure s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2,
-solved by the Chambolle-Pock primal-dual iteration. The iteration runs in
+finished matrix. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2 over
+fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling structure
+s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2, solved by
+the Chambolle-Pock primal-dual iteration. The iteration runs in
 beamlet space: it carries s M^T y instead of the dual y, so each step is one
 product with the Gram matrix G = M^T M instead of one product each with M and
 M^T. That product is one BLAS dsymv, which reads only the upper triangle of the
@@ -813,10 +812,10 @@ def save_plan(directory, plan: Plan) -> None:
 
 
 def load_plan(directory) -> Plan:
-    """Inverse of save_plan. A fluence file of the wrong size, or holding a value
-    that is not finite or is negative, raises FluenceFileError naming it; a bad
-    dose file raises VolumeFormatError, a bad PLAN_JSON ManifestError, and a
-    missing file MissingFileError."""
+    """Inverse of save_plan. A fluence file of the wrong size, or holding values
+    that Plan refuses, raises FluenceFileError naming it; a bad dose file raises
+    VolumeFormatError, a bad PLAN_JSON ManifestError, and a missing file
+    MissingFileError."""
     directory = Path(directory)
     meta = read_manifest(directory / PLAN_JSON, PlanManifest)
     path = directory / FLUENCE_FILE
@@ -824,15 +823,11 @@ def load_plan(directory) -> Plan:
     if len(raw) != 4 * meta.n_beamlets:
         raise FluenceFileError(f"{path}: {len(raw)} bytes, "
                                f"expected {meta.n_beamlets} <f4 values")
-    with np.errstate(invalid="ignore"):  # casting a signalling NaN, rejected below
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN, which Plan refuses
         fluence = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(fluence) & (fluence >= 0)):
-        raise FluenceFileError(f"{path}: fluence values must be finite and nonnegative")
-    return Plan(
-        patient_id=meta.patient_id,
-        index=meta.index,
-        weights=PlanWeights(meta.weights),
-        fluence=fluence,
-        dose=read_volume(directory / DOSE_FILE),
-        diagnostics=meta.diagnostics,
-    )
+    weights = PlanWeights(meta.weights)
+    dose = read_volume(directory / DOSE_FILE)
+    try:
+        return Plan(meta.patient_id, meta.index, weights, fluence, dose, meta.diagnostics)
+    except ValidationError as exc:  # the fluence, the one field not checked as it was read
+        raise FluenceFileError(f"{path}: {exc}") from exc

@@ -77,7 +77,8 @@ class Record:
     constructor. Every fault of the input raises ValidationError naming the
     record: a value that is not a JSON object, an unknown key, a value that does
     not match its field's hint (naming the field too), and a missing key without
-    a default or a value that the constructor rejects.
+    a default or a value that the constructor rejects. A nested Record's fault is
+    wrapped as ``bad <Outer> field '<field>' (<fault>)``, a tuple's with its index.
 
     A Record saved as a file of its own sets the class attribute
     ``SCHEMA_VERSION``, which `write_manifest` stamps and `read_manifest` checks.
@@ -137,7 +138,10 @@ def _decode(hint, value, record: str, field: str):
             raise _mistyped(record, field, hint.__name__, value)
         return value
     if isinstance(hint, type) and issubclass(hint, Record):
-        return hint.from_json_dict(value)
+        try:
+            return hint.from_json_dict(value)
+        except ValidationError as exc:
+            raise ValidationError(f"bad {record} field {field!r} ({exc})") from exc
     args = typing.get_args(hint)
     if typing.get_origin(hint) is dict:  # dict[str, X]: JSON object keys are strings
         if not isinstance(value, dict):
@@ -358,7 +362,7 @@ class StructureSet:
 
 @dataclass(frozen=True)
 class KernelSpec(Record):
-    """Fixed crop size fed to the model."""
+    """Fixed crop size fed to the model; as `SiteSpec.kernel`, the phantom grid too."""
 
     dims: tuple[int, int, int]
 
@@ -526,33 +530,33 @@ class StructureEntry(Record):
         # as the manifest is decoded: load_patient reads no mask of a bad entry
         _check_fields(self.name, self.kind, self.prescription, self.impact)
 
-    @classmethod
-    def from_json_dict(cls, d: dict):
-        try:
-            return super().from_json_dict(d)
-        except ValidationError as exc:
-            raise ValidationError(f"bad structure entry {d!r} ({exc})") from exc
-
 
 def write_manifest(path, record: Record) -> None:
     """Write `record` stamped with ``"schema_version"``, its class's SCHEMA_VERSION,
-    as JSON (sorted keys, indent 2, trailing newline) atomically; `read_manifest`
-    reads it back."""
-    text = json.dumps({**record.to_json_dict(), "schema_version": type(record).SCHEMA_VERSION},
-                      indent=2, sort_keys=True) + "\n"
+    as strict JSON (sorted keys, indent 2, trailing newline) atomically; `read_manifest`
+    reads it back. A NaN or infinity raises ValidationError naming `path`."""
+    try:
+        text = json.dumps({**record.to_json_dict(), "schema_version": type(record).SCHEMA_VERSION},
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
+def _not_strict(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_manifest(path, cls: type[Record]) -> Record:
-    """The `cls` record that `write_manifest` wrote to `path`. Malformed JSON, a
-    schema_version missing or other than ``cls.SCHEMA_VERSION``, and JSON that
-    `cls.from_json_dict` rejects raise ManifestError; a missing file raises
-    MissingFileError."""
+    """The `cls` record that `write_manifest` wrote to `path`. JSON that is malformed
+    or not strict (NaN, Infinity), a schema_version missing or other than
+    ``cls.SCHEMA_VERSION``, and JSON that `cls.from_json_dict` rejects raise
+    ManifestError; a missing file raises MissingFileError."""
     try:
-        manifest = json.loads(_read_bytes(Path(path)).decode("utf-8"))
+        manifest = json.loads(_read_bytes(Path(path)).decode("utf-8"), parse_constant=_not_strict)
     except (ValueError, RecursionError) as exc:
-        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer too
-        # long to convert; RecursionError: arrays or objects nested too deep
+        # ValueError: malformed JSON, NaN or Infinity, bytes that are not UTF-8, or
+        # an integer too long to convert; RecursionError: nesting too deep
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: expected a JSON object")

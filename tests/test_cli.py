@@ -59,6 +59,7 @@ def test_validation_error_exits_2(patient_dir, tmp_path, args):
     done = dosekit(*args, "--out", tmp_path / "out")
     assert done.returncode == 2
     assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()  # refused before anything is written
 
 
 def test_other_dosekit_error_exits_3(tmp_path):
@@ -69,12 +70,17 @@ def test_other_dosekit_error_exits_3(tmp_path):
     assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("key, value", [
-    ("prescription", "x"), ("kind", ["PTV"]), ("name", 5),
-    ("prescription", float("nan")), ("prescription", float("inf")),
+# the PTV is entry 1 of siteA's structures; a bare NaN or Infinity is not strict JSON
+ENTRY_FAULT = "bad PatientManifest field 'structures[1]'"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("prescription", "x", ENTRY_FAULT), ("kind", ["PTV"], ENTRY_FAULT), ("name", 5, ENTRY_FAULT),
+    ("prescription", float("nan"), "not valid JSON (NaN is not strict JSON)"),
+    ("prescription", float("inf"), "not valid JSON (Infinity is not strict JSON)"),
 ], ids=["string-prescription", "list-kind", "int-name", "nan-prescription",
         "infinite-prescription"])
-def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value):
+def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value, message):
     case = tmp_path / "case"
     shutil.copytree(patient_dir, case)
     manifest = json.loads((case / MANIFEST_NAME).read_text())
@@ -82,7 +88,8 @@ def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value):
     (case / MANIFEST_NAME).write_text(json.dumps(manifest))
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
     assert done.returncode == 3  # a ManifestError
-    assert "bad structure entry" in done.stderr and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"dosekit: {case / MANIFEST_NAME}: {message}")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_missing_case_exits_3(tmp_path):

@@ -75,9 +75,22 @@ class TestDvhCurve:
         with pytest.raises(EvaluationError):
             c.dose_at_fraction(1.5)
 
-    def test_rejects_increasing(self):
-        with pytest.raises(EvaluationError):
-            DvhCurve("s", np.array([1.0, 2.0]))
+    def test_sorts_its_doses(self):
+        given = np.array([2.0, 4.0, 1.0, 3.0])
+        c = DvhCurve("s", given)
+        assert c.doses.tolist() == [4.0, 3.0, 2.0, 1.0]
+        assert not c.doses.flags.writeable
+        with pytest.raises(ValueError):
+            c.doses[0] = 0.0
+        assert given.tolist() == [2.0, 4.0, 1.0, 3.0] and given.flags.writeable
+        assert dvh_metric(c, DMAX) == 4.0 and c.dose_at_fraction(0.5) == 3.0
+
+    def test_from_dose_requires_the_mask_grid(self):
+        mask = make_mask((2, 2, 2), [(0, 0, 0)])
+        dose = VoxelGrid.from_array(np.ones((2, 2, 2), dtype=np.float32), spacing=(2.5,) * 3)
+        with pytest.raises(EvaluationError, match=r"^dose spacing \(2.5, 2.5, 2.5\) does not "
+                                                  r"match mask 'body''s \(5.0, 5.0, 5.0\)"):
+            DvhCurve.from_dose(dose, mask)
 
     def test_from_dose_requires_nonempty_mask(self):
         dose = VoxelGrid.zeros((2, 2, 2))
@@ -173,6 +186,14 @@ class TestIsodoseMse:
         perturbed = pred.data.copy()
         perturbed[outside] += 3.7
         assert isodose_mse(pred, gt, 1.0) == isodose_mse(VoxelGrid.from_array(perturbed), gt, 1.0)
+
+    def test_rejects_another_grid(self):
+        gt = VoxelGrid.from_array(np.ones((2, 2, 2), dtype=np.float32))
+        finer = VoxelGrid.from_array(gt.data, spacing=(2.5, 2.5, 2.5))
+        with pytest.raises(EvaluationError, match="spacing"):
+            isodose_mse(finer, gt, 1.0)
+        with pytest.raises(EvaluationError, match=r"^dose dims \(1, 2, 2\) do not match"):
+            isodose_mse(VoxelGrid.from_array(gt.data[:1]), gt, 1.0)
 
     def test_empty_region(self):
         gt = VoxelGrid.zeros((2, 2, 2))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -1337,13 +1338,21 @@ def unknown_top_level_key(directory):
 
 
 def nan_weight(directory):
-    # json writes and reads a bare NaN
+    # json.dumps writes a bare NaN, which is not strict JSON
     with_first_weight(directory, float("nan"))
 
 
 def infinite_weight(directory):
     # and a bare Infinity
     with_first_weight(directory, float("inf"))
+
+
+def non_finite_diagnostics(directory):
+    # read leniently, these loaded as kkt_residual=nan and final_objective=-inf
+    path = directory / PLAN_JSON
+    meta = json.loads(path.read_text())
+    meta["diagnostics"].update(kkt_residual=float("nan"), final_objective=-float("inf"))
+    path.write_text(json.dumps(meta))
 
 
 def with_n_beamlets(directory, value):
@@ -1413,6 +1422,7 @@ class TestCorruptPlanFiles:
         (unknown_top_level_key, ManifestError),
         (nan_weight, ManifestError),
         (infinite_weight, ManifestError),
+        (non_finite_diagnostics, ManifestError),
         (too_long_integer, ManifestError),
         (too_deeply_nested, ManifestError),
         (zero_beamlets, ManifestError),
@@ -1423,6 +1433,14 @@ class TestCorruptPlanFiles:
         save_plan(tmp_path, plan)
         corrupt(tmp_path)
         with pytest.raises(error):
+            load_plan(tmp_path)
+
+    def test_bad_fluence_is_refused_by_plan_and_names_the_file(self, plan, tmp_path):
+        save_plan(tmp_path, plan)
+        negative_value(tmp_path)
+        path = re.escape(str(tmp_path / FLUENCE_FILE))
+        with pytest.raises(FluenceFileError, match=f"^{path}: fluence must be finite and "
+                                                   f"nonnegative$"):
             load_plan(tmp_path)
 
     @pytest.mark.parametrize("name", [PLAN_JSON, FLUENCE_FILE, DOSE_FILE])

@@ -533,6 +533,10 @@ def hand_built_plan() -> Plan:
     )
 
 
+# the PTV is entry 1 of the case `TestManifest._saved` writes
+ENTRY_FAULT = "bad PatientManifest field 'structures[1]'"
+
+
 class TestManifest:
     def test_saved_files_keep_their_bytes(self, tmp_path):
         save_plan(tmp_path / "plan", hand_built_plan())
@@ -614,21 +618,32 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_patient(tmp_path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("prescription", "x"), ("prescription", True), ("kind", ["PTV"]), ("name", 5),
-        ("prescription", float("nan")), ("prescription", float("inf")), ("kind", "GTV"),
+    @pytest.mark.parametrize("key, value, message", [
+        ("prescription", "x", ENTRY_FAULT), ("prescription", True, ENTRY_FAULT),
+        ("kind", ["PTV"], ENTRY_FAULT), ("name", 5, ENTRY_FAULT),
+        # a bare NaN or Infinity is not strict JSON
+        ("prescription", float("nan"), "not valid JSON (NaN is not strict JSON)"),
+        ("prescription", float("inf"), "not valid JSON (Infinity is not strict JSON)"),
+        ("kind", "GTV", ENTRY_FAULT),
     ], ids=["string-prescription", "bool-prescription", "list-kind", "int-name",
             "nan-prescription", "infinite-prescription", "unknown-kind"])
-    def test_mistyped_structure_entry_is_typed(self, tmp_path, monkeypatch, key, value):
+    def test_mistyped_structure_entry_is_typed(self, tmp_path, monkeypatch, key, value, message):
         path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         next(e for e in manifest["structures"] if e["kind"] == "PTV")[key] = value
         path.write_text(json.dumps(manifest))
         read = []
         monkeypatch.setattr(phantom, "read_volume", lambda p: read.append(p) or read_volume(p))
-        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: bad structure entry"):
+        with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_patient(tmp_path)
         assert read == []  # the entry is refused as the manifest is decoded
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_refuses_what_strict_json_cannot_hold(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: Out of range float"):
+            write_manifest(path, MetricsReport(value, (_ROW,)))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("version", [None, PatientManifest.SCHEMA_VERSION + 1, True,
                                          float(PatientManifest.SCHEMA_VERSION)],
@@ -747,3 +762,19 @@ class TestRecord:
         d["rows"][0] = "ptv70"
         with pytest.raises(ValidationError, match="MetricValue must be a JSON object"):
             MetricsReport.from_json_dict(d)
+
+    def test_nested_fault_names_its_field(self):
+        site = builtin_site("siteA").to_json_dict()
+        site["shape_palette"]["ptv_radius_mm"] = [9.0, 3.0]
+        report = RECORDS[-1].to_json_dict()
+        report["rows"][0]["percent_error"] = -1.0
+        with pytest.raises(ValidationError, match=r"^bad SiteSpec field 'shape_palette' "
+                                                  r"\(radius range \(9.0, 3.0\)"):
+            SiteSpec.from_json_dict(site)
+        with pytest.raises(ValidationError, match=r"^bad MetricsReport field 'rows\[0\]' "
+                                                  r"\(percent error cannot be negative\)$"):
+            MetricsReport.from_json_dict(report)
+        report["rows"][0] = {**report["rows"][0], "percent_error": 1.0, "kind": 3}
+        with pytest.raises(ValidationError, match=r"^bad MetricsReport field 'rows\[0\]' "
+                                                  r"\(bad MetricValue field 'kind'"):
+            MetricsReport.from_json_dict(report)
