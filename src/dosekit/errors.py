@@ -1,8 +1,10 @@
 """Shared exception hierarchy.
 
-Every failure the toolkit raises deliberately derives from DosekitError so the
-CLI can map it to an exit status: ValidationError (bad configuration or input
-contract) maps to 2, everything else to 3.
+Every failure the toolkit raises deliberately derives from DosekitError, and the
+CLI maps each kind of fault to an exit status: a ValidationError (bad
+configuration or input) exits 2; a missing file (`volume.MissingFileError`), a
+saved file that its reader refuses (`volume.FileFormatError`) and a stage's own
+fault (a planner or phantom error) exit 3.
 """
 
 

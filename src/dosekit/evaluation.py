@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DosekitError, ValidationError
+from .errors import ValidationError
 from .volume import BODY, OAR, PTV, Record, StructureMask, StructureSet, VoxelGrid
 
 D98 = "D98"
@@ -23,10 +23,6 @@ PTV_METRICS = (DMEAN, DMAX, D98, D95, D02)
 OAR_METRICS = (DMEAN, DMAX)
 ISODOSE_PERCENT = 10.0  # isodose_mse's region: ground truth at >= this % of the prescription
 T_TEST_ALPHA = 0.05  # paired_t_test's significance level
-
-
-class EvaluationError(DosekitError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +40,7 @@ class DvhCurve:
     def __post_init__(self):
         doses = np.asarray(self.doses)
         if doses.ndim != 1 or doses.size == 0:
-            raise EvaluationError(f"curve for {self.structure!r} needs at least one dose")
+            raise ValidationError(f"curve for {self.structure!r} needs at least one dose")
         doses = np.sort(doses)[::-1]
         doses.flags.writeable = False
         object.__setattr__(self, "doses", doses)
@@ -56,17 +52,17 @@ class DvhCurve:
 
     def dose_at_fraction(self, q: float) -> float:
         if not 0.0 < q <= 1.0:
-            raise EvaluationError(f"volume fraction must be in (0, 1], got {q}")
+            raise ValidationError(f"volume fraction must be in (0, 1], got {q}")
         n = self.doses.size
         return float(self.doses[min(math.ceil(q * n), n) - 1])
 
 
 def _check_grid(dose: VoxelGrid, ref: VoxelGrid, what: str) -> None:
-    """Raise EvaluationError unless `dose` has `ref`'s dims and exactly its spacing."""
+    """Raise ValidationError unless `dose` has `ref`'s dims and exactly its spacing."""
     if dose.dims != ref.dims:
-        raise EvaluationError(f"dose dims {dose.dims} do not match {what} dims {ref.dims}")
+        raise ValidationError(f"dose dims {dose.dims} do not match {what} dims {ref.dims}")
     if dose.spacing != ref.spacing:
-        raise EvaluationError(f"dose spacing {dose.spacing} does not match {what}'s {ref.spacing}")
+        raise ValidationError(f"dose spacing {dose.spacing} does not match {what}'s {ref.spacing}")
 
 
 def dvh_metric(curve: DvhCurve, metric: str) -> float:
@@ -78,7 +74,7 @@ def dvh_metric(curve: DvhCurve, metric: str) -> float:
         return float(np.sum(curve.doses.astype(np.float64)) / curve.doses.size)
     if metric in (D98, D95, D02):
         return curve.dose_at_fraction(int(metric[1:]) / 100.0)
-    raise EvaluationError(f"unknown DVH metric {metric!r}")
+    raise ValidationError(f"unknown DVH metric {metric!r}")
 
 
 def _check_prescription(prescription: float) -> None:
@@ -99,7 +95,7 @@ def isodose_mse(pred: VoxelGrid, gt: VoxelGrid, prescription: float) -> float:
     region = gt.data >= (ISODOSE_PERCENT / 100.0) * prescription
     n = int(np.count_nonzero(region))
     if n == 0:
-        raise EvaluationError(f"{ISODOSE_PERCENT}% isodose region is empty")
+        raise ValidationError(f"{ISODOSE_PERCENT}% isodose region is empty")
     diff = pred.data[region].astype(np.float64) - gt.data[region].astype(np.float64)
     return float(np.mean(diff * diff))
 

@@ -27,15 +27,15 @@ from .volume import (
     MASK_DIR,
     OAR,
     PTV,
+    FileFormatError,
     KernelSpec,
-    ManifestError,
     Record,
     StructureEntry,
     StructureMask,
     StructureSet,
-    VolumeFormatError,
     VoxelGrid,
     _counts,
+    _uncommit,
     read_manifest,
     read_volume,
     write_manifest,
@@ -292,8 +292,11 @@ class PatientManifest(Record):
 
 
 def save_patient(directory, case: PatientCase) -> None:
-    """Write each mask to ``MASK_DIR/<name>.dvol``, then MANIFEST_NAME, in `directory`."""
+    """Write each mask to ``MASK_DIR/<name>.dvol``, then MANIFEST_NAME, in `directory`.
+    MANIFEST_NAME commits the case: an old one is removed first and the new one
+    written last, so a save that fails part way leaves no case to load."""
     directory = Path(directory)
+    _uncommit(directory / MANIFEST_NAME)
     for s in case.structures.structures:
         write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
     entries = tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
@@ -302,13 +305,9 @@ def save_patient(directory, case: PatientCase) -> None:
 
 
 def load_patient(directory) -> PatientCase:
-    """Inverse of save_patient. Each fault raises a typed error naming its file:
-    a missing file, MissingFileError; a MANIFEST_NAME file that is no JSON, has
-    another schema_version or holds an entry that StructureEntry refuses,
-    ManifestError, before any mask is read; a mask file that is no valid grid,
-    holds a value outside {0, 1} or has another grid than the first mask,
-    VolumeFormatError; masks that StructureSet refuses (duplicate names, not one
-    BODY, no PTV, voxels outside the body), ManifestError on MANIFEST_NAME."""
+    """Inverse of save_patient. A fault raises MissingFileError or FileFormatError
+    naming the file at fault: MANIFEST_NAME's entries are checked before any mask is
+    read, and masks that StructureSet refuses are MANIFEST_NAME's fault."""
     directory = Path(directory)
     manifest = read_manifest(directory / MANIFEST_NAME, PatientManifest)
     masks = []
@@ -316,14 +315,14 @@ def load_patient(directory) -> PatientCase:
         path = directory / MASK_DIR / f"{e.name}.dvol"
         grid = read_volume(path)
         if masks and (grid.dims, grid.spacing) != (masks[0].mask.dims, masks[0].mask.spacing):
-            raise VolumeFormatError(f"{path}: grid {grid.dims} at {grid.spacing} mm differs "
-                                    f"from {masks[0].name!r}'s, the case grid")
+            raise FileFormatError(f"{path}: grid {grid.dims} at {grid.spacing} mm differs "
+                                  f"from {masks[0].name!r}'s, the case grid")
         try:  # the entry's fields passed as it was decoded: only the grid can fail
             masks.append(StructureMask(e.name, e.kind, grid, e.prescription, e.impact))
         except ValidationError as exc:
-            raise VolumeFormatError(f"{path}: {exc}") from exc
+            raise FileFormatError(f"{path}: {exc}") from exc
     try:
         structures = StructureSet(tuple(masks))
     except ValidationError as exc:
-        raise ManifestError(f"{directory / MANIFEST_NAME}: bad structure set ({exc})") from exc
+        raise FileFormatError(f"{directory / MANIFEST_NAME}: bad structure set ({exc})") from exc
     return PatientCase(structures, manifest.site_id, manifest.seed)

@@ -50,9 +50,9 @@ import numpy as np
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import (Record, StructureMask, StructureSet, VoxelGrid, _atomic_write_bytes, _count,
-                     _counts, _read_bytes, read_manifest, read_volume, write_manifest,
-                     write_volume)
+from .volume import (FileFormatError, Record, StructureMask, StructureSet, VoxelGrid,
+                     _atomic_write_bytes, _count, _counts, _read_bytes, _uncommit,
+                     read_manifest, read_volume, write_manifest, write_volume)
 
 if typing.TYPE_CHECKING:
     import scipy.sparse as sp
@@ -67,11 +67,6 @@ class PlannerError(DosekitError):
 
 class PlannerGeometryError(PlannerError):
     """No PTV voxel to aim the beams at, or target voxels that no beamlet reaches."""
-
-
-class FluenceFileError(PlannerError):
-    """A saved fluence file that is not the plan's beamlet count of finite,
-    nonnegative <f4 values."""
 
 
 class SolverDivergenceError(PlannerError):
@@ -803,7 +798,11 @@ class PlanManifest(Record):
 
 
 def save_plan(directory, plan: Plan) -> None:
+    """Write DOSE_FILE and FLUENCE_FILE, then PLAN_JSON, in `directory`. PLAN_JSON
+    commits the plan: an old one is removed first and the new one written last, so
+    a save that fails part way leaves no plan to load."""
     directory = Path(directory)
+    _uncommit(directory / PLAN_JSON)
     write_volume(plan.dose, directory / DOSE_FILE)
     _atomic_write_bytes(directory / FLUENCE_FILE, np.asarray(plan.fluence, dtype="<f4").tobytes())
     write_manifest(directory / PLAN_JSON, PlanManifest(
@@ -812,17 +811,14 @@ def save_plan(directory, plan: Plan) -> None:
 
 
 def load_plan(directory) -> Plan:
-    """Inverse of save_plan. A fluence file of the wrong size, or holding values
-    that Plan refuses, raises FluenceFileError naming it; a bad dose file raises
-    VolumeFormatError, a bad PLAN_JSON ManifestError, and a missing file
-    MissingFileError."""
+    """Inverse of save_plan. A fault raises MissingFileError or FileFormatError
+    naming the file at fault."""
     directory = Path(directory)
     meta = read_manifest(directory / PLAN_JSON, PlanManifest)
     path = directory / FLUENCE_FILE
     raw = _read_bytes(path)
     if len(raw) != 4 * meta.n_beamlets:
-        raise FluenceFileError(f"{path}: {len(raw)} bytes, "
-                               f"expected {meta.n_beamlets} <f4 values")
+        raise FileFormatError(f"{path}: {len(raw)} bytes, expected {meta.n_beamlets} <f4 values")
     with np.errstate(invalid="ignore"):  # casting a signalling NaN, which Plan refuses
         fluence = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     weights = PlanWeights(meta.weights)
@@ -830,4 +826,4 @@ def load_plan(directory) -> Plan:
     try:
         return Plan(meta.patient_id, meta.index, weights, fluence, dose, meta.diagnostics)
     except ValidationError as exc:  # the fluence, the one field not checked as it was read
-        raise FluenceFileError(f"{path}: {exc}") from exc
+        raise FileFormatError(f"{path}: {exc}") from exc

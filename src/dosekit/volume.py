@@ -41,12 +41,8 @@ IMPACT_TAGS = frozenset({"high", "low"})
 _HEADER = struct.Struct("<4sH3I3f")
 
 
-class VolumeFormatError(DosekitError):
-    """Malformed .dvol file."""
-
-
-class ManifestError(DosekitError):
-    """Malformed or incomplete JSON manifest."""
+class FileFormatError(DosekitError):
+    """A saved file that its reader refuses: ``"<path>: <fault>"``."""
 
 
 class MissingFileError(DosekitError):
@@ -488,28 +484,26 @@ def write_volume(grid: VoxelGrid, path) -> None:
 
 
 def read_volume(path) -> VoxelGrid:
-    """Inverse of write_volume; read(write(g)) is bit-exact. A file that is not a
-    valid grid raises VolumeFormatError("<path>: <fault>"): "not a DVOL file",
-    "truncated header", "format version V, expected 1", "payload has N bytes,
-    expected M", or what VoxelGrid rejects of its dims, spacing or values."""
+    """Inverse of write_volume; read(write(g)) is bit-exact. A fault raises
+    MissingFileError or FileFormatError naming `path`."""
     raw = _read_bytes(Path(path))
     if raw[:4] != DVOL_MAGIC:
-        raise VolumeFormatError(f"{path}: not a DVOL file")
+        raise FileFormatError(f"{path}: not a DVOL file")
     if len(raw) < _HEADER.size:
-        raise VolumeFormatError(f"{path}: truncated header")
+        raise FileFormatError(f"{path}: truncated header")
     _, version, nx, ny, nz, sx, sy, sz = _HEADER.unpack_from(raw)
     if version != DVOL_VERSION:
-        raise VolumeFormatError(f"{path}: format version {version}, expected {DVOL_VERSION}")
+        raise FileFormatError(f"{path}: format version {version}, expected {DVOL_VERSION}")
     expected = nx * ny * nz * 4
     actual = len(raw) - _HEADER.size
     if actual != expected:
-        raise VolumeFormatError(f"{path}: payload has {actual} bytes, expected {expected}")
+        raise FileFormatError(f"{path}: payload has {actual} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     data = flat.reshape((nx, ny, nz), order="F")
     try:
         return VoxelGrid((nx, ny, nz), (sx, sy, sz), data)
     except ValidationError as exc:
-        raise VolumeFormatError(f"{path}: {exc}") from exc
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 MANIFEST_NAME = "structures.json"
@@ -531,6 +525,18 @@ class StructureEntry(Record):
         _check_fields(self.name, self.kind, self.prescription, self.impact)
 
 
+def _uncommit(manifest: Path) -> None:
+    """Remove the manifest that commits a saved directory, before the directory's
+    other files are rewritten and the manifest is written last, so a save that fails
+    part way leaves nothing to load. A directory at `manifest`, or a file among its
+    parents, raises MissingFileError naming it."""
+    _make_parents(manifest)
+    try:
+        manifest.unlink(missing_ok=True)
+    except IsADirectoryError as exc:
+        raise MissingFileError(f"{manifest}: is a directory") from exc
+
+
 def write_manifest(path, record: Record) -> None:
     """Write `record` stamped with ``"schema_version"``, its class's SCHEMA_VERSION,
     as strict JSON (sorted keys, indent 2, trailing newline) atomically; `read_manifest`
@@ -543,27 +549,33 @@ def write_manifest(path, record: Record) -> None:
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def _not_strict(name: str):
-    raise ValueError(f"{name} is not strict JSON")
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and a number that overflows (1e400)
+    are not strict JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not strict JSON")
+    return value
 
 
 def read_manifest(path, cls: type[Record]) -> Record:
-    """The `cls` record that `write_manifest` wrote to `path`. JSON that is malformed
-    or not strict (NaN, Infinity), a schema_version missing or other than
-    ``cls.SCHEMA_VERSION``, and JSON that `cls.from_json_dict` rejects raise
-    ManifestError; a missing file raises MissingFileError."""
+    """The `cls` record that `write_manifest` wrote to `path`. A fault raises
+    MissingFileError or FileFormatError naming `path`: JSON that is malformed or not
+    strict (`_finite`), a schema_version other than ``cls.SCHEMA_VERSION``, or a
+    record that `cls.from_json_dict` refuses."""
     try:
-        manifest = json.loads(_read_bytes(Path(path)).decode("utf-8"), parse_constant=_not_strict)
+        manifest = json.loads(_read_bytes(Path(path)).decode("utf-8"),
+                              parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
-        # ValueError: malformed JSON, NaN or Infinity, bytes that are not UTF-8, or
-        # an integer too long to convert; RecursionError: nesting too deep
-        raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
+        # ValueError: JSON that is malformed or not strict, bytes that are not UTF-8,
+        # or an integer too long to convert; RecursionError: nesting too deep
+        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
-        raise ManifestError(f"{path}: expected a JSON object")
+        raise FileFormatError(f"{path}: expected a JSON object")
     found = manifest.pop("schema_version", None)
     if type(found) is not int or found != cls.SCHEMA_VERSION:  # JSON true and 1.0 equal 1
-        raise ManifestError(f"{path}: schema_version {found}, expected {cls.SCHEMA_VERSION}")
+        raise FileFormatError(f"{path}: schema_version {found}, expected {cls.SCHEMA_VERSION}")
     try:
         return cls.from_json_dict(manifest)
     except ValidationError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
+        raise FileFormatError(f"{path}: {exc}") from exc

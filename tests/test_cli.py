@@ -66,7 +66,7 @@ def test_other_dosekit_error_exits_3(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text("{")
     done = dosekit("plan", "--case", tmp_path, "--count", 1, "--seed", 0,
                    "--out", tmp_path / "out")
-    assert done.returncode == 3  # ManifestError is a DosekitError, not a ValidationError
+    assert done.returncode == 3  # FileFormatError is a DosekitError, not a ValidationError
     assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
 
 
@@ -87,7 +87,7 @@ def test_mistyped_structure_entry_exits_3(patient_dir, tmp_path, key, value, mes
     next(e for e in manifest["structures"] if e["kind"] == "PTV")[key] = value
     (case / MANIFEST_NAME).write_text(json.dumps(manifest))
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
-    assert done.returncode == 3  # a ManifestError
+    assert done.returncode == 3  # a FileFormatError
     assert done.stderr.startswith(f"dosekit: {case / MANIFEST_NAME}: {message}")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
@@ -143,7 +143,7 @@ def test_nan_mask_spacing_exits_3(patient_dir, tmp_path):
     raw[18:22] = np.float32(np.nan).tobytes()  # the x spacing of the header
     path.write_bytes(bytes(raw))
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
-    assert done.returncode == 3  # a VolumeFormatError
+    assert done.returncode == 3  # a FileFormatError
     (line,) = done.stderr.splitlines()
     assert line.startswith(f"dosekit: {path}: spacing must be finite")
 
@@ -157,7 +157,7 @@ def test_stray_mask_value_exits_3(patient_dir, tmp_path):
     raw[-4:] = np.float32(2.0).tobytes()  # the last payload value
     path.write_bytes(bytes(raw))
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
-    assert done.returncode == 3  # a VolumeFormatError
+    assert done.returncode == 3  # a FileFormatError
     (line,) = done.stderr.splitlines()
     assert line.startswith(f"dosekit: {path}: mask 'oar01' has values outside")
 

@@ -15,7 +15,6 @@ from dosekit.evaluation import (
     DMAX,
     DMEAN,
     DvhCurve,
-    EvaluationError,
     MetricsReport,
     dvh_metric,
     evaluate_plan,
@@ -70,9 +69,9 @@ class TestDvhCurve:
 
     def test_fraction_bounds(self):
         c = DvhCurve("s", np.array([1.0]))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValidationError):
             c.dose_at_fraction(0.0)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValidationError):
             c.dose_at_fraction(1.5)
 
     def test_sorts_its_doses(self):
@@ -88,14 +87,14 @@ class TestDvhCurve:
     def test_from_dose_requires_the_mask_grid(self):
         mask = make_mask((2, 2, 2), [(0, 0, 0)])
         dose = VoxelGrid.from_array(np.ones((2, 2, 2), dtype=np.float32), spacing=(2.5,) * 3)
-        with pytest.raises(EvaluationError, match=r"^dose spacing \(2.5, 2.5, 2.5\) does not "
+        with pytest.raises(ValidationError, match=r"^dose spacing \(2.5, 2.5, 2.5\) does not "
                                                   r"match mask 'body''s \(5.0, 5.0, 5.0\)"):
             DvhCurve.from_dose(dose, mask)
 
     def test_from_dose_requires_nonempty_mask(self):
         dose = VoxelGrid.zeros((2, 2, 2))
         mask = make_mask((2, 2, 2), [])
-        with pytest.raises(EvaluationError, match="body"):
+        with pytest.raises(ValidationError, match="body"):
             DvhCurve.from_dose(dose, mask)
 
 
@@ -190,14 +189,14 @@ class TestIsodoseMse:
     def test_rejects_another_grid(self):
         gt = VoxelGrid.from_array(np.ones((2, 2, 2), dtype=np.float32))
         finer = VoxelGrid.from_array(gt.data, spacing=(2.5, 2.5, 2.5))
-        with pytest.raises(EvaluationError, match="spacing"):
+        with pytest.raises(ValidationError, match="spacing"):
             isodose_mse(finer, gt, 1.0)
-        with pytest.raises(EvaluationError, match=r"^dose dims \(1, 2, 2\) do not match"):
+        with pytest.raises(ValidationError, match=r"^dose dims \(1, 2, 2\) do not match"):
             isodose_mse(VoxelGrid.from_array(gt.data[:1]), gt, 1.0)
 
     def test_empty_region(self):
         gt = VoxelGrid.zeros((2, 2, 2))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValidationError):
             isodose_mse(gt, gt, 1.0)
 
     def test_region_boundary(self):
@@ -208,7 +207,7 @@ class TestIsodoseMse:
         pred = VoxelGrid.from_array((gt_arr + np.float32([1.0, 3.0])).reshape(2, 1, 1))
         assert isodose_mse(pred, gt, 5.0) == 1.0
         below = VoxelGrid.from_array(gt_arr[1:].reshape(1, 1, 1))
-        with pytest.raises(EvaluationError, match="region is empty"):
+        with pytest.raises(ValidationError, match="region is empty"):
             isodose_mse(below, below, 5.0)
 
     @pytest.mark.parametrize("prescription", [math.nan, math.inf, 0.0],
@@ -320,7 +319,7 @@ class TestEvaluatePlan:
 
     def test_dose_of_other_dims_names_the_structure(self):
         dose = VoxelGrid.from_array(np.zeros((4, 4, 4), dtype=np.float32))
-        with pytest.raises(EvaluationError, match=r"^dose dims \(4, 4, 4\) do not match mask 'ptv70'"):
+        with pytest.raises(ValidationError, match=r"^dose dims \(4, 4, 4\) do not match mask 'ptv70'"):
             evaluate_plan(dose, dose, _tiny_case())
 
 

@@ -29,8 +29,8 @@ from dosekit.phantom import (
     ptv_name,
     save_patient,
 )
-from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, KernelSpec, ManifestError,
-                            StructureMask, StructureSet, VolumeFormatError, VoxelGrid,
+from dosekit.volume import (BODY, MANIFEST_NAME, MASK_DIR, OAR, PTV, FileFormatError, KernelSpec,
+                            MissingFileError, StructureMask, StructureSet, VoxelGrid,
                             read_manifest, read_volume, write_manifest, write_volume)
 from dosekit.seeds import derive_seed
 
@@ -75,7 +75,7 @@ class TestBuiltinSites:
         path = tmp_path / "site.json"
         # stamped, so a JSON object fails on the fault its id names, not on the version
         path.write_text(stamped(text, SiteSpec.SCHEMA_VERSION))
-        with pytest.raises(ManifestError):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
             read_manifest(path, SiteSpec)
 
     @pytest.mark.parametrize("version", [None, SiteSpec.SCHEMA_VERSION + 1],
@@ -84,7 +84,7 @@ class TestBuiltinSites:
         path = tmp_path / "site.json"
         write_manifest(path, builtin_site("siteA"))
         without_version(path, version)
-        with pytest.raises(ManifestError, match="schema_version"):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: schema_version"):
             read_manifest(path, SiteSpec)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -126,7 +126,7 @@ class TestBuiltinSites:
         path.write_text(text)
         # a bare NaN or Infinity is refused as the file is parsed, before the site's own rules
         strict = "NaN" in text or "Infinity" in text
-        with pytest.raises(ManifestError, match="not valid JSON" if strict else message):
+        with pytest.raises(FileFormatError, match="not valid JSON" if strict else message):
             read_manifest(path, SiteSpec)
         with pytest.raises(ValidationError, match=message):
             SiteSpec.from_json_dict(site)
@@ -397,6 +397,25 @@ class TestPatientPersistence:
             assert a.mask.identical(b.mask)
             assert (a.prescription, a.impact) == (b.prescription, b.impact)
 
+    def test_failed_overwrite_leaves_no_case(self, tmp_path, monkeypatch):
+        # MANIFEST_NAME commits a case and save_patient removes it first: patient 2
+        # saved over patient 1, failing at the manifest, used to load as siteA-p0001
+        # with patient 2's masks
+        save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == MANIFEST_NAME:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_patient(tmp_path, generate_patient(builtin_site("siteA"), 2))
+        with pytest.raises(MissingFileError, match=f"{MANIFEST_NAME}: no such file"):
+            load_patient(tmp_path)
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("stray", [0.5, 2.0, -1.0])
     def test_mask_with_a_stray_voxel_is_refused(self, tmp_path, stray):
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
@@ -406,7 +425,7 @@ class TestPatientPersistence:
         data[tuple(np.argwhere(data == 1.0)[0])] = stray
         write_volume(VoxelGrid(grid.dims, grid.spacing, data), path)
         # the fault lies in the mask file, not in structures.json
-        with pytest.raises(VolumeFormatError,
+        with pytest.raises(FileFormatError,
                            match=f"^{re.escape(str(path))}: mask 'oar01' has values outside"):
             load_patient(tmp_path)
 
@@ -417,7 +436,7 @@ class TestPatientPersistence:
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
         path = tmp_path / MASK_DIR / "oar01.dvol"
         write_volume(VoxelGrid.zeros(dims, spacing), path)
-        with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: grid "):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: grid "):
             load_patient(tmp_path)
 
     @pytest.mark.parametrize("change", [
@@ -432,7 +451,7 @@ class TestPatientPersistence:
         manifest = json.loads(path.read_text())
         change(manifest, tmp_path)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: bad structure set"):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: bad structure set"):
             load_patient(tmp_path)
 
     def test_round_trip_of_spacing_not_exact_in_float32(self, tmp_path):
@@ -462,7 +481,7 @@ class TestPatientPersistence:
         manifest = json.loads(path.read_text())
         change(manifest)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
             load_patient(tmp_path)
 
     @pytest.mark.parametrize("absolute", [False, True], ids=["dot-dot", "absolute"])
@@ -491,7 +510,8 @@ class TestPatientPersistence:
         path.write_text(json.dumps(manifest))
         read = []
         monkeypatch.setattr(phantom, "read_volume", lambda p: read.append(p) or read_volume(p))
-        with pytest.raises(ManifestError, match="not a plain file name"):
+        with pytest.raises(FileFormatError,
+                           match=f"^{re.escape(str(path))}: .*not a plain file name"):
             load_patient(tmp_path / "p1")
         assert read == []  # the name is refused before any mask is read
 
@@ -567,5 +587,5 @@ class TestMutatedMask:
             at = len(raw) - 4 * (32 * 32 * 16 - voxel)  # the payload is the file's tail
             raw[at:at + 4] = np.uint32(bits).astype("<u4").tobytes()
             path.write_bytes(bytes(raw))
-            with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: "):
+            with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
                 load_patient(directory)

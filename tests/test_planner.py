@@ -26,7 +26,6 @@ from dosekit.planner import (
     KKT_RTOL,
     WEIGHT_BOUNDS,
     BeamConfig,
-    FluenceFileError,
     InfluenceMatrix,
     PlanDiagnostics,
     PlanManifest,
@@ -47,8 +46,8 @@ from dosekit.planner import (
     solve_fluence,
     solve_stacked,
 )
-from dosekit.volume import (KernelSpec, ManifestError, MissingFileError, StructureMask,
-                            StructureSet, VolumeFormatError, VoxelGrid)
+from dosekit.volume import (FileFormatError, KernelSpec, MissingFileError, StructureMask,
+                            StructureSet, VoxelGrid)
 
 from test_volume import JSON_VALUES, make_mask, without_version
 
@@ -1225,10 +1224,13 @@ class TestPlanPersistence:
 
     @pytest.mark.parametrize("name", [FLUENCE_FILE, PLAN_JSON])
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        # a failed write keeps the old file whole, but PLAN_JSON commits a plan, and
+        # save_plan removes it first: a failure at PLAN_JSON used to leave the first
+        # plan's PLAN_JSON over the second plan's dose and fluence
         case = generate_patient(builtin_site("siteA"), 5)
         first, second = generate_plans(case, BeamConfig(), 2, seed=1, max_iters=20)
         save_plan(tmp_path, first)
-        before = (tmp_path / name).read_bytes()
+        before = (tmp_path / FLUENCE_FILE).read_bytes()
         real_replace = os.replace
 
         def replace(src, dst):
@@ -1239,8 +1241,25 @@ class TestPlanPersistence:
         monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(OSError, match="disk full"):
             save_plan(tmp_path, second)
-        assert (tmp_path / name).read_bytes() == before
+        if name == FLUENCE_FILE:
+            assert (tmp_path / FLUENCE_FILE).read_bytes() == before
+        assert not (tmp_path / PLAN_JSON).exists()
+        with pytest.raises(MissingFileError, match=f"{PLAN_JSON}: no such file"):
+            load_plan(tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_refused_overwrite_leaves_no_plan(self, tmp_path):
+        # write_manifest refuses a NaN diagnostic after the dose and fluence are written;
+        # over a saved plan 0, that directory loaded as plan 0 with plan 1's dose
+        case = generate_patient(builtin_site("siteA"), 5)
+        first, second = generate_plans(case, BeamConfig(), 2, seed=1, max_iters=20)
+        save_plan(tmp_path, first)
+        second = dataclasses.replace(second, diagnostics=dataclasses.replace(
+            second.diagnostics, kkt_residual=math.nan))
+        with pytest.raises(ValidationError, match="Out of range float"):
+            save_plan(tmp_path, second)
+        with pytest.raises(MissingFileError, match=f"{PLAN_JSON}: no such file"):
+            load_plan(tmp_path)
 
 
 def append_byte(directory):
@@ -1383,6 +1402,13 @@ def too_long_integer(directory):
     path.write_text(path.read_text().replace('"index": 0', '"index": ' + "1" * 5000, 1))
 
 
+def overflowing_diagnostics(directory):
+    # json.loads reads 1e400 as inf, which write_manifest refuses to write
+    path = directory / PLAN_JSON
+    path.write_text(re.sub(r'"kkt_residual": [^,]+', '"kkt_residual": 1e400', path.read_text(),
+                           count=1))
+
+
 def too_deeply_nested(directory):
     # json.loads raises RecursionError
     (directory / PLAN_JSON).write_text("[" * 100_000)
@@ -1402,45 +1428,47 @@ class TestCorruptPlanFiles:
         case = generate_patient(builtin_site("siteA"), 5)
         return generate_plans(case, BeamConfig(), 1, seed=1, max_iters=20)[0]
 
-    @pytest.mark.parametrize("corrupt, error", [
-        (append_byte, FluenceFileError),
-        (drop_last_value, FluenceFileError),
-        (all_nan, FluenceFileError),
-        (signalling_nan, FluenceFileError),
-        (negative_value, FluenceFileError),
-        (nan_dose, VolumeFormatError),
-        (broken_json, ManifestError),
-        (empty_object, ManifestError),
-        (bad_diagnostics, ManifestError),
-        (schema_version_1, ManifestError),
-        (no_schema_version, ManifestError),
-        (boolean_index, ManifestError),
-        (mistyped_diagnostics, ManifestError),
-        (overflowing_weight, ManifestError),
-        (string_weight, ManifestError),
-        (bool_weight, ManifestError),
-        (unknown_top_level_key, ManifestError),
-        (nan_weight, ManifestError),
-        (infinite_weight, ManifestError),
-        (non_finite_diagnostics, ManifestError),
-        (too_long_integer, ManifestError),
-        (too_deeply_nested, ManifestError),
-        (zero_beamlets, ManifestError),
-        (negative_beamlets, ManifestError),
-        (negative_index, ManifestError),
-    ], ids=lambda v: getattr(v, "__name__", ""))
-    def test_maps_to_typed_error(self, plan, tmp_path, corrupt, error):
+    @pytest.mark.parametrize("corrupt, blamed", [
+        (append_byte, FLUENCE_FILE),
+        (drop_last_value, FLUENCE_FILE),
+        (all_nan, FLUENCE_FILE),
+        (signalling_nan, FLUENCE_FILE),
+        (negative_value, FLUENCE_FILE),
+        (nan_dose, DOSE_FILE),
+        (broken_json, PLAN_JSON),
+        (empty_object, PLAN_JSON),
+        (bad_diagnostics, PLAN_JSON),
+        (schema_version_1, PLAN_JSON),
+        (no_schema_version, PLAN_JSON),
+        (boolean_index, PLAN_JSON),
+        (mistyped_diagnostics, PLAN_JSON),
+        (overflowing_weight, PLAN_JSON),
+        (string_weight, PLAN_JSON),
+        (bool_weight, PLAN_JSON),
+        (unknown_top_level_key, PLAN_JSON),
+        (nan_weight, PLAN_JSON),
+        (infinite_weight, PLAN_JSON),
+        (non_finite_diagnostics, PLAN_JSON),
+        (overflowing_diagnostics, PLAN_JSON),
+        (too_long_integer, PLAN_JSON),
+        (too_deeply_nested, PLAN_JSON),
+        (zero_beamlets, PLAN_JSON),
+        (negative_beamlets, PLAN_JSON),
+        (negative_index, PLAN_JSON),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_maps_to_typed_error(self, plan, tmp_path, corrupt, blamed):
+        # every fault is one FileFormatError class, so the message's path names the file
         save_plan(tmp_path, plan)
         corrupt(tmp_path)
-        with pytest.raises(error):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(tmp_path / blamed))}: "):
             load_plan(tmp_path)
 
     def test_bad_fluence_is_refused_by_plan_and_names_the_file(self, plan, tmp_path):
         save_plan(tmp_path, plan)
         negative_value(tmp_path)
         path = re.escape(str(tmp_path / FLUENCE_FILE))
-        with pytest.raises(FluenceFileError, match=f"^{path}: fluence must be finite and "
-                                                   f"nonnegative$"):
+        with pytest.raises(FileFormatError, match=f"^{path}: fluence must be finite and "
+                                                  f"nonnegative$"):
             load_plan(tmp_path)
 
     @pytest.mark.parametrize("name", [PLAN_JSON, FLUENCE_FILE, DOSE_FILE])

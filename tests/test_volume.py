@@ -26,14 +26,13 @@ from dosekit.volume import (
     MASK_DIR,
     CropOffset,
     KernelSpec,
+    FileFormatError,
     KernelTooSmallError,
-    ManifestError,
     MissingFileError,
     Record,
     StructureEntry,
     StructureMask,
     StructureSet,
-    VolumeFormatError,
     VoxelGrid,
     crop_to_kernel,
     crop_with_offset,
@@ -260,7 +259,7 @@ class TestVolumeRoundTrip:
             p.write_bytes(raw)
             try:
                 read_volume(p)
-            except VolumeFormatError as exc:
+            except FileFormatError as exc:
                 assert str(exc).startswith(f"{p}: ")
 
     @staticmethod
@@ -286,9 +285,9 @@ class TestVolumeRoundTrip:
 
     @staticmethod
     def rejected_with_path(path, raw: bytes, message: str) -> None:
-        """read_volume of `raw` raises VolumeFormatError naming `path` and then `message`."""
+        """read_volume of `raw` raises FileFormatError naming `path` and then `message`."""
         path.write_bytes(raw)
-        with pytest.raises(VolumeFormatError, match=f"^{re.escape(str(path))}: {message}"):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
             read_volume(path)
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -514,6 +513,18 @@ class TestWriteFaults:
             write(path)
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("save, manifest", [
+        (lambda d: save_patient(d, generate_patient(builtin_site("siteA"), 1)), MANIFEST_NAME),
+        (lambda d: save_plan(d, hand_built_plan()), PLAN_JSON),
+    ], ids=["patient", "plan"])
+    def test_directory_at_the_manifest_is_typed(self, tmp_path, save, manifest):
+        # the old manifest is removed before any other file is written
+        (tmp_path / manifest).mkdir()
+        path = re.escape(str(tmp_path / manifest))
+        with pytest.raises(MissingFileError, match=f"^{path}: is a directory$"):
+            save(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [manifest]
+
 
 def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -614,8 +625,9 @@ class TestManifest:
                                       '{"structures": [{"name": "body"}]}'])
     def test_corrupt_manifest_is_typed(self, tmp_path, text):
         # stamped, so a JSON object fails on the fault its text shows, not on the version
-        self._saved(tmp_path).write_text(stamped(text, PatientManifest.SCHEMA_VERSION))
-        with pytest.raises(ManifestError):
+        path = self._saved(tmp_path)
+        path.write_text(stamped(text, PatientManifest.SCHEMA_VERSION))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
             load_patient(tmp_path)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -634,7 +646,7 @@ class TestManifest:
         path.write_text(json.dumps(manifest))
         read = []
         monkeypatch.setattr(phantom, "read_volume", lambda p: read.append(p) or read_volume(p))
-        with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}"):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_patient(tmp_path)
         assert read == []  # the entry is refused as the manifest is decoded
 
@@ -657,7 +669,7 @@ class TestManifest:
         else:
             path, load = self._saved(tmp_path), lambda p: load_patient(p.parent)
         without_version(path, version)
-        with pytest.raises(ManifestError, match="schema_version"):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: schema_version"):
             load(path)
 
 
