@@ -179,7 +179,7 @@ class MetricsReport(Record):
 
 
 def evaluate_plan(pred_dose: VoxelGrid, gt, structures: StructureSet) -> MetricsReport:
-    """Table 2/3 style metric errors for every nonempty structure.
+    """Table 2/3 style metric errors for every structure (each has at least one voxel).
 
     `gt` is a ground-truth dose grid or any object exposing one as `.dose`.
     PTVs get coverage metrics plus mean/max; OARs and BODY get mean/max. Rows
@@ -193,8 +193,6 @@ def evaluate_plan(pred_dose: VoxelGrid, gt, structures: StructureSet) -> Metrics
     )
     rows = []
     for s in ordered:
-        if s.linear_indices().size == 0:
-            continue
         pred_curve = DvhCurve.from_dose(pred_dose, s)
         gt_curve = DvhCurve.from_dose(gt_dose, s)
         for metric in PTV_METRICS if s.kind == PTV else OAR_METRICS:

@@ -188,13 +188,13 @@ def _uniform(rng, lo, hi) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def _place(attempts: int, what: str, draw):
-    """The first non-None result of up to `attempts` calls of `draw`."""
-    for _ in range(attempts):
+def _place(what: str, draw):
+    """The first non-None result of up to MAX_ATTEMPTS calls of `draw`."""
+    for _ in range(MAX_ATTEMPTS):
         placed = draw()
         if placed is not None:
             return placed
-    raise PhantomGenerationError(f"could not place {what} after {attempts} attempts")
+    raise PhantomGenerationError(f"could not place {what} after {MAX_ATTEMPTS} attempts")
 
 
 def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
@@ -214,14 +214,11 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
         box, mask = _ellipsoid(dims, spacing, center, radii)
         return (center, box, mask) if mask.sum() >= MIN_BODY_COVERAGE * np.prod(dims) else None
 
-    def grid(arr):
-        return VoxelGrid(dims, spacing, arr.astype(np.float32))
-
     body_center, body_box, body_mask = _place(
-        MAX_ATTEMPTS, f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
+        f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
     )
     body_arr = _full_grid(dims, body_box, body_mask)
-    body = StructureMask("body", BODY, grid(body_arr))
+    body = StructureMask("body", BODY, VoxelGrid(body_arr, spacing))
 
     # Highest prescription first (the boost); lower levels grow around its center.
     ptvs: list[StructureMask] = []
@@ -236,8 +233,9 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
             inside = mask.any() and not np.any(mask & ~body_arr[box])
             return (center, box, mask) if inside else None
 
-        center, box, mask = _place(MAX_ATTEMPTS, f"PTV level {level} inside the body", draw_ptv)
-        ptvs.append(StructureMask(ptv_name(level), PTV, grid(_full_grid(dims, box, mask)),
+        center, box, mask = _place(f"PTV level {level} inside the body", draw_ptv)
+        ptvs.append(StructureMask(ptv_name(level), PTV,
+                                  VoxelGrid(_full_grid(dims, box, mask), spacing),
                                   prescription=float(level)))
         if rank == 0:
             boost_center = anchor = center
@@ -265,10 +263,10 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
 
     oars: list[StructureMask] = []
     for i in range(n_oars):
-        box, mask = _place(MAX_ATTEMPTS, f"organ {i + 1}/{n_oars}", draw_oar)
+        box, mask = _place(f"organ {i + 1}/{n_oars}", draw_oar)
         impact = "high" if rng.random() < 0.5 else "low"
-        oars.append(StructureMask(f"oar{i + 1:02d}", OAR, grid(_full_grid(dims, box, mask)),
-                                  impact=impact))
+        oars.append(StructureMask(f"oar{i + 1:02d}", OAR,
+                                  VoxelGrid(_full_grid(dims, box, mask), spacing), impact=impact))
         occupied[box] |= mask
 
     structures = StructureSet(tuple([body, *ptvs, *oars]))
@@ -297,6 +295,8 @@ def save_patient(directory, case: PatientCase) -> None:
     written last, so a save that fails part way leaves no case to load."""
     directory = Path(directory)
     _uncommit(directory / MANIFEST_NAME)
+    for stale in (directory / MASK_DIR).glob("*.dvol"):  # masks the new manifest may not name
+        stale.unlink()
     for s in case.structures.structures:
         write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
     entries = tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)

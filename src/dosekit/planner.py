@@ -66,7 +66,7 @@ class PlannerError(DosekitError):
 
 
 class PlannerGeometryError(PlannerError):
-    """No PTV voxel to aim the beams at, or target voxels that no beamlet reaches."""
+    """Target voxels that no beamlet reaches."""
 
 
 class SolverDivergenceError(PlannerError):
@@ -133,8 +133,7 @@ class InfluenceMatrix:
         """Row positions of a structure's voxels (all lie inside the body)."""
         wanted = mask.linear_indices()
         pos = np.searchsorted(self.voxel_indices, wanted)
-        if pos.size and (pos.max() >= self.voxel_indices.size or
-                         np.any(self.voxel_indices[pos] != wanted)):
+        if pos.max() >= self.voxel_indices.size or np.any(self.voxel_indices[pos] != wanted):
             raise ValidationError(f"structure {mask.name!r} has voxels outside the body rows")
         return pos.astype(np.int64)
 
@@ -315,13 +314,10 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     body = structures.body
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
-    # PTVs lie in the body, so this also stops an empty body before its reductions
     ptv_union = np.zeros(dims, dtype=bool)
     for ptv in structures.ptvs:
         ptv_union |= ptv.bool_array()
     ptv_pts = (np.stack(np.nonzero(ptv_union), axis=1).astype(np.float64) + 0.5) * spacing
-    if not ptv_pts.size:
-        raise PlannerGeometryError("no PTV voxel to aim the beams at")
 
     # each body voxel's (x, y) column x + nx * y, and its cell as an (axis,
     # voxel) array, whose reductions run along the voxels
@@ -690,8 +686,6 @@ def objective_rows(infl: InfluenceMatrix, structures: StructureSet,
         if s.name not in weights.weights:
             raise ValidationError(f"no tradeoff weight for structure {s.name!r}")
         rows = infl.rows_for(s)
-        if rows.size == 0:
-            continue
         scale = np.sqrt(weights[s.name] / rows.size)
         p = s.prescription if s.kind == "PTV" else 0.0
         rows_list.append(rows)
@@ -719,7 +713,7 @@ def scatter_dose(infl: InfluenceMatrix, fluence: np.ndarray) -> VoxelGrid:
     dose_rows = infl.matrix @ np.asarray(fluence, dtype=np.float64)
     flat = np.zeros(int(np.prod(infl.dims)), dtype=np.float64)
     flat[infl.voxel_indices] = dose_rows
-    return VoxelGrid(infl.dims, infl.spacing, flat.reshape(infl.dims, order="F").astype(np.float32))
+    return VoxelGrid(flat.reshape(infl.dims, order="F"), infl.spacing)
 
 
 def solve_fluence(

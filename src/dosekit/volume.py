@@ -190,56 +190,43 @@ def _counts(values, what: str, length: int = 3, least: int = 1) -> tuple[int, ..
 class VoxelGrid:
     """Dense 3D scalar field with voxel spacing in millimeters.
 
-    ``data`` is a read-only float32 array of shape ``dims`` indexed
-    ``data[x, y, z]``.
+    ``data`` is the array given, as a read-only float32 array indexed
+    ``data[x, y, z]``; its shape, three positive axes, is the grid's ``dims``.
     """
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
     data: np.ndarray
+    spacing: tuple[float, float, float] = DEFAULT_SPACING_MM
 
     def __post_init__(self):
-        dims = _counts(self.dims, "dims")
+        data = np.asarray(self.data, dtype=np.float32)
+        _counts(data.shape, "dims")
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
             raise ValidationError(f"spacing must be finite and strictly positive, got {spacing}")
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.shape != dims:
-            raise ValidationError(f"data shape {data.shape} does not match dims {dims}")
         if not np.all(np.isfinite(data)):
             raise ValidationError("grid values must be finite")
         data = np.ascontiguousarray(data)
         data.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "spacing", spacing)
 
     def __reduce__(self):
         # copies (pickle, copy.deepcopy) are rebuilt through the constructor, so they
         # are validated again and their data is read-only: a copied array, and one
         # unpickled below protocol 5, is writeable
-        return VoxelGrid, (self.dims, self.spacing, self.data)
+        return VoxelGrid, (self.data, self.spacing)
 
-    @classmethod
-    def zeros(cls, dims, spacing=DEFAULT_SPACING_MM) -> "VoxelGrid":
-        return cls(tuple(dims), tuple(spacing), np.zeros(tuple(dims), dtype=np.float32))
-
-    @classmethod
-    def from_array(cls, array: np.ndarray, spacing=DEFAULT_SPACING_MM) -> "VoxelGrid":
-        array = np.asarray(array)
-        return cls(array.shape, tuple(spacing), array.astype(np.float32, copy=False))
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape
 
     def flat(self) -> np.ndarray:
         """Values in raster (z-major, x fastest) order."""
         return self.data.ravel(order="F")
 
     def identical(self, other: "VoxelGrid") -> bool:
-        """Bit-exact equality of geometry and values."""
-        return (
-            self.dims == other.dims
-            and self.spacing == other.spacing
-            and np.array_equal(self.data, other.data)
-        )
+        """Bit-exact equality of geometry and values (the dims are the data's shape)."""
+        return self.spacing == other.spacing and np.array_equal(self.data, other.data)
 
 
 def _check_fields(name: str, kind: str, prescription, impact) -> None:
@@ -265,7 +252,8 @@ def _check_fields(name: str, kind: str, prescription, impact) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StructureMask:
-    """Named binary mask tagged PTV/OAR/BODY.
+    """Named binary mask tagged PTV/OAR/BODY, of at least one voxel and only the
+    values 0 and 1.
 
     The name is a plain file stem. PTVs carry a positive normalized prescription;
     OARs carry a clinical impact tag; BODY carries neither (`_check_fields`).
@@ -282,6 +270,8 @@ class StructureMask:
         data = self.mask.data
         if not np.all((data == 0.0) | (data == 1.0)):  # one pass; -0.0 == 0.0
             raise ValidationError(f"mask {self.name!r} has values outside {{0,1}}")
+        if not data.any():
+            raise ValidationError(f"mask {self.name!r} is empty")
 
     def linear_indices(self) -> np.ndarray:
         """Raster indices of mask voxels, ascending: a read-only array, computed on
@@ -391,8 +381,6 @@ class CropOffset:
 def mask_bounding_box(mask: StructureMask) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Inclusive (lo, hi) voxel bounds of the mask."""
     nz = np.nonzero(mask.mask.data)
-    if nz[0].size == 0:
-        raise ValidationError(f"structure {mask.name!r} is empty")
     lo = tuple(int(axis.min()) for axis in nz)
     hi = tuple(int(axis.max()) for axis in nz)
     return lo, hi
@@ -424,11 +412,11 @@ def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
     for o, k, n in zip(offset.origin, offset.kernel_dims, offset.source_dims):
         s0, s1 = max(0, o), min(n, o + k)
         if s0 >= s1:  # no overlap; a negative slice stop would select voxels
-            return VoxelGrid(offset.kernel_dims, grid.spacing, out)
+            return VoxelGrid(out, grid.spacing)
         src.append(slice(s0, s1))
         ker.append(slice(s0 - o, s1 - o))
     out[tuple(ker)] = grid.data[tuple(src)]
-    return VoxelGrid(offset.kernel_dims, grid.spacing, out)
+    return VoxelGrid(out, grid.spacing)
 
 
 def crop_to_kernel(
@@ -501,7 +489,7 @@ def read_volume(path) -> VoxelGrid:
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     data = flat.reshape((nx, ny, nz), order="F")
     try:
-        return VoxelGrid((nx, ny, nz), (sx, sy, sz), data)
+        return VoxelGrid(data, (sx, sy, sz))
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -165,12 +165,12 @@ def test_stray_mask_value_exits_3(patient_dir, tmp_path):
 def test_case_without_ptv_voxels_exits_3(patient_dir, tmp_path):
     case = tmp_path / "case"
     shutil.copytree(patient_dir, case)
-    for path in (case / "masks").glob("ptv*.dvol"):
-        mask = read_volume(path)
-        write_volume(VoxelGrid(mask.dims, mask.spacing, np.zeros_like(mask.data)), path)
+    (path,) = (case / "masks").glob("ptv*.dvol")
+    mask = read_volume(path)
+    write_volume(VoxelGrid(np.zeros(mask.dims), mask.spacing), path)
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
-    assert done.returncode == 3  # a PlannerGeometryError, not a bare ValueError
-    assert done.stderr.splitlines() == ["dosekit: no PTV voxel to aim the beams at"]
+    assert done.returncode == 3  # a FileFormatError: a structure has at least one voxel
+    assert done.stderr.splitlines() == [f"dosekit: {path}: mask '{path.stem}' is empty"]
 
 
 LAYERS = "dosekit.evaluation, dosekit.phantom, dosekit.planner, dosekit.volume, dosekit.cli"

@@ -86,19 +86,21 @@ class TestDvhCurve:
 
     def test_from_dose_requires_the_mask_grid(self):
         mask = make_mask((2, 2, 2), [(0, 0, 0)])
-        dose = VoxelGrid.from_array(np.ones((2, 2, 2), dtype=np.float32), spacing=(2.5,) * 3)
+        dose = VoxelGrid(np.ones((2, 2, 2), dtype=np.float32), spacing=(2.5,) * 3)
         with pytest.raises(ValidationError, match=r"^dose spacing \(2.5, 2.5, 2.5\) does not "
                                                   r"match mask 'body''s \(5.0, 5.0, 5.0\)"):
             DvhCurve.from_dose(dose, mask)
 
-    def test_from_dose_requires_nonempty_mask(self):
-        dose = VoxelGrid.zeros((2, 2, 2))
-        mask = make_mask((2, 2, 2), [])
-        with pytest.raises(ValidationError, match="body"):
-            DvhCurve.from_dose(dose, mask)
+    def test_requires_a_dose(self):
+        with pytest.raises(ValidationError, match="^curve for 's' needs at least one dose$"):
+            DvhCurve("s", np.array([]))
 
 
 class TestDvhMetric:
+    def test_unknown_metric(self):
+        with pytest.raises(ValidationError, match="^unknown DVH metric 'D50'$"):
+            dvh_metric(DvhCurve("s", np.array([1.0])), "D50")
+
     def test_uniform_dose(self):
         c = DvhCurve("s", np.full(9, 0.7, dtype=np.float32))
         for m in (D98, D95, D02, DMEAN, DMAX):
@@ -159,43 +161,43 @@ class TestMetricError:
 
 class TestIsodoseMse:
     def test_identity(self):
-        g = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        g = VoxelGrid(np.full((3, 3, 3), 0.5, dtype=np.float32))
         assert isodose_mse(g, g, 1.0) == 0.0
 
     def test_constant_offset(self):
-        gt = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
-        pred = VoxelGrid.from_array(gt.data + np.float32(0.1))
+        gt = VoxelGrid(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        pred = VoxelGrid(gt.data + np.float32(0.1))
         assert isodose_mse(pred, gt, 1.0) == pytest.approx(0.01, rel=1e-5)
 
     def test_region_masking(self):
         gt_arr = np.full((4, 4, 4), 0.05, dtype=np.float32)
         gt_arr[:2] = 0.5  # half the voxels above 10% of prescription 1.0
-        gt = VoxelGrid.from_array(gt_arr)
+        gt = VoxelGrid(gt_arr)
         pred_arr = gt_arr.copy()
         pred_arr[:2] += 0.2
         pred_arr[2:] += 100.0  # outside the region, must be ignored
-        pred = VoxelGrid.from_array(pred_arr)
+        pred = VoxelGrid(pred_arr)
         assert isodose_mse(pred, gt, 1.0) == pytest.approx(0.04, rel=1e-5)
 
     def test_outside_region_invariance(self):
         rng = np.random.default_rng(5)
-        gt = VoxelGrid.from_array(rng.uniform(0, 1, size=(4, 4, 4)).astype(np.float32))
-        pred = VoxelGrid.from_array(rng.uniform(0, 1, size=(4, 4, 4)).astype(np.float32))
+        gt = VoxelGrid(rng.uniform(0, 1, size=(4, 4, 4)).astype(np.float32))
+        pred = VoxelGrid(rng.uniform(0, 1, size=(4, 4, 4)).astype(np.float32))
         outside = gt.data < 0.1
         perturbed = pred.data.copy()
         perturbed[outside] += 3.7
-        assert isodose_mse(pred, gt, 1.0) == isodose_mse(VoxelGrid.from_array(perturbed), gt, 1.0)
+        assert isodose_mse(pred, gt, 1.0) == isodose_mse(VoxelGrid(perturbed), gt, 1.0)
 
     def test_rejects_another_grid(self):
-        gt = VoxelGrid.from_array(np.ones((2, 2, 2), dtype=np.float32))
-        finer = VoxelGrid.from_array(gt.data, spacing=(2.5, 2.5, 2.5))
+        gt = VoxelGrid(np.ones((2, 2, 2), dtype=np.float32))
+        finer = VoxelGrid(gt.data, spacing=(2.5, 2.5, 2.5))
         with pytest.raises(ValidationError, match="spacing"):
             isodose_mse(finer, gt, 1.0)
         with pytest.raises(ValidationError, match=r"^dose dims \(1, 2, 2\) do not match"):
-            isodose_mse(VoxelGrid.from_array(gt.data[:1]), gt, 1.0)
+            isodose_mse(VoxelGrid(gt.data[:1]), gt, 1.0)
 
     def test_empty_region(self):
-        gt = VoxelGrid.zeros((2, 2, 2))
+        gt = VoxelGrid(np.zeros((2, 2, 2)))
         with pytest.raises(ValidationError):
             isodose_mse(gt, gt, 1.0)
 
@@ -203,10 +205,10 @@ class TestIsodoseMse:
         # prescription 5.0 puts the 10% threshold at 0.5, exact in float32 and float64:
         # a voxel at 0.5 lies in the region, one just below it does not
         gt_arr = np.array([0.5, np.nextafter(np.float32(0.5), 0)], dtype=np.float32)
-        gt = VoxelGrid.from_array(gt_arr.reshape(2, 1, 1))
-        pred = VoxelGrid.from_array((gt_arr + np.float32([1.0, 3.0])).reshape(2, 1, 1))
+        gt = VoxelGrid(gt_arr.reshape(2, 1, 1))
+        pred = VoxelGrid((gt_arr + np.float32([1.0, 3.0])).reshape(2, 1, 1))
         assert isodose_mse(pred, gt, 5.0) == 1.0
-        below = VoxelGrid.from_array(gt_arr[1:].reshape(1, 1, 1))
+        below = VoxelGrid(gt_arr[1:].reshape(1, 1, 1))
         with pytest.raises(ValidationError, match="region is empty"):
             isodose_mse(below, below, 5.0)
 
@@ -214,7 +216,7 @@ class TestIsodoseMse:
                              ids=["nan-prescription", "infinite-prescription",
                                   "zero-prescription"])
     def test_rejects_bad_prescription_or_level(self, prescription):
-        g = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        g = VoxelGrid(np.full((3, 3, 3), 0.5, dtype=np.float32))
         with pytest.raises(ValidationError, match="positive and finite"):
             isodose_mse(g, g, prescription)
 
@@ -259,6 +261,12 @@ class TestPairedTTest:
         assert r1.t == pytest.approx(-r2.t)
         assert r1.p == pytest.approx(r2.p)
 
+    @pytest.mark.parametrize("a, b", [([1.0, 2.0, 3.0], [1.0, 2.0]),
+                                      ([[1.0, 2.0]], [[0.0, 1.0]])], ids=["lengths", "matrices"])
+    def test_needs_two_equal_length_vectors(self, a, b):
+        with pytest.raises(ValidationError, match="^paired t-test needs two equal-length vectors$"):
+            paired_t_test(a, b)
+
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
             paired_t_test([1.0], [2.0])
@@ -289,13 +297,13 @@ class TestEvaluatePlan:
     def test_identity_gives_zero_errors(self):
         sset = _tiny_case()
         rng = np.random.default_rng(2)
-        dose = VoxelGrid.from_array(rng.random((3, 3, 3)).astype(np.float32))
+        dose = VoxelGrid(rng.random((3, 3, 3)).astype(np.float32))
         report = evaluate_plan(dose, dose, sset)
         assert all(r.percent_error == 0.0 for r in report.rows)
 
     def test_zero_oar_case_has_ptv_and_body_rows(self):
         sset = _tiny_case(with_oar=False)
-        dose = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        dose = VoxelGrid(np.full((3, 3, 3), 0.5, dtype=np.float32))
         report = evaluate_plan(dose, dose, sset)
         kinds = {r.kind for r in report.rows}
         assert kinds == {"PTV", "BODY"}
@@ -303,7 +311,7 @@ class TestEvaluatePlan:
 
     def test_row_count_contract(self):
         sset = _tiny_case()
-        dose = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        dose = VoxelGrid(np.full((3, 3, 3), 0.5, dtype=np.float32))
         report = evaluate_plan(dose, dose, sset)
         # 5 PTV metrics + 2 OAR metrics + 2 BODY metrics
         assert len(report.rows) == 9
@@ -312,20 +320,20 @@ class TestEvaluatePlan:
 
     def test_report_round_trips_to_files(self, tmp_path):
         sset = _tiny_case()
-        dose = VoxelGrid.from_array(np.full((3, 3, 3), 0.5, dtype=np.float32))
+        dose = VoxelGrid(np.full((3, 3, 3), 0.5, dtype=np.float32))
         report = evaluate_plan(dose, dose, sset)
         write_manifest(tmp_path / "r.json", report)
         assert read_manifest(tmp_path / "r.json", MetricsReport) == report
 
     def test_dose_of_other_dims_names_the_structure(self):
-        dose = VoxelGrid.from_array(np.zeros((4, 4, 4), dtype=np.float32))
+        dose = VoxelGrid(np.zeros((4, 4, 4), dtype=np.float32))
         with pytest.raises(ValidationError, match=r"^dose dims \(4, 4, 4\) do not match mask 'ptv70'"):
             evaluate_plan(dose, dose, _tiny_case())
 
 
 def _write_report(level, path):
     sset = _tiny_case()
-    dose = VoxelGrid.from_array(np.full((3, 3, 3), level, dtype=np.float32))
+    dose = VoxelGrid(np.full((3, 3, 3), level, dtype=np.float32))
     write_manifest(path, evaluate_plan(dose, dose, sset))
 
 

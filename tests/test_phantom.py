@@ -144,6 +144,19 @@ class TestBuiltinSites:
         assert spec.oar_count_range == (0, 3)
         assert all(type(n) is int for n in spec.oar_count_range)
 
+    @pytest.mark.parametrize("levels", [(), (0.0,), (1.5,), (-0.5, 1.0)],
+                             ids=["empty", "zero", "above-one", "negative"])
+    def test_ptv_levels_must_be_nonempty_in_range(self, levels):
+        with pytest.raises(ValidationError, match=re.escape("ptv_levels must be nonempty with "
+                                                            "values in (0, 1]")):
+            dataclasses.replace(builtin_site("siteB"), ptv_levels=levels)
+
+    def test_ptv_levels_must_not_collide(self):
+        # 0.999 of the 70 Gy normalization rounds to 70, the name of level 1.0
+        with pytest.raises(ValidationError,
+                           match=re.escape("ptv_levels collide after naming: ['ptv70', 'ptv70']")):
+            dataclasses.replace(builtin_site("siteB"), ptv_levels=(1.0, 0.999))
+
     def test_preset_rejects_unknown_keys(self, tmp_path):
         spec = builtin_site("siteA")
         d = spec.to_json_dict()
@@ -384,6 +397,14 @@ class TestBoxedEllipsoid:
         assert np.array_equal(full, ellipsoid_reference(dims, spacing, center_mm, radii_mm))
 
 
+def one_voxel_body():
+    """A body mask on the built-in sites' grid that holds only a corner voxel,
+    where no PTV or organ lies."""
+    data = np.zeros((32, 32, 16))
+    data[0, 0, 0] = 1.0
+    return VoxelGrid(data)
+
+
 class TestPatientPersistence:
     def test_round_trip(self, tmp_path):
         case = generate_patient(builtin_site("siteB"), 5)
@@ -396,6 +417,15 @@ class TestPatientPersistence:
             assert a.name == b.name
             assert a.mask.identical(b.mask)
             assert (a.prescription, a.impact) == (b.prescription, b.impact)
+
+    def test_save_over_another_case_keeps_only_its_masks(self, tmp_path):
+        # siteB patient 1 has 16 structures and siteA patient 1 six: saved over it,
+        # siteA's case left siteB's ten other masks, which no manifest named
+        save_patient(tmp_path, generate_patient(builtin_site("siteB"), 1))
+        case = generate_patient(builtin_site("siteA"), 1)
+        save_patient(tmp_path, case)
+        assert sorted(p.name for p in (tmp_path / MASK_DIR).iterdir()) == sorted(
+            f"{s.name}.dvol" for s in case.structures.structures)
 
     def test_failed_overwrite_leaves_no_case(self, tmp_path, monkeypatch):
         # MANIFEST_NAME commits a case and save_patient removes it first: patient 2
@@ -423,7 +453,7 @@ class TestPatientPersistence:
         grid = read_volume(path)
         data = grid.data.copy()
         data[tuple(np.argwhere(data == 1.0)[0])] = stray
-        write_volume(VoxelGrid(grid.dims, grid.spacing, data), path)
+        write_volume(VoxelGrid(data, grid.spacing), path)
         # the fault lies in the mask file, not in structures.json
         with pytest.raises(FileFormatError,
                            match=f"^{re.escape(str(path))}: mask 'oar01' has values outside"):
@@ -435,7 +465,7 @@ class TestPatientPersistence:
     def test_mask_on_another_grid_is_refused(self, tmp_path, dims, spacing):
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
         path = tmp_path / MASK_DIR / "oar01.dvol"
-        write_volume(VoxelGrid.zeros(dims, spacing), path)
+        write_volume(VoxelGrid(np.zeros(dims), spacing), path)
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: grid "):
             load_patient(tmp_path)
 
@@ -443,7 +473,7 @@ class TestPatientPersistence:
         lambda m, d: m["structures"].append(m["structures"][0]),
         lambda m, d: m["structures"].remove(next(e for e in m["structures"] if e["kind"] == PTV)),
         lambda m, d: m["structures"][-1].update(kind=BODY, impact=None),
-        lambda m, d: write_volume(VoxelGrid.zeros((32, 32, 16)), d / MASK_DIR / "body.dvol"),
+        lambda m, d: write_volume(one_voxel_body(), d / MASK_DIR / "body.dvol"),
     ], ids=["duplicate-name", "no-ptv", "two-bodies", "outside-the-body"])
     def test_bad_structure_set_is_a_manifest_fault(self, tmp_path, change):
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
@@ -457,7 +487,7 @@ class TestPatientPersistence:
     def test_round_trip_of_spacing_not_exact_in_float32(self, tmp_path):
         # the mask files hold the spacing as float32
         arr = np.ones((2, 2, 2), dtype=np.float32)
-        body = StructureMask("body", BODY, VoxelGrid.from_array(arr, spacing=(0.1, 0.2, 0.3)))
+        body = StructureMask("body", BODY, VoxelGrid(arr, spacing=(0.1, 0.2, 0.3)))
         ptv = StructureMask("ptv", PTV, body.mask, prescription=1.0)
         save_patient(tmp_path, PatientCase(StructureSet((body, ptv)), "site", 0))
         assert (load_patient(tmp_path).structures.spacing

@@ -229,25 +229,23 @@ class TestInfluenceMatrix:
         assert np.array_equal(a.matrix.indices, b.matrix.indices)
         assert np.array_equal(a.voxel_indices, b.voxel_indices)
 
+    def test_row_count_must_match_the_voxel_map(self):
+        with pytest.raises(ValidationError, match="^row count must match the voxel index map$"):
+            InfluenceMatrix(sp.csr_matrix((2, 1)), np.arange(3), (3, 1, 1), (5.0, 5.0, 5.0))
+
+    @pytest.mark.parametrize("voxel", [(1, 0, 0), (3, 0, 0)], ids=["between-rows", "past-rows"])
+    def test_rows_for_refuses_voxels_outside_the_body_rows(self, voxel):
+        infl = InfluenceMatrix(sp.csr_matrix((2, 1)), np.array([0, 2]), (4, 1, 1),
+                               (5.0, 5.0, 5.0))
+        with pytest.raises(ValidationError,
+                           match="^structure 'ptv' has voxels outside the body rows$"):
+            infl.rows_for(make_mask((4, 1, 1), [voxel], kind="PTV", name="ptv",
+                                    prescription=1.0))
+
     def test_geometry_error_when_beams_miss(self, case):
         cfg = BeamConfig(beamlet_grid=(2, 2), lateral_cutoff=0.1, lateral_sigma=0.05)
         with pytest.raises(PlannerGeometryError):
             build_influence_matrix(case, cfg)
-
-    @pytest.mark.parametrize("emptied", [{"PTV"}, {"PTV", "OAR", "BODY"}],
-                             ids=["ptvs", "every-mask"])
-    def test_geometry_error_without_ptv_voxels(self, case, emptied):
-        # unchecked, the empty PTV union warned of an empty mean and raised a bare
-        # ValueError from a reduction over the PTV points (or, with an empty body
-        # as well, over the body voxels)
-        grid = case.structures
-        empty = VoxelGrid(grid.dims, grid.spacing, np.zeros(grid.dims, dtype=np.float32))
-        structures = StructureSet(tuple(
-            dataclasses.replace(s, mask=empty) if s.kind in emptied else s
-            for s in case.structures.structures))
-        with pytest.raises(PlannerGeometryError, match="no PTV voxel to aim the beams at"):
-            build_influence_matrix(dataclasses.replace(case, structures=structures),
-                                   BeamConfig())
 
 
 def dense_influence_reference(case, cfg):
@@ -320,7 +318,7 @@ def assert_same_csr(actual, expected):
 def with_full_grid_body(case):
     """`case` with every grid voxel in the body, so rays leave the body box at the grid edge."""
     body = case.structures.body
-    full = VoxelGrid(body.mask.dims, body.mask.spacing, np.ones(body.mask.dims, dtype=np.float32))
+    full = VoxelGrid(np.ones(body.mask.dims), body.mask.spacing)
     others = tuple(s for s in case.structures.structures if s is not body)
     structures = StructureSet((StructureMask(body.name, body.kind, full), *others))
     return PatientCase(structures, case.site_id, case.seed)
@@ -340,8 +338,7 @@ def with_body_cavity(case):
     cavity[6:11, 8:21, 6:10] = True
     cavity &= body_arr & ~targets & body_arr[5][None]  # body upstream of the slab
     assert cavity.any()
-    carved = VoxelGrid(body.mask.dims, body.mask.spacing,
-                       (body_arr & ~cavity).astype(np.float32))
+    carved = VoxelGrid(body_arr & ~cavity, body.mask.spacing)
     others = tuple(s for s in structures.structures if s is not body)
     return PatientCase(StructureSet((StructureMask(body.name, body.kind, carved), *others)),
                        case.site_id, case.seed)
@@ -651,8 +648,7 @@ class TestInfluenceEntries:
 def mirrored(case, axis):
     """`case` with every mask flipped along `axis` (1: y, 2: z)."""
     return dataclasses.replace(case, structures=StructureSet(tuple(
-        dataclasses.replace(s, mask=VoxelGrid(s.mask.dims, s.mask.spacing,
-                                              np.flip(s.mask.data, axis)))
+        dataclasses.replace(s, mask=VoxelGrid(np.flip(s.mask.data, axis), s.mask.spacing))
         for s in case.structures.structures)))
 
 
@@ -766,6 +762,18 @@ class TestObjective:
         sset, infl = single_voxel_case(ptv_prescription=2.0)
         w = PlanWeights(weights={"ptv": 1.0})
         assert objective(infl, sset, w, np.array([0.0])) == pytest.approx(4.0)
+
+    def test_needs_a_weight_for_every_structure(self):
+        sset, infl = single_voxel_case(with_oar=True)
+        with pytest.raises(ValidationError, match="^no tradeoff weight for structure 'oar'$"):
+            objective(infl, sset, PlanWeights(weights={"ptv": 1.0}), np.array([0.0]))
+
+    @pytest.mark.parametrize("fluence", [[], [0.0, 1.0], [[0.0]]],
+                             ids=["none", "two", "two-axes"])
+    def test_fluence_must_have_one_value_per_beamlet(self, fluence):
+        sset, infl = single_voxel_case()
+        with pytest.raises(ValidationError, match="does not match 1 beamlets$"):
+            objective(infl, sset, PlanWeights(weights={"ptv": 1.0}), fluence)
 
     def test_linear_in_weights(self):
         sset, infl = single_voxel_case(ptv_prescription=2.0, with_oar=True)

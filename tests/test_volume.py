@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dosekit import phantom
@@ -22,6 +22,7 @@ from dosekit.phantom import (PatientCase, PatientManifest, SiteSpec, builtin_sit
 from dosekit.planner import (DOSE_FILE, PLAN_JSON, BeamConfig, Plan, PlanDiagnostics, PlanWeights,
                              save_plan)
 from dosekit.volume import (
+    DEFAULT_SPACING_MM,
     MANIFEST_NAME,
     MASK_DIR,
     CropOffset,
@@ -58,7 +59,7 @@ def make_mask(shape, coords, kind="BODY", name=None, **kw):
     for c in coords:
         arr[c] = 1.0
     name = name or kind.lower()
-    return StructureMask(name=name, kind=kind, mask=VoxelGrid.from_array(arr), **kw)
+    return StructureMask(name=name, kind=kind, mask=VoxelGrid(arr), **kw)
 
 
 def stamped(text, version):
@@ -101,8 +102,9 @@ class TestLinearIndex:
     def test_bijective(self, dims, seed):
         arr = np.random.default_rng(seed).random(dims) < 0.5
         nx, ny, _ = dims
+        assume(arr.any())  # a structure has at least one voxel
         x, y, z = np.nonzero(arr)
-        indices = StructureMask("body", "BODY", VoxelGrid.from_array(arr)).linear_indices()
+        indices = StructureMask("body", "BODY", VoxelGrid(arr)).linear_indices()
         assert indices.tolist() == sorted((x + nx * (y + ny * z)).tolist())
         assert set(zip(*np.unravel_index(indices, dims, order="F"))) == set(zip(x, y, z))
 
@@ -118,7 +120,8 @@ class TestLinearIndex:
         zero = np.where(rng.random(dims) < 0.5, np.float32(-0.0), np.float32(0.0))
         arr = np.where(rng.random(dims) < 0.5, np.float32(1.0), zero)
         arr.flat[0] = -0.0
-        mask = StructureMask("body", "BODY", VoxelGrid.from_array(arr))
+        assume(arr.any())  # a structure has at least one voxel
+        mask = StructureMask("body", "BODY", VoxelGrid(arr))
         assert np.signbit(mask.mask.data).any()
         assert np.array_equal(mask.linear_indices(), np.flatnonzero(mask.mask.flat()))
 
@@ -128,38 +131,43 @@ class TestVoxelGrid:
         arr = np.zeros((2, 2, 2), dtype=np.float32)
         arr[0, 0, 0] = np.nan
         with pytest.raises(ValidationError):
-            VoxelGrid.from_array(arr)
+            VoxelGrid(arr)
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValidationError):
-            VoxelGrid((2, 2, 2), (0.0, 5.0, 5.0), np.zeros((2, 2, 2)))
+            VoxelGrid(np.zeros((2, 2, 2)), (0.0, 5.0, 5.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_spacing(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            VoxelGrid((2, 2, 2), (5.0, bad, 5.0), np.zeros((2, 2, 2)))
+            VoxelGrid(np.zeros((2, 2, 2)), (5.0, bad, 5.0))
 
-    @pytest.mark.parametrize("dims", [(2.7, 2, 2), (2.0, 2, 2), (2, 2, True), (2, 2)],
-                             ids=["fraction", "float", "bool", "two-axes"])
-    def test_rejects_bad_dims(self, dims):
-        with pytest.raises(ValidationError, match="integer counts"):
-            VoxelGrid(dims, (5.0, 5.0, 5.0), np.zeros((2, 2, 2)))
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 1), (2, 0, 2), ()],
+                             ids=["two-axes", "four-axes", "empty-axis", "scalar"])
+    def test_rejects_bad_dims(self, shape):
+        # the dims are the data's shape: three positive axes
+        with pytest.raises(ValidationError, match="^dims must be three positive integer counts"):
+            VoxelGrid(np.zeros(shape))
+
+    def test_dims_are_the_shape(self):
+        grid = VoxelGrid(np.zeros((2, 3, 4)))
+        assert grid.dims == grid.data.shape == (2, 3, 4)
+        assert grid.spacing == DEFAULT_SPACING_MM
 
     def test_takes_numpy_integer_dims(self):
-        dims = (np.int64(2), np.int32(3), np.uint8(4))
-        grid, kernel = VoxelGrid(dims, (5.0, 5.0, 5.0), np.zeros((2, 3, 4))), KernelSpec(dims)
-        assert grid.dims == kernel.dims == (2, 3, 4)
-        assert all(type(d) is int for d in grid.dims + kernel.dims)
+        kernel = KernelSpec((np.int64(2), np.int32(3), np.uint8(4)))
+        assert kernel.dims == (2, 3, 4)
+        assert all(type(d) is int for d in kernel.dims)
 
     def test_data_is_readonly(self):
-        g = VoxelGrid.zeros((2, 2, 2))
+        g = VoxelGrid(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             g.data[0, 0, 0] = 1.0
 
     def test_flat_is_raster_order(self):
         arr = np.zeros((2, 3, 4), dtype=np.float32)
         arr[1, 2, 3] = 7.0
-        g = VoxelGrid.from_array(arr)
+        g = VoxelGrid(arr)
         assert g.flat()[23] == 7.0  # 1 + 2*(2 + 3*3)
 
 
@@ -186,7 +194,7 @@ class TestCopies:
 
     @pytest.mark.parametrize("copy_of", COPIES)
     def test_voxel_grid(self, copy_of):
-        grid = VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+        grid = VoxelGrid(np.arange(24, dtype=np.float32).reshape(2, 3, 4),
                                     spacing=(1.0, 2.0, 3.0))
         self.assert_frozen_copy(copy_of(grid), grid)
 
@@ -203,13 +211,13 @@ class TestCopies:
     @pytest.mark.parametrize("copy_of", COPIES)
     def test_plan_dose(self, copy_of):
         plan = Plan("siteA-p0001", 0, PlanWeights({"ptv70": 1.0}), np.array([0.5, 1.0]),
-                    VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
+                    VoxelGrid(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
                     PlanDiagnostics(iterations=1, converged=False, final_objective=0.5,
                                     objective_at_zero=1.0, operator_norm=1.0, kkt_residual=0.1))
         self.assert_frozen_copy(copy_of(plan).dose, plan.dose)
 
     def test_unpickled_grid_is_validated(self):
-        grid = VoxelGrid.from_array(np.full((2, 2, 2), 1234.5, dtype=np.float32))
+        grid = VoxelGrid(np.full((2, 2, 2), 1234.5, dtype=np.float32))
         raw = pickle.dumps(grid, protocol=4)
         assert raw.count(np.float32(1234.5).tobytes()) == 8
         with pytest.raises(ValidationError, match="finite"):
@@ -218,7 +226,7 @@ class TestCopies:
 
 class TestVolumeRoundTrip:
     def test_zero_grid_file_size(self, tmp_path):
-        g = VoxelGrid.zeros((2, 2, 2))
+        g = VoxelGrid(np.zeros((2, 2, 2)))
         p = tmp_path / "g.dvol"
         write_volume(g, p)
         # 4 magic + 2 version + 12 dims + 12 spacing + 32 payload
@@ -228,7 +236,7 @@ class TestVolumeRoundTrip:
     def test_value_bit_pattern_preserved(self, tmp_path):
         arr = np.zeros((4, 1, 1), dtype=np.float32)
         arr[3, 0, 0] = 1.5
-        g = VoxelGrid.from_array(arr)
+        g = VoxelGrid(arr)
         p = tmp_path / "g.dvol"
         write_volume(g, p)
         back = read_volume(p)
@@ -246,7 +254,7 @@ class TestVolumeRoundTrip:
     def test_round_trip_property(self, dims, seed):
         rng = np.random.default_rng(seed)
         arr = rng.standard_normal(dims).astype(np.float32)
-        g = VoxelGrid.from_array(arr, spacing=(2.5, 5.0, 1.25))
+        g = VoxelGrid(arr, spacing=(2.5, 5.0, 1.25))
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "g.dvol"
             write_volume(g, p)
@@ -268,7 +276,7 @@ class TestVolumeRoundTrip:
         arr = np.random.default_rng(0).standard_normal((3, 2, 2)).astype(np.float32)
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "g.dvol"
-            write_volume(VoxelGrid.from_array(arr, spacing=(2.5, 5.0, 1.25)), p)
+            write_volume(VoxelGrid(arr, spacing=(2.5, 5.0, 1.25)), p)
             return p.read_bytes()
 
     @settings(max_examples=80, deadline=None)
@@ -352,19 +360,51 @@ class TestStructures:
     def test_mask_must_be_binary(self):
         arr = np.full((2, 2, 2), 0.5, dtype=np.float32)
         with pytest.raises(ValidationError):
-            StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
+            StructureMask(name="b", kind="BODY", mask=VoxelGrid(arr))
         # one stray voxel in an otherwise binary mask
         for stray in (0.5, 2.0, -1.0):
             arr = np.zeros((3, 3, 3), dtype=np.float32)
             arr[0, 0, 0] = 1.0
             arr[2, 1, 0] = stray
             with pytest.raises(ValidationError, match="values outside"):
-                StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
+                StructureMask(name="b", kind="BODY", mask=VoxelGrid(arr))
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("PTV", {"prescription": 1.0}), ("OAR", {"impact": "high"}), ("BODY", {}),
+    ], ids=["PTV", "OAR", "BODY"])
+    def test_empty_mask_is_refused(self, kind, fields):
+        # so no stage needs a branch for a structure without voxels; -0.0 is no voxel
+        with pytest.raises(ValidationError, match="^mask 's' is empty$"):
+            StructureMask("s", kind, VoxelGrid(np.full((2, 2, 2), -0.0)), **fields)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("OAR", {"impact": "high", "prescription": 1.0}), ("BODY", {"prescription": 1.0}),
+    ], ids=["OAR", "BODY"])
+    def test_only_a_ptv_carries_a_prescription(self, kind, fields):
+        with pytest.raises(ValidationError, match=f"^{kind} 's' must not carry a prescription$"):
+            StructureMask("s", kind, make_mask((2, 2, 2), [(0, 0, 0)]).mask, **fields)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("PTV", {"prescription": 1.0, "impact": "low"}), ("BODY", {"impact": "low"}),
+    ], ids=["PTV", "BODY"])
+    def test_only_an_oar_carries_an_impact_tag(self, kind, fields):
+        with pytest.raises(ValidationError, match=f"^{kind} 's' must not carry an impact tag$"):
+            StructureMask("s", kind, make_mask((2, 2, 2), [(0, 0, 0)]).mask, **fields)
+
+    @pytest.mark.parametrize("shape, spacing", [((2, 2, 3), (5.0, 5.0, 5.0)),
+                                                ((2, 2, 2), (5.0, 5.0, 2.5))],
+                             ids=["dims", "spacing"])
+    def test_set_requires_one_grid(self, shape, spacing):
+        body = make_mask((2, 2, 2), [(0, 0, 0)])
+        ptv = StructureMask("ptv", "PTV", VoxelGrid(np.ones(shape), spacing), prescription=1.0)
+        with pytest.raises(ValidationError,
+                           match="^structure 'ptv' geometry differs from the case grid$"):
+            StructureSet((body, ptv))
 
     def test_negative_zero_is_binary(self):
         arr = np.full((2, 2, 2), -0.0, dtype=np.float32)
         arr[1, 1, 1] = 1.0
-        mask = StructureMask(name="b", kind="BODY", mask=VoxelGrid.from_array(arr))
+        mask = StructureMask(name="b", kind="BODY", mask=VoxelGrid(arr))
         assert mask.linear_indices().tolist() == [7]
 
     def test_set_requires_containment(self):
@@ -436,7 +476,7 @@ class TestCrop:
     def test_tight_fit_identity(self):
         body = self._body((8, 8, 8), (0, 0, 0), (7, 7, 7))
         rng = np.random.default_rng(0)
-        grid = VoxelGrid.from_array(rng.random((8, 8, 8), dtype=np.float32))
+        grid = VoxelGrid(rng.random((8, 8, 8), dtype=np.float32))
         out, off = crop_to_kernel(grid, body, KernelSpec((8, 8, 8)))
         assert off.origin == (0, 0, 0)
         assert out.identical(grid)
@@ -455,7 +495,7 @@ class TestCrop:
     def test_crop_then_uncrop_restores_body_region(self):
         rng = np.random.default_rng(1)
         body = self._body((20, 20, 12), (4, 5, 2), (15, 14, 9))
-        grid = VoxelGrid.from_array(rng.random((20, 20, 12), dtype=np.float32))
+        grid = VoxelGrid(rng.random((20, 20, 12), dtype=np.float32))
         cropped, off = crop_to_kernel(grid, body, KernelSpec((16, 16, 8)))
         restored = uncrop(cropped, off)
         b = body.bool_array()
@@ -463,7 +503,7 @@ class TestCrop:
 
     def test_zero_padding_outside_source(self):
         body = self._body((4, 4, 4), (0, 0, 0), (3, 3, 3))
-        grid = VoxelGrid.from_array(np.ones((4, 4, 4), dtype=np.float32))
+        grid = VoxelGrid(np.ones((4, 4, 4), dtype=np.float32))
         out, off = crop_to_kernel(grid, body, KernelSpec((8, 8, 8)))
         assert out.data.sum() == 64.0
         assert out.data[0, 0, 0] == 0.0
@@ -475,7 +515,7 @@ class TestCrop:
     @example(source=(4, 4, 4), kernel=(3, 3, 3), origin=(-3, 0, 0), seed=0)  # disjoint along x
     def test_uncrop_of_crop_keeps_the_overlap(self, source, kernel, origin, seed):
         values = np.random.default_rng(seed).random(source, dtype=np.float32) + 1.0
-        grid = VoxelGrid.from_array(values)
+        grid = VoxelGrid(values)
         offset = CropOffset(origin, source, kernel)
         restored = uncrop(crop_with_offset(grid, offset), offset)
         overlap = np.ones(source, dtype=bool)
@@ -489,17 +529,17 @@ class TestCrop:
         body = self._body((4, 4, 4), (0, 0, 0), (3, 3, 3))
         _, off = crop_to_kernel(body.mask, body, KernelSpec((4, 4, 4)))
         with pytest.raises(ValidationError):
-            crop_with_offset(VoxelGrid.zeros((5, 5, 5)), off)
+            crop_with_offset(VoxelGrid(np.zeros((5, 5, 5))), off)
 
     def test_uncrop_rejects_wrong_dims(self):
         offset = CropOffset((0, 0, 0), (4, 4, 4), (3, 3, 3))
         with pytest.raises(ValidationError):
-            uncrop(VoxelGrid.zeros((4, 4, 4)), offset)
+            uncrop(VoxelGrid(np.zeros((4, 4, 4))), offset)
 
 
 class TestWriteFaults:
     @pytest.mark.parametrize("write", [
-        lambda path: write_volume(VoxelGrid.zeros((2, 2, 2)), path),
+        lambda path: write_volume(VoxelGrid(np.zeros((2, 2, 2))), path),
         lambda path: write_manifest(path, MetricsReport(0.9, (_ROW,))),
     ], ids=["volume", "manifest"])
     @pytest.mark.parametrize("target", ["file/x", "file/sub/x", "directory"],
@@ -537,7 +577,7 @@ def hand_built_plan() -> Plan:
         index=3,
         weights=PlanWeights({"ptv70": 1.0, "oar01": 0.25, "oar02": 0.0625}),
         fluence=np.array([0.0, 0.5, 1.25, 3.0]),
-        dose=VoxelGrid.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
+        dose=VoxelGrid(np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 8),
         diagnostics=PlanDiagnostics(iterations=2000, converged=False, final_objective=0.125,
                                     objective_at_zero=1.5, operator_norm=0.75,
                                     kkt_residual=1e-4),
