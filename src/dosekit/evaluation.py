@@ -58,11 +58,10 @@ class DvhCurve:
 
 
 def _check_grid(dose: VoxelGrid, ref: VoxelGrid, what: str) -> None:
-    """Raise ValidationError unless `dose` has `ref`'s dims and exactly its spacing."""
+    """Raise ValidationError unless `dose` has `ref`'s dims: every grid's voxels are
+    SPACING_MM, so that is the whole grid."""
     if dose.dims != ref.dims:
         raise ValidationError(f"dose dims {dose.dims} do not match {what} dims {ref.dims}")
-    if dose.spacing != ref.spacing:
-        raise ValidationError(f"dose spacing {dose.spacing} does not match {what}'s {ref.spacing}")
 
 
 def dvh_metric(curve: DvhCurve, metric: str) -> float:

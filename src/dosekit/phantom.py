@@ -22,11 +22,11 @@ from .errors import DosekitError, ValidationError
 from .seeds import derive_seed
 from .volume import (
     BODY,
-    DEFAULT_SPACING_MM,
     MANIFEST_NAME,
     MASK_DIR,
     OAR,
     PTV,
+    SPACING_MM,
     FileFormatError,
     KernelSpec,
     Record,
@@ -77,8 +77,8 @@ class ShapePalette(Record):
 
 @dataclass(frozen=True)
 class SiteSpec(Record):
-    """What sets one treatment site's patients apart; the grid spacing
-    (DEFAULT_SPACING_MM) and the constants above are the same for every site."""
+    """What sets one treatment site's patients apart; the voxel size (SPACING_MM)
+    and the constants above are the same for every site."""
 
     # 2: normalization, spacing, PTV level growth and attempts are module constants
     SCHEMA_VERSION = 2
@@ -201,7 +201,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
     """Synthesize one case; bit-identical for identical (spec, seed)."""
     rng = np.random.default_rng(derive_seed("phantom", spec.site_id, patient_seed))
     dims = spec.kernel.dims
-    spacing = DEFAULT_SPACING_MM
+    spacing = SPACING_MM
     pal = spec.shape_palette
     grid_center = tuple(dims[a] * spacing[a] / 2.0 for a in range(3))
 
@@ -218,7 +218,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
         f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
     )
     body_arr = _full_grid(dims, body_box, body_mask)
-    body = StructureMask("body", BODY, VoxelGrid(body_arr, spacing))
+    body = StructureMask("body", BODY, VoxelGrid(body_arr))
 
     # Highest prescription first (the boost); lower levels grow around its center.
     ptvs: list[StructureMask] = []
@@ -235,7 +235,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
 
         center, box, mask = _place(f"PTV level {level} inside the body", draw_ptv)
         ptvs.append(StructureMask(ptv_name(level), PTV,
-                                  VoxelGrid(_full_grid(dims, box, mask), spacing),
+                                  VoxelGrid(_full_grid(dims, box, mask)),
                                   prescription=float(level)))
         if rank == 0:
             boost_center = anchor = center
@@ -266,7 +266,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
         box, mask = _place(f"organ {i + 1}/{n_oars}", draw_oar)
         impact = "high" if rng.random() < 0.5 else "low"
         oars.append(StructureMask(f"oar{i + 1:02d}", OAR,
-                                  VoxelGrid(_full_grid(dims, box, mask), spacing), impact=impact))
+                                  VoxelGrid(_full_grid(dims, box, mask)), impact=impact))
         occupied[box] |= mask
 
     structures = StructureSet(tuple([body, *ptvs, *oars]))
@@ -296,7 +296,7 @@ def save_patient(directory, case: PatientCase) -> None:
     directory = Path(directory)
     _uncommit(directory / MANIFEST_NAME)
     for stale in (directory / MASK_DIR).glob("*.dvol"):  # masks the new manifest may not name
-        stale.unlink()
+        _uncommit(stale)
     for s in case.structures.structures:
         write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
     entries = tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
@@ -314,8 +314,8 @@ def load_patient(directory) -> PatientCase:
     for e in manifest.structures:
         path = directory / MASK_DIR / f"{e.name}.dvol"
         grid = read_volume(path)
-        if masks and (grid.dims, grid.spacing) != (masks[0].mask.dims, masks[0].mask.spacing):
-            raise FileFormatError(f"{path}: grid {grid.dims} at {grid.spacing} mm differs "
+        if masks and grid.dims != masks[0].mask.dims:
+            raise FileFormatError(f"{path}: grid {grid.dims} differs "
                                   f"from {masks[0].name!r}'s, the case grid")
         try:  # the entry's fields passed as it was decoded: only the grid can fail
             masks.append(StructureMask(e.name, e.kind, grid, e.prescription, e.impact))

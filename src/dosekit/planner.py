@@ -50,8 +50,8 @@ import numpy as np
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import (FileFormatError, Record, StructureMask, StructureSet, VoxelGrid,
-                     _atomic_write_bytes, _count, _counts, _read_bytes, _uncommit,
+from .volume import (SPACING_MM, FileFormatError, Record, StructureMask, StructureSet,
+                     VoxelGrid, _atomic_write_bytes, _count, _counts, _read_bytes, _uncommit,
                      read_manifest, read_volume, write_manifest, write_volume)
 
 if typing.TYPE_CHECKING:
@@ -115,7 +115,6 @@ class InfluenceMatrix:
     matrix: sp.csr_matrix
     voxel_indices: np.ndarray
     dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
 
     def __post_init__(self):
         if self.matrix.shape[0] != self.voxel_indices.size:
@@ -310,7 +309,7 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
 
     structures = case.structures
     dims = structures.dims
-    spacing = np.asarray(structures.spacing, dtype=np.float64)
+    spacing = np.asarray(SPACING_MM, dtype=np.float64)
     body = structures.body
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
@@ -438,7 +437,6 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         matrix=matrix,
         voxel_indices=body_idx,
         dims=dims,
-        spacing=tuple(structures.spacing),
     )
     reach = np.diff(matrix.indptr) > 0
     for ptv in structures.ptvs:
@@ -713,7 +711,7 @@ def scatter_dose(infl: InfluenceMatrix, fluence: np.ndarray) -> VoxelGrid:
     dose_rows = infl.matrix @ np.asarray(fluence, dtype=np.float64)
     flat = np.zeros(int(np.prod(infl.dims)), dtype=np.float64)
     flat[infl.voxel_indices] = dose_rows
-    return VoxelGrid(flat.reshape(infl.dims, order="F"), infl.spacing)
+    return VoxelGrid(flat.reshape(infl.dims, order="F"))
 
 
 def solve_fluence(

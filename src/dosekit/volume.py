@@ -7,6 +7,8 @@ Conventions used everywhere in this package:
   order of ``VoxelGrid.flat``.
 * Grid data is float32 in memory and ``<f4`` on disk, so file round trips are
   bit-exact.
+* Every grid's voxels are ``SPACING_MM`` in size, for every site. A grid holds
+  no spacing of its own; the .dvol header keeps it, and `read_volume` checks it.
 * All types are immutable after construction; operations are pure functions.
 * Every JSON file is one frozen-dataclass `Record`, written by `write_manifest`
   stamped with its class's ``SCHEMA_VERSION`` and read back by `read_manifest`,
@@ -30,7 +32,7 @@ from .errors import DosekitError, ValidationError
 
 DVOL_MAGIC = b"DVOL"
 DVOL_VERSION = 1
-DEFAULT_SPACING_MM = (5.0, 5.0, 5.0)
+SPACING_MM = (5.0, 5.0, 5.0)  # the voxel size (x, y, z) of every grid
 
 PTV = "PTV"
 OAR = "OAR"
@@ -188,33 +190,29 @@ def _counts(values, what: str, length: int = 3, least: int = 1) -> tuple[int, ..
 
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
-    """Dense 3D scalar field with voxel spacing in millimeters.
+    """Dense 3D scalar field on voxels of ``SPACING_MM``.
 
-    ``data`` is the array given, as a read-only float32 array indexed
-    ``data[x, y, z]``; its shape, three positive axes, is the grid's ``dims``.
+    ``data`` is the grid's own copy of the array given, as a read-only C-ordered
+    float32 array indexed ``data[x, y, z]``; its shape, three positive axes, is
+    the grid's ``dims``.
     """
 
     data: np.ndarray
-    spacing: tuple[float, float, float] = DEFAULT_SPACING_MM
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
+        # a copy: the caller may write its array, or the array a view shows, later
+        self.__setstate__({"data": np.array(self.data, dtype=np.float32, order="C")})
+
+    def __setstate__(self, state):
+        # copies (pickle, copy.deepcopy) bring a new array, checked and frozen here
+        # without a further copy: a deep-copied array, and one unpickled below
+        # protocol 5, is writeable
+        data = state["data"]
         _counts(data.shape, "dims")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
-            raise ValidationError(f"spacing must be finite and strictly positive, got {spacing}")
         if not np.all(np.isfinite(data)):
             raise ValidationError("grid values must be finite")
-        data = np.ascontiguousarray(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", spacing)
-
-    def __reduce__(self):
-        # copies (pickle, copy.deepcopy) are rebuilt through the constructor, so they
-        # are validated again and their data is read-only: a copied array, and one
-        # unpickled below protocol 5, is writeable
-        return VoxelGrid, (self.data, self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -225,8 +223,8 @@ class VoxelGrid:
         return self.data.ravel(order="F")
 
     def identical(self, other: "VoxelGrid") -> bool:
-        """Bit-exact equality of geometry and values (the dims are the data's shape)."""
-        return self.spacing == other.spacing and np.array_equal(self.data, other.data)
+        """Bit-exact equality of dims and values (the dims are the data's shape)."""
+        return np.array_equal(self.data, other.data)
 
 
 def _check_fields(name: str, kind: str, prescription, impact) -> None:
@@ -314,7 +312,7 @@ class StructureSet:
             raise ValidationError("need at least one PTV")
         ref = structures[0].mask
         for s in structures:
-            if s.mask.dims != ref.dims or s.mask.spacing != ref.spacing:
+            if s.mask.dims != ref.dims:
                 raise ValidationError(f"structure {s.name!r} geometry differs from the case grid")
         body = bodies[0].bool_array()
         for s in structures:
@@ -336,10 +334,6 @@ class StructureSet:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.structures[0].mask.dims
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return self.structures[0].mask.spacing
 
     @property
     def highest_prescription(self) -> float:
@@ -412,11 +406,11 @@ def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
     for o, k, n in zip(offset.origin, offset.kernel_dims, offset.source_dims):
         s0, s1 = max(0, o), min(n, o + k)
         if s0 >= s1:  # no overlap; a negative slice stop would select voxels
-            return VoxelGrid(out, grid.spacing)
+            return VoxelGrid(out)
         src.append(slice(s0, s1))
         ker.append(slice(s0 - o, s1 - o))
     out[tuple(ker)] = grid.data[tuple(src)]
-    return VoxelGrid(out, grid.spacing)
+    return VoxelGrid(out)
 
 
 def crop_to_kernel(
@@ -464,24 +458,28 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 
 
 def write_volume(grid: VoxelGrid, path) -> None:
-    """Serialize to .dvol: DVOL | u16 version | 3*u32 dims | 3*f32 spacing | <f4 payload."""
+    """Serialize to .dvol: DVOL | u16 version | 3*u32 dims | 3*f32 spacing | <f4 payload,
+    the spacing being SPACING_MM."""
     path = Path(path)
-    header = _HEADER.pack(DVOL_MAGIC, DVOL_VERSION, *grid.dims, *grid.spacing)
+    header = _HEADER.pack(DVOL_MAGIC, DVOL_VERSION, *grid.dims, *SPACING_MM)
     payload = grid.flat().astype("<f4").tobytes()
     _atomic_write_bytes(path, header + payload)
 
 
 def read_volume(path) -> VoxelGrid:
     """Inverse of write_volume; read(write(g)) is bit-exact. A fault raises
-    MissingFileError or FileFormatError naming `path`."""
+    MissingFileError or FileFormatError naming `path`, a header spacing other than
+    SPACING_MM among them."""
     raw = _read_bytes(Path(path))
     if raw[:4] != DVOL_MAGIC:
         raise FileFormatError(f"{path}: not a DVOL file")
     if len(raw) < _HEADER.size:
         raise FileFormatError(f"{path}: truncated header")
-    _, version, nx, ny, nz, sx, sy, sz = _HEADER.unpack_from(raw)
+    _, version, nx, ny, nz, *spacing = _HEADER.unpack_from(raw)
     if version != DVOL_VERSION:
         raise FileFormatError(f"{path}: format version {version}, expected {DVOL_VERSION}")
+    if tuple(spacing) != SPACING_MM:  # a NaN equals nothing
+        raise FileFormatError(f"{path}: spacing {tuple(spacing)} mm, expected {SPACING_MM}")
     expected = nx * ny * nz * 4
     actual = len(raw) - _HEADER.size
     if actual != expected:
@@ -489,7 +487,7 @@ def read_volume(path) -> VoxelGrid:
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     data = flat.reshape((nx, ny, nz), order="F")
     try:
-        return VoxelGrid(data, (sx, sy, sz))
+        return VoxelGrid(data)
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -513,16 +511,17 @@ class StructureEntry(Record):
         _check_fields(self.name, self.kind, self.prescription, self.impact)
 
 
-def _uncommit(manifest: Path) -> None:
-    """Remove the manifest that commits a saved directory, before the directory's
-    other files are rewritten and the manifest is written last, so a save that fails
-    part way leaves nothing to load. A directory at `manifest`, or a file among its
-    parents, raises MissingFileError naming it."""
-    _make_parents(manifest)
+def _uncommit(path: Path) -> None:
+    """Remove the file at `path` from a saved directory: the manifest that commits
+    it, before the directory's other files are rewritten and the manifest is written
+    last, so a save that fails part way leaves nothing to load, or a stale file. A
+    directory at `path`, or a file among its parents, raises MissingFileError naming
+    it."""
+    _make_parents(path)
     try:
-        manifest.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
     except IsADirectoryError as exc:
-        raise MissingFileError(f"{manifest}: is a directory") from exc
+        raise MissingFileError(f"{path}: is a directory") from exc
 
 
 def write_manifest(path, record: Record) -> None:

@@ -110,6 +110,15 @@ def test_out_under_a_file_exits_3(tmp_path):
     assert line.startswith(f"dosekit: {out}{os.sep}")
 
 
+def test_directory_at_a_mask_path_exits_3(tmp_path, capsys):
+    # a save removes the masks that its manifest may not name; a directory is none
+    path = tmp_path / "case" / "masks" / "oar99.dvol"
+    path.mkdir(parents=True)
+    assert cli.main(["phantom", "--site", "siteA", "--seed", "1",
+                     "--out", str(tmp_path / "case")]) == 3  # a MissingFileError
+    assert capsys.readouterr().err.splitlines() == [f"dosekit: {path}: is a directory"]
+
+
 def test_plan_checks_out_before_solving(patient_dir, tmp_path, monkeypatch, capsys):
     # unchecked, an --out under a file failed only once every plan was solved
     def solve(*args, **kwargs):
@@ -145,7 +154,7 @@ def test_nan_mask_spacing_exits_3(patient_dir, tmp_path):
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
     assert done.returncode == 3  # a FileFormatError
     (line,) = done.stderr.splitlines()
-    assert line.startswith(f"dosekit: {path}: spacing must be finite")
+    assert line == f"dosekit: {path}: spacing (nan, 5.0, 5.0) mm, expected (5.0, 5.0, 5.0)"
 
 
 def test_stray_mask_value_exits_3(patient_dir, tmp_path):
@@ -167,7 +176,7 @@ def test_case_without_ptv_voxels_exits_3(patient_dir, tmp_path):
     shutil.copytree(patient_dir, case)
     (path,) = (case / "masks").glob("ptv*.dvol")
     mask = read_volume(path)
-    write_volume(VoxelGrid(np.zeros(mask.dims), mask.spacing), path)
+    write_volume(VoxelGrid(np.zeros(mask.dims)), path)
     done = dosekit("plan", "--case", case, "--count", 1, "--seed", 0, "--out", tmp_path / "out")
     assert done.returncode == 3  # a FileFormatError: a structure has at least one voxel
     assert done.stderr.splitlines() == [f"dosekit: {path}: mask '{path.stem}' is empty"]

@@ -86,9 +86,9 @@ class TestDvhCurve:
 
     def test_from_dose_requires_the_mask_grid(self):
         mask = make_mask((2, 2, 2), [(0, 0, 0)])
-        dose = VoxelGrid(np.ones((2, 2, 2), dtype=np.float32), spacing=(2.5,) * 3)
-        with pytest.raises(ValidationError, match=r"^dose spacing \(2.5, 2.5, 2.5\) does not "
-                                                  r"match mask 'body''s \(5.0, 5.0, 5.0\)"):
+        dose = VoxelGrid(np.ones((2, 2, 3), dtype=np.float32))
+        with pytest.raises(ValidationError, match=r"^dose dims \(2, 2, 3\) do not match "
+                                                  r"mask 'body' dims \(2, 2, 2\)$"):
             DvhCurve.from_dose(dose, mask)
 
     def test_requires_a_dose(self):
@@ -190,9 +190,6 @@ class TestIsodoseMse:
 
     def test_rejects_another_grid(self):
         gt = VoxelGrid(np.ones((2, 2, 2), dtype=np.float32))
-        finer = VoxelGrid(gt.data, spacing=(2.5, 2.5, 2.5))
-        with pytest.raises(ValidationError, match="spacing"):
-            isodose_mse(finer, gt, 1.0)
         with pytest.raises(ValidationError, match=r"^dose dims \(1, 2, 2\) do not match"):
             isodose_mse(VoxelGrid(gt.data[:1]), gt, 1.0)
 

@@ -46,8 +46,8 @@ from dosekit.planner import (
     solve_fluence,
     solve_stacked,
 )
-from dosekit.volume import (FileFormatError, KernelSpec, MissingFileError, StructureMask,
-                            StructureSet, VoxelGrid)
+from dosekit.volume import (SPACING_MM, FileFormatError, KernelSpec, MissingFileError,
+                            StructureMask, StructureSet, VoxelGrid)
 
 from test_volume import JSON_VALUES, make_mask, without_version
 
@@ -156,7 +156,6 @@ def single_voxel_case(ptv_prescription=2.0, with_oar=False):
         matrix=sp.csr_matrix(np.array([[1.0]])),
         voxel_indices=np.array([0], dtype=np.int64),
         dims=(1, 1, 1),
-        spacing=(5.0, 5.0, 5.0),
     )
     return sset, infl
 
@@ -203,8 +202,7 @@ def test_beam_config_takes_numpy_integer_counts():
                          ids=["nan", "inf", "-inf", "negative"])
 def test_influence_matrix_rejects_bad_entries(value):
     with pytest.raises(ValidationError, match="finite and nonnegative"):
-        InfluenceMatrix(sp.csr_matrix(np.array([[value, 1.0]])), np.array([0]),
-                        (1, 1, 1), (5.0, 5.0, 5.0))
+        InfluenceMatrix(sp.csr_matrix(np.array([[value, 1.0]])), np.array([0]), (1, 1, 1))
 
 
 class TestInfluenceMatrix:
@@ -231,12 +229,11 @@ class TestInfluenceMatrix:
 
     def test_row_count_must_match_the_voxel_map(self):
         with pytest.raises(ValidationError, match="^row count must match the voxel index map$"):
-            InfluenceMatrix(sp.csr_matrix((2, 1)), np.arange(3), (3, 1, 1), (5.0, 5.0, 5.0))
+            InfluenceMatrix(sp.csr_matrix((2, 1)), np.arange(3), (3, 1, 1))
 
     @pytest.mark.parametrize("voxel", [(1, 0, 0), (3, 0, 0)], ids=["between-rows", "past-rows"])
     def test_rows_for_refuses_voxels_outside_the_body_rows(self, voxel):
-        infl = InfluenceMatrix(sp.csr_matrix((2, 1)), np.array([0, 2]), (4, 1, 1),
-                               (5.0, 5.0, 5.0))
+        infl = InfluenceMatrix(sp.csr_matrix((2, 1)), np.array([0, 2]), (4, 1, 1))
         with pytest.raises(ValidationError,
                            match="^structure 'ptv' has voxels outside the body rows$"):
             infl.rows_for(make_mask((4, 1, 1), [voxel], kind="PTV", name="ptv",
@@ -253,7 +250,7 @@ def dense_influence_reference(case, cfg):
     every (voxel, beamlet) entry of a beam at once. Test-only reference."""
     structures = case.structures
     dims = structures.dims
-    spacing = np.asarray(structures.spacing, dtype=np.float64)
+    spacing = np.asarray(SPACING_MM, dtype=np.float64)
     body = structures.body
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
@@ -318,7 +315,7 @@ def assert_same_csr(actual, expected):
 def with_full_grid_body(case):
     """`case` with every grid voxel in the body, so rays leave the body box at the grid edge."""
     body = case.structures.body
-    full = VoxelGrid(np.ones(body.mask.dims), body.mask.spacing)
+    full = VoxelGrid(np.ones(body.mask.dims))
     others = tuple(s for s in case.structures.structures if s is not body)
     structures = StructureSet((StructureMask(body.name, body.kind, full), *others))
     return PatientCase(structures, case.site_id, case.seed)
@@ -338,7 +335,7 @@ def with_body_cavity(case):
     cavity[6:11, 8:21, 6:10] = True
     cavity &= body_arr & ~targets & body_arr[5][None]  # body upstream of the slab
     assert cavity.any()
-    carved = VoxelGrid(body_arr & ~cavity, body.mask.spacing)
+    carved = VoxelGrid(body_arr & ~cavity)
     others = tuple(s for s in structures.structures if s is not body)
     return PatientCase(StructureSet((StructureMask(body.name, body.kind, carved), *others)),
                        case.site_id, case.seed)
@@ -440,7 +437,7 @@ def column_march_reference(case, cfg):
     Test-only reference where the dense one would not fit."""
     structures = case.structures
     dims = structures.dims
-    spacing = np.asarray(structures.spacing, dtype=np.float64)
+    spacing = np.asarray(SPACING_MM, dtype=np.float64)
     body = structures.body
     body_arr = body.bool_array()
     body_idx = body.linear_indices()
@@ -592,7 +589,7 @@ def test_influence_matches_dense_reference_at_any_beam_count(half_size_case, n_b
 def python_ray_depth(case, voxel, d, step_mm):
     """Depth of one voxel by a scalar march: step_mm per upstream sample in the body."""
     dims = case.structures.dims
-    spacing = case.structures.spacing
+    spacing = SPACING_MM
     body = case.structures.body.bool_array()
     center = [(g + 0.5) * h for g, h in zip(voxel, spacing)]
     diag = math.sqrt(sum((n * h) ** 2 for n, h in zip(dims, spacing)))
@@ -614,7 +611,7 @@ class TestInfluenceEntries:
         case = generate_patient(spec, 1)
         cfg = BeamConfig()
         infl = build_influence_matrix(case, cfg)
-        spacing = np.asarray(case.structures.spacing)
+        spacing = np.asarray(SPACING_MM)
         nx, ny, _ = case.structures.dims
         ptv_union = np.zeros(case.structures.dims, dtype=bool)
         for ptv in case.structures.ptvs:
@@ -648,7 +645,7 @@ class TestInfluenceEntries:
 def mirrored(case, axis):
     """`case` with every mask flipped along `axis` (1: y, 2: z)."""
     return dataclasses.replace(case, structures=StructureSet(tuple(
-        dataclasses.replace(s, mask=VoxelGrid(np.flip(s.mask.data, axis), s.mask.spacing))
+        dataclasses.replace(s, mask=VoxelGrid(np.flip(s.mask.data, axis)))
         for s in case.structures.structures)))
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,9 +23,9 @@ from dosekit.phantom import (PatientCase, PatientManifest, SiteSpec, builtin_sit
 from dosekit.planner import (DOSE_FILE, PLAN_JSON, BeamConfig, Plan, PlanDiagnostics, PlanWeights,
                              save_plan)
 from dosekit.volume import (
-    DEFAULT_SPACING_MM,
     MANIFEST_NAME,
     MASK_DIR,
+    SPACING_MM,
     CropOffset,
     KernelSpec,
     FileFormatError,
@@ -133,15 +134,6 @@ class TestVoxelGrid:
         with pytest.raises(ValidationError):
             VoxelGrid(arr)
 
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(ValidationError):
-            VoxelGrid(np.zeros((2, 2, 2)), (0.0, 5.0, 5.0))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_spacing(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
-            VoxelGrid(np.zeros((2, 2, 2)), (5.0, bad, 5.0))
-
     @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2, 1), (2, 0, 2), ()],
                              ids=["two-axes", "four-axes", "empty-axis", "scalar"])
     def test_rejects_bad_dims(self, shape):
@@ -152,12 +144,21 @@ class TestVoxelGrid:
     def test_dims_are_the_shape(self):
         grid = VoxelGrid(np.zeros((2, 3, 4)))
         assert grid.dims == grid.data.shape == (2, 3, 4)
-        assert grid.spacing == DEFAULT_SPACING_MM
+        # every grid's voxels are SPACING_MM: the data is a grid's one field
+        assert [f.name for f in dataclasses.fields(VoxelGrid)] == ["data"]
 
     def test_takes_numpy_integer_dims(self):
         kernel = KernelSpec((np.int64(2), np.int32(3), np.uint8(4)))
         assert kernel.dims == (2, 3, 4)
         assert all(type(d) is int for d in kernel.dims)
+
+    def test_takes_its_own_copy(self):
+        # a grid is frozen, but the caller's array, and the array a view shows, are not
+        base = np.zeros((2, 2, 2), dtype=np.float32)
+        grids = VoxelGrid(base), VoxelGrid(base[:])
+        assert base.flags.writeable
+        base[0, 0, 0] = 5.0
+        assert [g.data[0, 0, 0] for g in grids] == [0.0, 0.0]
 
     def test_data_is_readonly(self):
         g = VoxelGrid(np.zeros((2, 2, 2)))
@@ -194,8 +195,7 @@ class TestCopies:
 
     @pytest.mark.parametrize("copy_of", COPIES)
     def test_voxel_grid(self, copy_of):
-        grid = VoxelGrid(np.arange(24, dtype=np.float32).reshape(2, 3, 4),
-                                    spacing=(1.0, 2.0, 3.0))
+        grid = VoxelGrid(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
         self.assert_frozen_copy(copy_of(grid), grid)
 
     @pytest.mark.parametrize("copy_of", COPIES)
@@ -254,7 +254,7 @@ class TestVolumeRoundTrip:
     def test_round_trip_property(self, dims, seed):
         rng = np.random.default_rng(seed)
         arr = rng.standard_normal(dims).astype(np.float32)
-        g = VoxelGrid(arr, spacing=(2.5, 5.0, 1.25))
+        g = VoxelGrid(arr)
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "g.dvol"
             write_volume(g, p)
@@ -272,11 +272,11 @@ class TestVolumeRoundTrip:
 
     @staticmethod
     def valid_volume() -> bytes:
-        """A 3 x 2 x 2 grid at spacing (2.5, 5, 1.25): 30 header and 48 payload bytes."""
+        """A 3 x 2 x 2 grid: 30 header and 48 payload bytes."""
         arr = np.random.default_rng(0).standard_normal((3, 2, 2)).astype(np.float32)
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "g.dvol"
-            write_volume(VoxelGrid(arr, spacing=(2.5, 5.0, 1.25)), p)
+            write_volume(VoxelGrid(arr), p)
             return p.read_bytes()
 
     @settings(max_examples=80, deadline=None)
@@ -315,7 +315,17 @@ class TestVolumeRoundTrip:
     def test_nan_spacing_is_rejected(self, tmp_path):
         raw = bytearray(self.valid_volume())
         raw[25] = 0x7F  # the top byte of spacing y: 5.0 = 0x40a00000 becomes a NaN
-        self.rejected_with_path(tmp_path / "g.dvol", bytes(raw), "spacing must be finite")
+        self.rejected_with_path(tmp_path / "g.dvol", bytes(raw),
+                                r"spacing \(5.0, nan, 5.0\) mm, expected \(5.0, 5.0, 5.0\)$")
+
+    @pytest.mark.parametrize("spacing", [(2.5, 5.0, 5.0), (5.0, 0.0, 5.0), (5.0, 5.0, np.nan)],
+                             ids=["finer", "zero", "nan"])
+    def test_other_spacing_is_refused(self, tmp_path, spacing):
+        # every grid's voxels are SPACING_MM; a header that says otherwise is a bad file
+        raw = bytearray(self.valid_volume())
+        raw[18:30] = np.array(spacing, dtype="<f4").tobytes()
+        self.rejected_with_path(tmp_path / "g.dvol", bytes(raw), re.escape(
+            f"spacing {tuple(np.float32(spacing).tolist())} mm, expected {SPACING_MM}") + "$")
 
     def test_zero_dims_header_is_rejected(self, tmp_path):
         # nx = 0 and no payload, so the payload size matches the header
@@ -391,12 +401,10 @@ class TestStructures:
         with pytest.raises(ValidationError, match=f"^{kind} 's' must not carry an impact tag$"):
             StructureMask("s", kind, make_mask((2, 2, 2), [(0, 0, 0)]).mask, **fields)
 
-    @pytest.mark.parametrize("shape, spacing", [((2, 2, 3), (5.0, 5.0, 5.0)),
-                                                ((2, 2, 2), (5.0, 5.0, 2.5))],
-                             ids=["dims", "spacing"])
-    def test_set_requires_one_grid(self, shape, spacing):
+    @pytest.mark.parametrize("shape", [(2, 2, 3)], ids=["dims"])
+    def test_set_requires_one_grid(self, shape):
         body = make_mask((2, 2, 2), [(0, 0, 0)])
-        ptv = StructureMask("ptv", "PTV", VoxelGrid(np.ones(shape), spacing), prescription=1.0)
+        ptv = StructureMask("ptv", "PTV", VoxelGrid(np.ones(shape)), prescription=1.0)
         with pytest.raises(ValidationError,
                            match="^structure 'ptv' geometry differs from the case grid$"):
             StructureSet((body, ptv))
@@ -564,6 +572,14 @@ class TestWriteFaults:
         with pytest.raises(MissingFileError, match=f"^{path}: is a directory$"):
             save(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [manifest]
+
+    @pytest.mark.parametrize("name", ["body", "oar99"], ids=["body", "stray"])
+    def test_directory_at_a_mask_path_is_typed(self, tmp_path, name):
+        # a save removes the masks that its manifest may not name; a directory is none
+        path = tmp_path / MASK_DIR / f"{name}.dvol"
+        path.mkdir(parents=True)
+        with pytest.raises(MissingFileError, match=f"^{re.escape(str(path))}: is a directory$"):
+            save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
 
 
 def sha256_of(path) -> str:
@@ -808,6 +824,14 @@ class TestRecord:
     def test_float_field_takes_an_integer_and_optional_takes_null(self):
         assert BeamConfig.from_json_dict({"attenuation_mu": 1}).attenuation_mu == 1
         assert MetricValue.from_json_dict({**_ROW.to_json_dict(), "impact": None}) == _ROW
+
+    def test_field_without_json_form_is_a_type_error(self):
+        @dataclass(frozen=True)
+        class Tagged(Record):
+            tags: set[int]
+
+        with pytest.raises(TypeError, match="^Tagged field 'tags': no JSON form for type hint"):
+            Tagged.from_json_dict({"tags": [1]})
 
     def test_non_object_row_is_typed(self):
         d = RECORDS[-1].to_json_dict()
