@@ -120,7 +120,7 @@ def ptv_name(level: float) -> str:
 
 
 def builtin_site(name: str) -> SiteSpec:
-    """Desk-scale presets; paper-scale kernels remain valid via custom specs."""
+    """Desk-scale presets; larger grids remain valid via custom specs."""
     if name == "siteA":
         return SiteSpec(
             site_id="siteA",
@@ -215,7 +215,7 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
         return (center, box, mask) if mask.sum() >= MIN_BODY_COVERAGE * np.prod(dims) else None
 
     body_center, body_box, body_mask = _place(
-        f"a body covering {MIN_BODY_COVERAGE:.0%} of the kernel", draw_body
+        f"a body covering {MIN_BODY_COVERAGE:.0%} of the grid", draw_body
     )
     body_arr = _full_grid(dims, body_box, body_mask)
     body = StructureMask("body", BODY, VoxelGrid(body_arr))

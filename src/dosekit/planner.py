@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DosekitError, ValidationError
 from .phantom import PatientCase
 from .seeds import derive_seed
-from .volume import (SPACING_MM, FileFormatError, Record, StructureMask, StructureSet,
+from .volume import (PTV, SPACING_MM, FileFormatError, Record, StructureMask, StructureSet,
                      VoxelGrid, _atomic_write_bytes, _count, _counts, _read_bytes, _uncommit,
                      read_manifest, read_volume, write_manifest, write_volume)
 
@@ -685,7 +685,7 @@ def objective_rows(infl: InfluenceMatrix, structures: StructureSet,
             raise ValidationError(f"no tradeoff weight for structure {s.name!r}")
         rows = infl.rows_for(s)
         scale = np.sqrt(weights[s.name] / rows.size)
-        p = s.prescription if s.kind == "PTV" else 0.0
+        p = s.prescription if s.kind == PTV else 0.0
         rows_list.append(rows)
         scale_list.append(np.full(rows.size, scale))
         b_list.append(np.full(rows.size, scale * p))

@@ -1,5 +1,5 @@
-"""Voxel grids, structure sets (`phantom.save_patient` writes them), kernel
-cropping, the .dvol binary format, and the one JSON codec of dosekit.
+"""Voxel grids, structure sets (`phantom.save_patient` writes them), the .dvol
+binary format, and the one JSON codec of dosekit.
 
 Conventions used everywhere in this package:
 
@@ -159,10 +159,6 @@ def _decode(hint, value, record: str, field: str):
         (hint,) = (a for a in args if a is not type(None))
         return _decode(hint, value, record, field)
     raise TypeError(f"{record} field {field!r}: no JSON form for type hint {hint!r}")
-
-
-class KernelTooSmallError(ValidationError):
-    """Body bounding box exceeds the crop kernel along an axis."""
 
 
 def _count(value, what: str, least: int = 1) -> int:
@@ -342,7 +338,8 @@ class StructureSet:
 
 @dataclass(frozen=True)
 class KernelSpec(Record):
-    """Fixed crop size fed to the model; as `SiteSpec.kernel`, the phantom grid too."""
+    """A site's grid (`SiteSpec.kernel`): its phantoms' dims, which the model reads whole
+    after checking each axis with `check_pooling`."""
 
     dims: tuple[int, int, int]
 
@@ -357,75 +354,6 @@ class KernelSpec(Record):
                 raise ValidationError(
                     f"kernel axis {axis}={d} not divisible by 2^{pools}"
                 )
-
-
-@dataclass(frozen=True)
-class CropOffset:
-    """Placement of a kernel window inside a source grid.
-
-    Kernel voxel (i,j,k) corresponds to source voxel (i,j,k) + origin; origins
-    may be negative (zero padding outside the source).
-    """
-
-    origin: tuple[int, int, int]
-    source_dims: tuple[int, int, int]
-    kernel_dims: tuple[int, int, int]
-
-
-def mask_bounding_box(mask: StructureMask) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Inclusive (lo, hi) voxel bounds of the mask."""
-    nz = np.nonzero(mask.mask.data)
-    lo = tuple(int(axis.min()) for axis in nz)
-    hi = tuple(int(axis.max()) for axis in nz)
-    return lo, hi
-
-
-def kernel_offset_for(body: StructureMask, kernel: KernelSpec) -> CropOffset:
-    """Center the body bounding box inside the kernel; ties go to the lower index."""
-    lo, hi = mask_bounding_box(body)
-    origin = []
-    for axis, name in enumerate("xyz"):
-        extent = hi[axis] - lo[axis] + 1
-        k = kernel.dims[axis]
-        if extent > k:
-            raise KernelTooSmallError(f"body bounding box needs {extent} voxels on axis "
-                                      f"{name}, kernel provides {k}")
-        start_in_kernel = (k - extent) // 2
-        origin.append(lo[axis] - start_in_kernel)
-    return CropOffset(tuple(origin), body.mask.dims, kernel.dims)
-
-
-def crop_with_offset(grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
-    """Extract the kernel window; voxels outside the source grid become zero."""
-    if grid.dims != offset.source_dims:
-        raise ValidationError(
-            f"grid dims {grid.dims} do not match crop source dims {offset.source_dims}"
-        )
-    out = np.zeros(offset.kernel_dims, dtype=np.float32)
-    src, ker = [], []
-    for o, k, n in zip(offset.origin, offset.kernel_dims, offset.source_dims):
-        s0, s1 = max(0, o), min(n, o + k)
-        if s0 >= s1:  # no overlap; a negative slice stop would select voxels
-            return VoxelGrid(out)
-        src.append(slice(s0, s1))
-        ker.append(slice(s0 - o, s1 - o))
-    out[tuple(ker)] = grid.data[tuple(src)]
-    return VoxelGrid(out)
-
-
-def crop_to_kernel(
-    grid: VoxelGrid, body: StructureMask, kernel: KernelSpec
-) -> tuple[VoxelGrid, CropOffset]:
-    """Crop `grid` to the kernel window that centers the body bounding box."""
-    offset = kernel_offset_for(body, kernel)
-    return crop_with_offset(grid, offset), offset
-
-
-def uncrop(kernel_grid: VoxelGrid, offset: CropOffset) -> VoxelGrid:
-    """Scatter a kernel-shaped grid back onto the source geometry (zeros elsewhere):
-    the crop by the inverse offset, with source and kernel dims swapped."""
-    inverse = CropOffset(tuple(-o for o in offset.origin), offset.kernel_dims, offset.source_dims)
-    return crop_with_offset(kernel_grid, inverse)
 
 
 def _make_parents(path: Path) -> None:

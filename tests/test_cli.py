@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -213,3 +214,51 @@ def test_influence_build_loads_scipy_sparse():
         "case = dosekit.phantom.generate_patient(dosekit.phantom.builtin_site('siteA'), 1)\n"
         "dosekit.planner.build_influence_matrix(case, dosekit.planner.BeamConfig())")
     assert "scipy.sparse" in loaded
+
+
+# KernelSpec.check_pooling is the model's check of a site grid: the 3D UNet is its
+# caller, and once the UNet lands this set is empty
+UNCALLED_ON_PURPOSE = {"check_pooling"}
+
+
+def public_names(tree):
+    """The public module-level functions, classes and assigned constants of a module,
+    and the public methods of its classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def used_names(tree):
+    """The identifiers that a module reads: loaded names and attributes, imported
+    names and keyword argument names; an assignment's target is no use."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            used.add(node.arg)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # callers are the package and the benchmark harness; tests and docstrings are not
+    package = sorted((SRC / "dosekit").glob("*.py"))
+    harness = [p for p in sorted((SRC.parent / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in package + harness}
+    used = set().union(*map(used_names, trees.values()))
+    uncalled = [f"{p.stem}.{name}" for p in package
+                for name in sorted(public_names(trees[p]) - used - UNCALLED_ON_PURPOSE)]
+    assert uncalled == []

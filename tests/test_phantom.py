@@ -287,6 +287,15 @@ class TestGeneratePatient:
                            match=f"could not place organ 1/21 after {MAX_ATTEMPTS} attempts"):
             generate_patient(impossible, 0)
 
+    def test_body_that_cannot_cover_the_grid_is_named(self):
+        spec = builtin_site("siteA")
+        tiny = dataclasses.replace(spec, shape_palette=dataclasses.replace(
+            spec.shape_palette, body_radius_mm=((10.0, 10.0),) * 3))
+        message = (f"could not place a body covering {MIN_BODY_COVERAGE:.0%} of the grid "
+                   f"after {MAX_ATTEMPTS} attempts")
+        with pytest.raises(PhantomGenerationError, match=f"^{re.escape(message)}$"):
+            generate_patient(tiny, 0)
+
 
 def ellipsoid_reference(dims, spacing, center_mm, radii_mm):
     """The whole-grid ellipsoid test that the boxed `phantom._ellipsoid` replaced.

@@ -26,21 +26,16 @@ from dosekit.volume import (
     MANIFEST_NAME,
     MASK_DIR,
     SPACING_MM,
-    CropOffset,
     KernelSpec,
     FileFormatError,
-    KernelTooSmallError,
     MissingFileError,
     Record,
     StructureEntry,
     StructureMask,
     StructureSet,
     VoxelGrid,
-    crop_to_kernel,
-    crop_with_offset,
     read_manifest,
     read_volume,
-    uncrop,
     write_manifest,
     write_volume,
 )
@@ -463,88 +458,6 @@ class TestStructures:
         assert not copy.linear_indices().flags.writeable
 
 
-class TestCrop:
-    def _body(self, shape, lo, hi):
-        coords = [
-            (x, y, z)
-            for x in range(lo[0], hi[0] + 1)
-            for y in range(lo[1], hi[1] + 1)
-            for z in range(lo[2], hi[2] + 1)
-        ]
-        return make_mask(shape, coords)
-
-    def test_centered_bbox(self):
-        body = self._body((40, 40, 20), (10, 10, 5), (19, 19, 14))
-        grid = body.mask
-        out, off = crop_to_kernel(grid, body, KernelSpec((32, 32, 16)))
-        assert out.dims == (32, 32, 16)
-        # bbox size 10 in a 32 kernel starts at (32-10)//2 = 11
-        assert off.origin == (10 - 11, 10 - 11, 5 - 3)
-
-    def test_tight_fit_identity(self):
-        body = self._body((8, 8, 8), (0, 0, 0), (7, 7, 7))
-        rng = np.random.default_rng(0)
-        grid = VoxelGrid(rng.random((8, 8, 8), dtype=np.float32))
-        out, off = crop_to_kernel(grid, body, KernelSpec((8, 8, 8)))
-        assert off.origin == (0, 0, 0)
-        assert out.identical(grid)
-
-    def test_kernel_too_small_names_axis(self):
-        body = self._body((64, 8, 8), (0, 0, 0), (39, 3, 3))
-        with pytest.raises(KernelTooSmallError, match="axis x"):
-            crop_to_kernel(body.mask, body, KernelSpec((32, 32, 16)))
-
-    def test_tie_breaks_toward_lower_index(self):
-        # extent 2 in kernel 5: start (5-2)//2 = 1, not 2
-        body = self._body((6, 6, 6), (2, 2, 2), (3, 3, 3))
-        _, off = crop_to_kernel(body.mask, body, KernelSpec((5, 5, 5)))
-        assert off.origin == (1, 1, 1)
-
-    def test_crop_then_uncrop_restores_body_region(self):
-        rng = np.random.default_rng(1)
-        body = self._body((20, 20, 12), (4, 5, 2), (15, 14, 9))
-        grid = VoxelGrid(rng.random((20, 20, 12), dtype=np.float32))
-        cropped, off = crop_to_kernel(grid, body, KernelSpec((16, 16, 8)))
-        restored = uncrop(cropped, off)
-        b = body.bool_array()
-        assert np.array_equal(restored.data[b], grid.data[b])
-
-    def test_zero_padding_outside_source(self):
-        body = self._body((4, 4, 4), (0, 0, 0), (3, 3, 3))
-        grid = VoxelGrid(np.ones((4, 4, 4), dtype=np.float32))
-        out, off = crop_to_kernel(grid, body, KernelSpec((8, 8, 8)))
-        assert out.data.sum() == 64.0
-        assert out.data[0, 0, 0] == 0.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(source=st.tuples(*[st.integers(1, 6)] * 3), kernel=st.tuples(*[st.integers(1, 6)] * 3),
-           origin=st.tuples(*[st.integers(-8, 8)] * 3), seed=st.integers(0, 2**16))
-    @example(source=(4, 4, 4), kernel=(3, 3, 3), origin=(1, 4, 0), seed=0)  # disjoint along y
-    @example(source=(4, 4, 4), kernel=(3, 3, 3), origin=(-3, 0, 0), seed=0)  # disjoint along x
-    def test_uncrop_of_crop_keeps_the_overlap(self, source, kernel, origin, seed):
-        values = np.random.default_rng(seed).random(source, dtype=np.float32) + 1.0
-        grid = VoxelGrid(values)
-        offset = CropOffset(origin, source, kernel)
-        restored = uncrop(crop_with_offset(grid, offset), offset)
-        overlap = np.ones(source, dtype=bool)
-        for axis, (o, k, n) in enumerate(zip(origin, kernel, source)):
-            shape = [1, 1, 1]
-            shape[axis] = n
-            overlap &= ((np.arange(n) >= o) & (np.arange(n) < o + k)).reshape(shape)
-        assert np.array_equal(restored.data, np.where(overlap, values, 0.0))
-
-    def test_crop_with_offset_rejects_wrong_dims(self):
-        body = self._body((4, 4, 4), (0, 0, 0), (3, 3, 3))
-        _, off = crop_to_kernel(body.mask, body, KernelSpec((4, 4, 4)))
-        with pytest.raises(ValidationError):
-            crop_with_offset(VoxelGrid(np.zeros((5, 5, 5))), off)
-
-    def test_uncrop_rejects_wrong_dims(self):
-        offset = CropOffset((0, 0, 0), (4, 4, 4), (3, 3, 3))
-        with pytest.raises(ValidationError):
-            uncrop(VoxelGrid(np.zeros((4, 4, 4))), offset)
-
-
 class TestWriteFaults:
     @pytest.mark.parametrize("write", [
         lambda path: write_volume(VoxelGrid(np.zeros((2, 2, 2))), path),
@@ -743,6 +656,8 @@ class TestKernelSpec:
             kernel.check_pooling(5)
         with pytest.raises(ValidationError, match="axis x=12"):
             KernelSpec((12, 16, 16)).check_pooling(3)
+        for site in ("siteA", "siteB"):  # the preset grids survive a 3-level net's two poolings
+            builtin_site(site).kernel.check_pooling(2)
 
 
 _ROW = MetricValue("ptv70", "PTV", None, "D95", 0.93, 0.95, 2.0)
