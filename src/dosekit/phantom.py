@@ -8,6 +8,10 @@ generation exactly reproducible from (site, seed). Each draw is tested on the
 index box that can hold its ellipsoid, not on the whole grid (`_ellipsoid`), and
 only an accepted draw becomes a full-grid mask: a rejected draw costs the volume
 of its box, not of the grid.
+
+A site also says how its patients are planned: `SiteSpec.beams`. A saved case
+carries its whole site in its manifest, so `generate_patient(case.site,
+case.seed)` regenerates a loaded case's masks bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .volume import (
     StructureMask,
     StructureSet,
     VoxelGrid,
+    _count,
     _counts,
     _uncommit,
     read_manifest,
@@ -76,18 +81,42 @@ class ShapePalette(Record):
 
 
 @dataclass(frozen=True)
+class BeamConfig(Record):
+    """Equispaced coplanar beams with Gaussian beamlet falloff."""
+
+    n_beams: int = 7
+    beamlet_grid: tuple[int, int] = (8, 6)  # (lateral, axial) beamlets per beam
+    attenuation_mu: float = 0.005  # per mm
+    lateral_sigma: float = 5.0  # mm
+    lateral_cutoff: float = 15.0  # mm
+    field_margin_mm: float = 5.0
+    ray_step_mm: float = 2.5
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_beams", _count(self.n_beams, "n_beams"))
+        object.__setattr__(self, "beamlet_grid", _counts(self.beamlet_grid, "beamlet_grid", 2))
+        # NaN fails v > 0; an infinite cutoff would make every (voxel, beamlet) an entry
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.attenuation_mu, self.lateral_sigma,
+                self.lateral_cutoff, self.field_margin_mm, self.ray_step_mm)):
+            raise ValidationError("beam parameters must be finite and strictly positive")
+
+
+@dataclass(frozen=True)
 class SiteSpec(Record):
-    """What sets one treatment site's patients apart; the voxel size (SPACING_MM)
-    and the constants above are the same for every site."""
+    """What sets one treatment site's patients apart, and the beams that plan them;
+    the voxel size (SPACING_MM) and the constants above are the same for every site."""
 
     # 2: normalization, spacing, PTV level growth and attempts are module constants
-    SCHEMA_VERSION = 2
+    # 3: the site's beams
+    SCHEMA_VERSION = 3
 
     site_id: str
     kernel: KernelSpec
     ptv_levels: tuple[float, ...]
     oar_count_range: tuple[int, int]
     shape_palette: ShapePalette
+    beams: BeamConfig = BeamConfig()
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.ptv_levels)
@@ -106,9 +135,20 @@ class SiteSpec(Record):
 
 @dataclass(frozen=True, eq=False)
 class PatientCase:
+    """One patient of `site`, drawn with `seed`: its structures lie on the site grid."""
+
     structures: StructureSet
-    site_id: str
+    site: SiteSpec
     seed: int
+
+    def __post_init__(self):
+        if self.structures.dims != self.site.kernel.dims:
+            raise ValidationError(f"structures' grid {self.structures.dims} is not "
+                                  f"{self.site.site_id!r}'s grid {self.site.kernel.dims}")
+
+    @property
+    def site_id(self) -> str:
+        return self.site.site_id
 
     @property
     def id(self) -> str:
@@ -270,21 +310,22 @@ def generate_patient(spec: SiteSpec, patient_seed: int) -> PatientCase:
         occupied[box] |= mask
 
     structures = StructureSet(tuple([body, *ptvs, *oars]))
-    return PatientCase(structures, spec.site_id, int(patient_seed))
+    return PatientCase(structures, spec, int(patient_seed))
 
 
 @dataclass(frozen=True)
 class PatientManifest(Record):
-    """A saved case's MANIFEST_NAME file: its identity and its structures, whose
-    masks lie next to it under MASK_DIR. Nothing derived is repeated here: the
-    case id follows from (site_id, seed), each mask's path from its name, and the
-    grid from each mask's .dvol header."""
+    """A saved case's MANIFEST_NAME file: its site, its seed and its structures, whose
+    masks lie next to it under MASK_DIR. The (site, seed) pair regenerates the masks
+    (`generate_patient`). Nothing derived is repeated here: the case id follows from
+    (site.site_id, seed), and each mask's path from its name."""
 
     # 2: the grid (dims and spacing) is gone; the masks hold it
     # 3: the entries' mask_path and the case id are gone; both are derived
-    SCHEMA_VERSION = 3
+    # 4: the whole site in place of its site_id
+    SCHEMA_VERSION = 4
 
-    site_id: str
+    site: SiteSpec
     seed: int
     structures: tuple[StructureEntry, ...]
 
@@ -301,13 +342,14 @@ def save_patient(directory, case: PatientCase) -> None:
         write_volume(s.mask, directory / MASK_DIR / f"{s.name}.dvol")
     entries = tuple(StructureEntry(s.name, s.kind, s.prescription, s.impact)
                     for s in case.structures.structures)
-    write_manifest(directory / MANIFEST_NAME, PatientManifest(case.site_id, case.seed, entries))
+    write_manifest(directory / MANIFEST_NAME, PatientManifest(case.site, case.seed, entries))
 
 
 def load_patient(directory) -> PatientCase:
     """Inverse of save_patient. A fault raises MissingFileError or FileFormatError
     naming the file at fault: MANIFEST_NAME's entries are checked before any mask is
-    read, and masks that StructureSet refuses are MANIFEST_NAME's fault."""
+    read, and masks that StructureSet refuses, or that lie off the site's grid, are
+    MANIFEST_NAME's fault."""
     directory = Path(directory)
     manifest = read_manifest(directory / MANIFEST_NAME, PatientManifest)
     masks = []
@@ -322,7 +364,6 @@ def load_patient(directory) -> PatientCase:
         except ValidationError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
     try:
-        structures = StructureSet(tuple(masks))
+        return PatientCase(StructureSet(tuple(masks)), manifest.site, manifest.seed)
     except ValidationError as exc:
         raise FileFormatError(f"{directory / MANIFEST_NAME}: bad structure set ({exc})") from exc
-    return PatientCase(structures, manifest.site_id, manifest.seed)

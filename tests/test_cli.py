@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import shutil
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dosekit import cli
-from dosekit.phantom import load_patient
-from dosekit.planner import load_plan
+from dosekit import cli, planner
+from dosekit.phantom import BeamConfig, builtin_site, generate_patient, load_patient, save_patient
+from dosekit.planner import PLAN_JSON, load_plan
 from dosekit.volume import MANIFEST_NAME, VoxelGrid, read_volume, write_volume
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -123,15 +124,43 @@ def test_directory_at_a_mask_path_exits_3(tmp_path, capsys):
 def test_plan_checks_out_before_solving(patient_dir, tmp_path, monkeypatch, capsys):
     # unchecked, an --out under a file failed only once every plan was solved
     def solve(*args, **kwargs):
-        raise AssertionError("generate_plans ran before --out was checked")
+        raise AssertionError("the plans were solved before --out was checked")
 
-    monkeypatch.setattr(cli, "generate_plans", solve)
+    monkeypatch.setattr(cli, "_solved_plans", solve)
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "plans"
     argv = ["plan", "--case", str(patient_dir), "--count", "8", "--seed", "0", "--out", str(out)]
     assert cli.main(argv) == 3  # a MissingFileError
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"dosekit: {out}{os.sep}")
+
+
+def test_plan_writes_each_plan_as_it_is_solved(patient_dir, tmp_path, monkeypatch, capsys):
+    # plan 0 used to wait in memory for every plan, and a failure on plan 1 lost it
+    solve = planner.solve_fluence
+
+    def fail_on_plan_1(*args, **kwargs):
+        if kwargs["index"] == 1:
+            raise planner.PlannerError("no plan 1")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve_fluence", fail_on_plan_1)
+    argv = ["plan", "--case", str(patient_dir), "--count", "3", "--seed", "0",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "dosekit: plan 1 for siteA-p0001: no plan 1\n"
+    assert load_plan(tmp_path / "plan0").index == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan0"]
+
+
+def test_plan_uses_the_case_beams(tmp_path):
+    site = dataclasses.replace(builtin_site("siteA"), beams=BeamConfig(n_beams=5))
+    save_patient(tmp_path / "case", generate_patient(site, 1))
+    argv = ["plan", "--case", str(tmp_path / "case"), "--count", "1", "--seed", "0",
+            "--out", str(tmp_path / "plans")]
+    assert cli.main(argv) == 0
+    saved = json.loads((tmp_path / "plans" / "plan0" / PLAN_JSON).read_text())
+    assert saved["n_beamlets"] == 5 * 8 * 6 == 240
 
 
 def test_missing_mask_file_exits_3(patient_dir, tmp_path):

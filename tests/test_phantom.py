@@ -420,12 +420,47 @@ class TestPatientPersistence:
         save_patient(tmp_path / case.id, case)
         loaded = load_patient(tmp_path / case.id)
         assert loaded.id == case.id
-        assert loaded.site_id == case.site_id
+        assert loaded.site == case.site
         assert loaded.seed == case.seed
         for a, b in zip(loaded.structures.structures, case.structures.structures):
             assert a.name == b.name
             assert a.mask.identical(b.mask)
             assert (a.prescription, a.impact) == (b.prescription, b.impact)
+
+    @pytest.mark.parametrize("site", [
+        builtin_site("siteA"),
+        builtin_site("siteB"),
+        scaled_site(builtin_site("siteA"), 2),  # 64x64x32, made with dataclasses.replace
+    ], ids=["siteA", "siteB", "siteA-64x64x32"])
+    def test_saved_case_regenerates_from_its_manifest(self, tmp_path, site):
+        # a schema-3 manifest held only the site's id: a 64x64x32 siteA case loaded
+        # as "siteA", whose preset draws a 32x32x16 case
+        save_patient(tmp_path, generate_patient(site, 3))
+        loaded = load_patient(tmp_path)
+        assert loaded.site == site
+        again = generate_patient(loaded.site, loaded.seed)
+        assert len(again.structures.structures) == len(loaded.structures.structures)
+        for a, b in zip(again.structures.structures, loaded.structures.structures):
+            assert (a.name, a.kind, a.prescription, a.impact) == (b.name, b.kind, b.prescription,
+                                                                  b.impact)
+            assert a.mask.data.tobytes() == b.mask.data.tobytes()
+
+    def test_case_off_its_site_grid_is_refused(self):
+        case = generate_patient(builtin_site("siteA"), 1)
+        small = scaled_site(case.site, 0.5)
+        with pytest.raises(ValidationError, match=r"grid \(32, 32, 16\) is not 'siteA''s grid "
+                                                  r"\(16, 16, 8\)"):
+            PatientCase(case.structures, small, case.seed)
+
+    def test_manifest_site_off_the_mask_grid_is_a_manifest_fault(self, tmp_path):
+        save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["site"]["kernel"]["dims"] = [16, 16, 8]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: bad structure set "
+                                                  r"\(structures' grid \(32, 32, 16\)"):
+            load_patient(tmp_path)
 
     def test_save_over_another_case_keeps_only_its_masks(self, tmp_path):
         # siteB patient 1 has 16 structures and siteA patient 1 six: saved over it,
@@ -502,12 +537,16 @@ class TestPatientPersistence:
         assert load_patient(tmp_path).id == "siteB-p0012"
 
     @pytest.mark.parametrize("change", [
-        lambda m: m.update(id="siteA-p0002"),  # the id follows from site_id and seed
-        lambda m: m.pop("site_id"),
+        lambda m: m.update(id="siteA-p0002"),  # the id follows from the site's id and seed
+        lambda m: m["site"].pop("site_id"),
+        lambda m: m.pop("site"),
+        lambda m: m.update(site_id=m.pop("site")["site_id"]),  # a bare id, as schema 3 saved it
+        lambda m: m["site"].update(kernel={"dims": [32, 32]}),
         lambda m: m.pop("seed"),
         lambda m: m.update(seed="5"),
         lambda m: m.update(sneaky=1),
-    ], ids=["stored-id", "no-site-id", "no-seed", "string-seed", "unknown-key"])
+    ], ids=["stored-id", "no-site-id", "no-site", "bare-site-id", "two-axis-grid", "no-seed",
+            "string-seed", "unknown-key"])
     def test_manifest_without_identity_is_typed(self, tmp_path, change):
         save_patient(tmp_path, generate_patient(builtin_site("siteA"), 1))
         path = tmp_path / MANIFEST_NAME
@@ -534,7 +573,7 @@ class TestPatientPersistence:
         with pytest.raises(ValidationError, match="not a plain file name"):
             renamed = StructureMask(name, OAR, oar.mask, impact=oar.impact)
             save_patient(tmp_path / "p3", PatientCase(
-                StructureSet((*case.structures.structures[:-1], renamed)), "siteA", 1))
+                StructureSet((*case.structures.structures[:-1], renamed)), case.site, 1))
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
         path = tmp_path / "p1" / MANIFEST_NAME

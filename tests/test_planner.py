@@ -49,7 +49,7 @@ from dosekit.planner import (
 from dosekit.volume import (SPACING_MM, FileFormatError, KernelSpec, MissingFileError,
                             StructureMask, StructureSet, VoxelGrid)
 
-from test_volume import JSON_VALUES, make_mask, without_version
+from test_volume import JSON_VALUES, hand_built_plan, make_mask, without_version
 
 
 def pg_oracle(A, c, p, max_iters=300_000, tol=1e-14):
@@ -318,7 +318,7 @@ def with_full_grid_body(case):
     full = VoxelGrid(np.ones(body.mask.dims))
     others = tuple(s for s in case.structures.structures if s is not body)
     structures = StructureSet((StructureMask(body.name, body.kind, full), *others))
-    return PatientCase(structures, case.site_id, case.seed)
+    return PatientCase(structures, case.site, case.seed)
 
 
 def with_body_cavity(case):
@@ -338,7 +338,7 @@ def with_body_cavity(case):
     carved = VoxelGrid(body_arr & ~cavity)
     others = tuple(s for s in structures.structures if s is not body)
     return PatientCase(StructureSet((StructureMask(body.name, body.kind, carved), *others)),
-                       case.site_id, case.seed)
+                       case.site, case.seed)
 
 
 def scaled_site(spec, factor):
@@ -1204,6 +1204,17 @@ class TestParetoMonotonicity:
 
 
 class TestPlanPersistence:
+    def test_plan_owns_a_read_only_fluence(self, tmp_path):
+        # a fluence written after the plan was made used to save as a plan that
+        # load_plan refused: "fluence.f32: fluence must be finite and nonnegative"
+        given = np.array([0.0, 0.5, 1.25, 3.0])
+        plan = dataclasses.replace(hand_built_plan(), fluence=given)
+        given[0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.fluence[0] = -1.0
+        save_plan(tmp_path, plan)
+        assert load_plan(tmp_path).fluence.tolist() == [0.0, 0.5, 1.25, 3.0]
+
     def test_round_trip(self, tmp_path):
         case = generate_patient(builtin_site("siteA"), 5)
         plan = generate_plans(case, BeamConfig(), 1, seed=1, max_iters=100)[0]

@@ -50,6 +50,11 @@ JSON_VALUES = st.recursive(
 )
 
 
+def site_on(dims):
+    """A site whose grid is `dims`, for cases built by hand."""
+    return dataclasses.replace(builtin_site("siteA"), site_id="site", kernel=KernelSpec(dims))
+
+
 def make_mask(shape, coords, kind="BODY", name=None, **kw):
     arr = np.zeros(shape, dtype=np.float32)
     for c in coords:
@@ -210,6 +215,20 @@ class TestCopies:
                     PlanDiagnostics(iterations=1, converged=False, final_objective=0.5,
                                     objective_at_zero=1.0, operator_norm=1.0, kkt_residual=0.1))
         self.assert_frozen_copy(copy_of(plan).dose, plan.dose)
+
+    @pytest.mark.parametrize("copy_of", COPIES)
+    def test_plan_fluence(self, copy_of):
+        plan = hand_built_plan()
+        copied = copy_of(plan).fluence
+        assert copied is not plan.fluence and np.array_equal(copied, plan.fluence)
+        with pytest.raises(ValueError, match="read-only"):
+            copied[0] = -1.0
+
+    def test_unpickled_plan_is_validated(self):
+        raw = pickle.dumps(hand_built_plan(), protocol=4)
+        assert raw.count(np.float64(1.25).tobytes()) == 1
+        with pytest.raises(ValidationError, match="fluence must be finite and nonnegative"):
+            pickle.loads(raw.replace(np.float64(1.25).tobytes(), np.float64(-1.25).tobytes()))
 
     def test_unpickled_grid_is_validated(self):
         grid = VoxelGrid(np.full((2, 2, 2), 1234.5, dtype=np.float32))
@@ -519,6 +538,8 @@ ENTRY_FAULT = "bad PatientManifest field 'structures[1]'"
 
 class TestManifest:
     def test_saved_files_keep_their_bytes(self, tmp_path):
+        # structures.json and siteB.json changed with SiteSpec schema 3 and
+        # PatientManifest schema 4: a site carries its beams, and a case its whole site
         save_plan(tmp_path / "plan", hand_built_plan())
         save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
         write_manifest(tmp_path / "siteB.json", builtin_site("siteB"))
@@ -532,8 +553,8 @@ class TestManifest:
             "plan/dose.dvol": "5dc1839ef5539ce7da879d83912da77f2163701fa045e96f4233ce484c96a79c",
             "plan/fluence.f32": "bd0c463d360c6bc981eea4939a04ff825aa22b101aafe2c035ad15628669bb64",
             f"patient/{MANIFEST_NAME}":
-                "f7b34b7cc6a1f23d7bed0d519decb7ed85fe7918b256eabc159525ab1da33dab",
-            "siteB.json": "87377223358964a6a22c507b0ad3bd41ab55fd88573a08afe083ef7e8363c46d",
+                "712ccdc65af83c2bcb68c71ab7e46c8e57c9d72aa52c0c679e85a08c2d8e9abf",
+            "siteB.json": "c4e9a31c38f063cca46c27453c358b06a23f464fb6049bf1b060bd95dd47485e",
             "report.json": "798ce1681c2ac5ef60cbf200e0971f54f6dc4cac101b3f7a13e4864ce16c3d45",
         }
 
@@ -571,7 +592,7 @@ class TestManifest:
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv70", prescription=1.0)
         oar = make_mask((3, 3, 3), [(2, 2, 2)], kind="OAR", name="oar01", impact="low")
         sset = StructureSet((body, ptv, oar))
-        save_patient(tmp_path, PatientCase(sset, "site", 0))
+        save_patient(tmp_path, PatientCase(sset, site_on((3, 3, 3)), 0))
         names = ["body", "ptv70", "oar01"]
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert [e["name"] for e in manifest["structures"]] == names
@@ -587,7 +608,7 @@ class TestManifest:
     def _saved(directory):
         body = make_mask((3, 3, 3), [(1, 1, 1)])
         ptv = make_mask((3, 3, 3), [(1, 1, 1)], kind="PTV", name="ptv", prescription=1.0)
-        save_patient(directory, PatientCase(StructureSet((body, ptv)), "site", 0))
+        save_patient(directory, PatientCase(StructureSet((body, ptv)), site_on((3, 3, 3)), 0))
         return directory / MANIFEST_NAME
 
     @pytest.mark.parametrize("text", ['{"dims": [3, 3', "{}", '{"structures": 3}',
