@@ -3,8 +3,7 @@
     dosekit phantom --site siteA --seed 1 --out cases/siteA-1
     dosekit plan --case cases/siteA-1 --count 8 --seed 0 --out plans/siteA-1
 
-``plan`` plans with the case's own beams (``SiteSpec.beams``, saved with the
-case) and writes plan i to ``<out>/plan<i>`` as soon as it is solved, so the
+``plan`` writes plan i to ``<out>/plan<i>`` as soon as it is solved, so the
 plans solved before a failure stay on disk. The exit status is 0 on success,
 2 for a ValidationError (bad configuration or input contract) and 3 for any
 other DosekitError, as ``errors.py`` sets out; argparse's own usage errors
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from .errors import DosekitError, ValidationError
 from .phantom import builtin_site, generate_patient, load_patient, save_patient
-from .planner import _solved_plans, save_plan
+from .planner import BeamConfig, _solved_plans, save_plan
 from .volume import _count, _make_parents
 
 
@@ -34,7 +33,7 @@ def _plan(args) -> None:
     _count(args.count, "plan_count")  # a refused count leaves no --out behind
     case = load_patient(args.case)
     _make_parents(out / "plan0")  # a file in the way of --out fails here, not after the solve
-    for plan in _solved_plans(case, case.site.beams, args.count, args.seed):
+    for plan in _solved_plans(case, BeamConfig(), args.count, args.seed):
         save_plan(out / f"plan{plan.index}", plan)
     print(f"{case.id}: {args.count} plans -> {args.out}")
 
@@ -49,8 +48,7 @@ def _parser() -> argparse.ArgumentParser:
     phantom.add_argument("--out", required=True, help="patient directory to write")
     phantom.set_defaults(run=_phantom)
 
-    about = ("generate Pareto plans for a patient with its site's beams, "
-             "writing each as soon as it is solved")
+    about = "generate Pareto plans for a patient, writing each as soon as it is solved"
     plan = commands.add_parser("plan", help=about, description=about)
     plan.add_argument("--case", required=True, help="patient directory to read")
     plan.add_argument("--count", type=int, required=True, help="number of plans")

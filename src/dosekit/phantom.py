@@ -9,9 +9,9 @@ index box that can hold its ellipsoid, not on the whole grid (`_ellipsoid`), and
 only an accepted draw becomes a full-grid mask: a rejected draw costs the volume
 of its box, not of the grid.
 
-A site also says how its patients are planned: `SiteSpec.beams`. A saved case
-carries its whole site in its manifest, so `generate_patient(case.site,
-case.seed)` regenerates a loaded case's masks bit for bit.
+A saved case carries its whole site in its manifest, so
+`generate_patient(case.site, case.seed)` regenerates a loaded case's masks bit
+for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .volume import (
     StructureMask,
     StructureSet,
     VoxelGrid,
-    _count,
     _counts,
     _uncommit,
     read_manifest,
@@ -81,42 +80,18 @@ class ShapePalette(Record):
 
 
 @dataclass(frozen=True)
-class BeamConfig(Record):
-    """Equispaced coplanar beams with Gaussian beamlet falloff."""
-
-    n_beams: int = 7
-    beamlet_grid: tuple[int, int] = (8, 6)  # (lateral, axial) beamlets per beam
-    attenuation_mu: float = 0.005  # per mm
-    lateral_sigma: float = 5.0  # mm
-    lateral_cutoff: float = 15.0  # mm
-    field_margin_mm: float = 5.0
-    ray_step_mm: float = 2.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_beams", _count(self.n_beams, "n_beams"))
-        object.__setattr__(self, "beamlet_grid", _counts(self.beamlet_grid, "beamlet_grid", 2))
-        # NaN fails v > 0; an infinite cutoff would make every (voxel, beamlet) an entry
-        if not all(math.isfinite(v) and v > 0 for v in (
-                self.attenuation_mu, self.lateral_sigma,
-                self.lateral_cutoff, self.field_margin_mm, self.ray_step_mm)):
-            raise ValidationError("beam parameters must be finite and strictly positive")
-
-
-@dataclass(frozen=True)
 class SiteSpec(Record):
-    """What sets one treatment site's patients apart, and the beams that plan them;
-    the voxel size (SPACING_MM) and the constants above are the same for every site."""
+    """What sets one treatment site's patients apart; the voxel size (SPACING_MM)
+    and the constants above are the same for every site."""
 
     # 2: normalization, spacing, PTV level growth and attempts are module constants
-    # 3: the site's beams
-    SCHEMA_VERSION = 3
+    SCHEMA_VERSION = 2
 
     site_id: str
     kernel: KernelSpec
     ptv_levels: tuple[float, ...]
     oar_count_range: tuple[int, int]
     shape_palette: ShapePalette
-    beams: BeamConfig = BeamConfig()
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.ptv_levels)

@@ -48,10 +48,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DosekitError, ValidationError
-from .phantom import BeamConfig, PatientCase
+from .phantom import PatientCase
 from .seeds import derive_seed
 from .volume import (PTV, SPACING_MM, FileFormatError, Record, StructureMask, StructureSet,
-                     VoxelGrid, _atomic_write_bytes, _count, _read_bytes, _uncommit,
+                     VoxelGrid, _atomic_write_bytes, _count, _counts, _read_bytes, _uncommit,
                      read_manifest, read_volume, write_manifest, write_volume)
 
 if typing.TYPE_CHECKING:
@@ -73,6 +73,28 @@ class SolverDivergenceError(PlannerError):
     def __init__(self, iteration: int, what: str = "iterate"):
         self.iteration = iteration
         super().__init__(f"non-finite {what} at iteration {iteration}")
+
+
+@dataclass(frozen=True)
+class BeamConfig(Record):
+    """Equispaced coplanar beams with Gaussian beamlet falloff."""
+
+    n_beams: int = 7
+    beamlet_grid: tuple[int, int] = (8, 6)  # (lateral, axial) beamlets per beam
+    attenuation_mu: float = 0.005  # per mm
+    lateral_sigma: float = 5.0  # mm
+    lateral_cutoff: float = 15.0  # mm
+    field_margin_mm: float = 5.0
+    ray_step_mm: float = 2.5
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_beams", _count(self.n_beams, "n_beams"))
+        object.__setattr__(self, "beamlet_grid", _counts(self.beamlet_grid, "beamlet_grid", 2))
+        # NaN fails v > 0; an infinite cutoff would make every (voxel, beamlet) an entry
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.attenuation_mu, self.lateral_sigma,
+                self.lateral_cutoff, self.field_margin_mm, self.ray_step_mm)):
+            raise ValidationError("beam parameters must be finite and strictly positive")
 
 
 def beamlet_kernel(depth_mm, lateral_sq_mm2, cfg: BeamConfig) -> np.ndarray:
@@ -496,9 +518,8 @@ class PlanDiagnostics(Record):
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """One solved plan. ``fluence`` is the plan's own read-only float64 copy of the
-    array given, as a VoxelGrid's data is: a caller that writes its array later
-    cannot make the plan one that `load_plan` refuses."""
+    """One solved plan; ``fluence`` is its own read-only float64 copy of the array
+    given, as a VoxelGrid's data is, so no later write can make it unloadable."""
 
     patient_id: str
     index: int
@@ -740,9 +761,8 @@ def generate_plans(
 
 def _solved_plans(case: PatientCase, cfg: BeamConfig, plan_count: int, seed: int,
                   max_iters: int = 2000):
-    """`generate_plans`' plans, each yielded as soon as it is solved, so a caller can
-    save plan i before plan i + 1 is solved. The counts are checked on the first
-    next(), before the influence matrix is built."""
+    """`generate_plans`' plans, each yielded as soon as it is solved; the counts are
+    checked on the first next(), before the influence matrix is built."""
     _count(plan_count, "plan_count")
     _count(max_iters, "max_iters")
     infl = build_influence_matrix(case, cfg)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 import shutil
@@ -11,8 +10,8 @@ import numpy as np
 import pytest
 
 from dosekit import cli, planner
-from dosekit.phantom import BeamConfig, builtin_site, generate_patient, load_patient, save_patient
-from dosekit.planner import PLAN_JSON, load_plan
+from dosekit.phantom import load_patient
+from dosekit.planner import load_plan
 from dosekit.volume import MANIFEST_NAME, VoxelGrid, read_volume, write_volume
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -151,16 +150,6 @@ def test_plan_writes_each_plan_as_it_is_solved(patient_dir, tmp_path, monkeypatc
     assert capsys.readouterr().err == "dosekit: plan 1 for siteA-p0001: no plan 1\n"
     assert load_plan(tmp_path / "plan0").index == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plan0"]
-
-
-def test_plan_uses_the_case_beams(tmp_path):
-    site = dataclasses.replace(builtin_site("siteA"), beams=BeamConfig(n_beams=5))
-    save_patient(tmp_path / "case", generate_patient(site, 1))
-    argv = ["plan", "--case", str(tmp_path / "case"), "--count", "1", "--seed", "0",
-            "--out", str(tmp_path / "plans")]
-    assert cli.main(argv) == 0
-    saved = json.loads((tmp_path / "plans" / "plan0" / PLAN_JSON).read_text())
-    assert saved["n_beamlets"] == 5 * 8 * 6 == 240
 
 
 def test_missing_mask_file_exits_3(patient_dir, tmp_path):

@@ -538,8 +538,7 @@ ENTRY_FAULT = "bad PatientManifest field 'structures[1]'"
 
 class TestManifest:
     def test_saved_files_keep_their_bytes(self, tmp_path):
-        # structures.json and siteB.json changed with SiteSpec schema 3 and
-        # PatientManifest schema 4: a site carries its beams, and a case its whole site
+        # structures.json changed with PatientManifest schema 4: a case carries its whole site
         save_plan(tmp_path / "plan", hand_built_plan())
         save_patient(tmp_path / "patient", generate_patient(builtin_site("siteA"), 1))
         write_manifest(tmp_path / "siteB.json", builtin_site("siteB"))
@@ -553,8 +552,8 @@ class TestManifest:
             "plan/dose.dvol": "5dc1839ef5539ce7da879d83912da77f2163701fa045e96f4233ce484c96a79c",
             "plan/fluence.f32": "bd0c463d360c6bc981eea4939a04ff825aa22b101aafe2c035ad15628669bb64",
             f"patient/{MANIFEST_NAME}":
-                "712ccdc65af83c2bcb68c71ab7e46c8e57c9d72aa52c0c679e85a08c2d8e9abf",
-            "siteB.json": "c4e9a31c38f063cca46c27453c358b06a23f464fb6049bf1b060bd95dd47485e",
+                "6ad2b8aa6d39a0cad4455600ee0ee65bd09680c8111792b49f24845424bb3145",
+            "siteB.json": "87377223358964a6a22c507b0ad3bd41ab55fd88573a08afe083ef7e8363c46d",
             "report.json": "798ce1681c2ac5ef60cbf200e0971f54f6dc4cac101b3f7a13e4864ce16c3d45",
         }
 
