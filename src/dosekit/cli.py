@@ -1,8 +1,10 @@
 """Command line: generate a phantom patient, or Pareto plans for a saved one.
 
     dosekit phantom --site siteA --seed 1 --out cases/siteA-1
+    dosekit phantom --site sites/siteC.json --seed 1 --out cases/siteC-1
     dosekit plan --case cases/siteA-1 --count 8 --seed 0 --out plans/siteA-1
 
+A ``--site`` that ends in ``.json`` is a site file (``phantom.SiteSpec``).
 ``plan`` writes plan i to ``<out>/plan<i>`` as soon as it is solved, so the
 plans solved before a failure stay on disk. The exit status is 0 on success,
 2 for a ValidationError (bad configuration or input contract) and 3 for any
@@ -17,13 +19,16 @@ import sys
 from pathlib import Path
 
 from .errors import DosekitError, ValidationError
-from .phantom import builtin_site, generate_patient, load_patient, save_patient
+from .phantom import SiteSpec, builtin_site, generate_patient, load_patient, save_patient
 from .planner import BeamConfig, _solved_plans, save_plan
-from .volume import _count, _make_parents
+from .volume import _count, _make_parents, read_manifest
 
 
 def _phantom(args) -> None:
-    case = generate_patient(builtin_site(args.site), args.seed)
+    # the site is read before anything is generated, so a refused file leaves no --out
+    site = (read_manifest(Path(args.site), SiteSpec) if args.site.endswith(".json")
+            else builtin_site(args.site))
+    case = generate_patient(site, args.seed)
     save_patient(args.out, case)
     print(f"{case.id} {'x'.join(map(str, case.structures.dims))} -> {args.out}")
 
@@ -43,7 +48,8 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     phantom = commands.add_parser("phantom", help="generate and save one patient")
-    phantom.add_argument("--site", required=True, help="builtin site preset (siteA, siteB)")
+    phantom.add_argument("--site", required=True,
+                         help="builtin preset (siteA, siteB) or a SiteSpec .json file")
     phantom.add_argument("--seed", type=int, required=True, help="patient seed")
     phantom.add_argument("--out", required=True, help="patient directory to write")
     phantom.set_defaults(run=_phantom)

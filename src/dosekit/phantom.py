@@ -2,7 +2,8 @@
 
 Two built-in sites stand in for clinical cohorts: siteA has a single
 prescription level and a fixed organ count, siteB has two prescription levels
-and a widely varying organ count. Shape palettes are invented (no cohort
+and a widely varying organ count. Other sites come from site files, each a
+`SiteSpec` that `write_manifest` wrote. Shape palettes are invented (no cohort
 geometry exists to copy); ellipsoids keep membership tests closed-form and
 generation exactly reproducible from (site, seed). Each draw is tested on the
 index box that can hold its ellipsoid, not on the whole grid (`_ellipsoid`), and
@@ -82,7 +83,9 @@ class ShapePalette(Record):
 @dataclass(frozen=True)
 class SiteSpec(Record):
     """What sets one treatment site's patients apart; the voxel size (SPACING_MM)
-    and the constants above are the same for every site."""
+    and the constants above are the same for every site. A site file is one
+    SiteSpec, written with ``write_manifest(path, spec)`` and read by
+    ``dosekit phantom --site path``."""
 
     # 2: normalization, spacing, PTV level growth and attempts are module constants
     SCHEMA_VERSION = 2
@@ -135,7 +138,8 @@ def ptv_name(level: float) -> str:
 
 
 def builtin_site(name: str) -> SiteSpec:
-    """Desk-scale presets; larger grids remain valid via custom specs."""
+    """The desk-scale presets siteA and siteB; other sites, larger grids among
+    them, come from site files (SiteSpec)."""
     if name == "siteA":
         return SiteSpec(
             site_id="siteA",

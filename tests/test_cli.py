@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from dosekit import cli, planner
-from dosekit.phantom import load_patient
+from dosekit.phantom import builtin_site, generate_patient, load_patient
 from dosekit.planner import load_plan
-from dosekit.volume import MANIFEST_NAME, VoxelGrid, read_volume, write_volume
+from dosekit.volume import MANIFEST_NAME, VoxelGrid, read_volume, write_manifest, write_volume
+from test_planner import scaled_site
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,6 +62,55 @@ def test_validation_error_exits_2(patient_dir, tmp_path, args):
     assert done.returncode == 2
     assert done.stderr.startswith("dosekit: ") and "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()  # refused before anything is written
+
+
+def test_phantom_reads_a_site_file(tmp_path):
+    # a site that no preset names: siteA at 64x64x32
+    spec = scaled_site(builtin_site("siteA"), 2)
+    write_manifest(tmp_path / "siteA64.json", spec)
+    done = dosekit("phantom", "--site", tmp_path / "siteA64.json", "--seed", 1,
+                   "--out", tmp_path / "case")
+    assert done.returncode == 0, done.stderr
+    case = load_patient(tmp_path / "case")
+    assert case.site == spec and case.structures.dims == (64, 64, 32)
+    masks = [(s.name, s.mask.data.tobytes()) for s in case.structures.structures]
+    assert masks == [(s.name, s.mask.data.tobytes())
+                     for s in generate_patient(spec, 1).structures.structures]
+
+
+def tree_bytes(directory):
+    """Each file under `directory`, by its relative path, with its bytes."""
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_preset_site_file_gives_the_preset_case(tmp_path):
+    write_manifest(tmp_path / "siteB.json", builtin_site("siteB"))
+    for site, out in [("siteB", "preset"), (tmp_path / "siteB.json", "file")]:
+        done = dosekit("phantom", "--site", site, "--seed", 1, "--out", tmp_path / out)
+        assert done.returncode == 0, done.stderr
+    assert tree_bytes(tmp_path / "file") == tree_bytes(tmp_path / "preset")
+
+
+def site_record(**changes):
+    """The JSON object of siteA's site file, with `changes` applied."""
+    return {**builtin_site("siteA").to_json_dict(), "schema_version": 2, **changes}
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "no such file"),
+    ("{", "not valid JSON"),
+    (json.dumps(site_record(schema_version=1)), "schema_version 1, expected 2"),
+    (json.dumps(site_record(ptv_levels=[1.5])), "ptv_levels must be nonempty with values in"),
+], ids=["missing", "not-json", "wrong-schema-version", "refused-record"])
+def test_bad_site_file_exits_3(tmp_path, text, message):
+    path = tmp_path / "site.json"
+    if text is not None:
+        path.write_text(text)
+    done = dosekit("phantom", "--site", path, "--seed", 1, "--out", tmp_path / "out")
+    assert done.returncode == 3  # a MissingFileError or a FileFormatError
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"dosekit: {path}: {message}") and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()  # the site is read before anything is written
 
 
 def test_other_dosekit_error_exits_3(tmp_path):
