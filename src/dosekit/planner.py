@@ -13,10 +13,14 @@ other can hold an entry. Each beam's entries are kept row by row as compact
 (int32 column, value) arrays, with one (row, count) run per row, and the CSR
 arrays of A are written from them in place, counting each beam's rows once: at
 the build's peak an entry takes about 26 bytes, 2.2x its 12 bytes in the
-finished matrix. A plan minimises sum_s (w_s / N_s) ||A_s x - p_s||^2 over
-fluence x >= 0 (p_s: prescription of a PTV, 0 for an OAR); scaling structure
-s's rows and target by sqrt(w_s / N_s) makes that min ||M x - b||^2, solved by
-the Chambolle-Pock primal-dual iteration. The iteration runs in
+finished matrix. Two beams are built at once, one on the calling thread and
+one on a helper thread, as numpy releases the GIL in their array passes; the
+calling thread gives each beam's entries their values, in beam order, so the
+matrix is bit-identical to a one-thread build. A plan minimises
+sum_s (w_s / N_s) ||A_s x - p_s||^2 over fluence x >= 0 (p_s: prescription of
+a PTV, 0 for an OAR); scaling structure s's rows and target by
+sqrt(w_s / N_s) makes that min ||M x - b||^2, solved by the Chambolle-Pock
+primal-dual iteration. The iteration runs in
 beamlet space: it carries s M^T y instead of the dual y, so each step is one
 product with the Gram matrix G = M^T M instead of one product each with M and
 M^T. That product is one BLAS dsymv, which reads only the upper triangle of the
@@ -24,10 +28,10 @@ symmetric G and folds the dual step's scaling into its alpha and beta; so G is
 kept as that triangle alone, the F-ordered n x n array (8 n^2 bytes for n
 beamlets) that dsyrk writes, its strict lower triangle 0. Every dense product
 of a plan goes through scipy.linalg.blas (see `_gram`). Neither scipy module is
-imported with this module: scipy.sparse is imported on a process's first
-influence build and scipy.linalg.blas on its first plan. They cost about
-0.2-0.3 s and 50-70 ms to load, which importing the package (and
-`dosekit phantom`) should not pay.
+imported with this module: scipy.sparse (and concurrent.futures) is imported on
+a process's first influence build and scipy.linalg.blas on its first plan. The
+two scipy modules cost about 0.2-0.3 s and 50-70 ms to load, which importing
+the package (and `dosekit phantom`) should not pay.
 At n = 336 beamlets that product is most of an iteration, so the loop keeps
 Python small around it: each iteration runs inline as one positional dsymv call
 and four ufunc calls writing into preallocated buffers, with no function call
@@ -162,23 +166,26 @@ def _axial_windows(level_dz2, cfg: BeamConfig):
 
 def _lateral_entries(near, pu, depth, level, window_col, window_dz2, u_offsets,
                      cfg: BeamConfig):
-    """One beam's entries, row by row, as (row, count, column, value).
+    """One beam's entries, row by row, as (row, count, column, depth, r2).
 
     row holds the rows with an entry, ascending (as intp, which numpy indexes
     with fastest), and count (int32) the length of each one's run of entries;
-    column (int32, beam-local u * nv + v) and value (float64) hold the entries,
-    the runs in row order and the columns ascending within a run. near holds
-    the rows (intp), ascending, within the cutoff of the rectangle spanned by
-    the beamlet centres, which include every row with an entry; pu,
-    depth and level hold each near row's lateral coordinate along the beam,
-    depth and z level, and window_col and window_dz2 the axial windows
-    (`_axial_windows`). Only the (row, u) pairs whose lateral distance alone is
-    within the cutoff are expanded, because r^2 = du^2 + dz^2 >= du^2, and each
-    only over the W slots of its level's window, not over all nv axial
-    beamlets: at 64x64x32 siteA patient 1, W is 2 of nv = 6, and the (pairs x W)
-    r^2 table a third of the (pairs x nv) one. Each temporary is released once
-    the next is formed, so the kernel is evaluated with only the entries' own
-    arrays alive, and no two beams' temporaries are alive at once.
+    column (int32, beam-local u * nv + v), depth and r2 (float64: the entry's
+    depth and squared distance to its beamlet, whose `beamlet_kernel` is its
+    value) hold the entries, the runs in row order and the columns ascending
+    within a run. It calls no public function, so it may run on the build's
+    helper thread. near holds the rows (intp), ascending, within the cutoff of
+    the rectangle spanned by the beamlet centres, which include every row with
+    an entry; pu, depth and level hold each near row's lateral coordinate along
+    the beam, depth and z level, and window_col and window_dz2 the axial
+    windows (`_axial_windows`). Only the (row, u) pairs whose lateral distance
+    alone is within the cutoff are expanded, because r^2 = du^2 + dz^2 >= du^2,
+    and each only over the W slots of its level's window, not over all nv axial
+    beamlets: at 64x64x32 siteA patient 1, W is 2 of nv = 6, and the (pairs x
+    W) r^2 table a third of the (pairs x nv) one. Each temporary is released
+    once the next is formed, so only the entries' own arrays outlive the call,
+    and at most two beams' temporaries are alive at once
+    (`build_influence_matrix`).
     """
     nu = u_offsets.size
     width = window_col.shape[1]
@@ -219,22 +226,23 @@ def _lateral_entries(near, pu, depth, level, window_col, window_dz2, u_offsets,
     count = np.diff(first, append=entry_near.size).astype(np.int32)
     entry_depth = depth.take(entry_near)
     del entry_near, first
-    return row, count, col, beamlet_kernel(entry_depth, r2, cfg)
+    return row, count, col, entry_depth, r2
 
 
 def _csr_from_beams(beams: list, shape: tuple[int, int]) -> sp.csr_matrix:
     """The CSR matrix of equal-width column blocks, one per beam, written in place.
 
-    beams[b] is beam b's (row, count, beam-local column, value) from
-    `_lateral_entries`, one run of entries per row. The rows of a beam are
-    counted once, by `_lateral_entries`: indptr comes from the runs' counts over
-    all beams. Columns run beam-major, so in row r beam b's entries follow those
-    of every earlier beam: the k-th entry of row r's run goes to indptr[r] +
-    fill[r] + k, where fill[r] counts the entries of earlier beams in row r. One
-    running O(rows) array holds indptr[r] + fill[r]. Columns ascend within a
-    run, so the result is canonical, with the index dtype scipy gives the same
-    matrix built from (row, column, value) triples: int32, or int64 past 2^31 -
-    1. Each beam's entries are released once written (beams[b] is set to None).
+    beams[b] is beam b's (row, count, beam-local column, value): its
+    `_lateral_entries` with each entry's `beamlet_kernel` as its value, one run
+    of entries per row. The rows of a beam are counted once, by
+    `_lateral_entries`: indptr comes from the runs' counts over all beams.
+    Columns run beam-major, so in row r beam b's entries follow those of every
+    earlier beam: the k-th entry of row r's run goes to indptr[r] + fill[r] +
+    k, where fill[r] counts the entries of earlier beams in row r. One running
+    O(rows) array holds indptr[r] + fill[r]. Columns ascend within a run, so
+    the result is canonical, with the index dtype scipy gives the same matrix
+    built from (row, column, value) triples: int32, or int64 past 2^31 - 1.
+    Each beam's entries are released once written (beams[b] is set to None).
     """
     import scipy.sparse as sp
 
@@ -299,12 +307,27 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     CSR index and data arrays in place (12 bytes per entry), releasing each
     beam's entries once written. The build's memory is therefore about 24
     bytes per entry of the result plus 12 per run (one run per row and beam),
-    about 2.2x the matrix, plus O(body voxels) index arrays and one beam's
-    lateral temporaries, which are O(near rows x lateral beamlets per beam). By
-    tracemalloc, its peak is 13.4 MB (12.75 MiB) for the 5.0 MB matrix of
-    64x64x32 siteA patient 1 with 7 beams, and 49.8 MB for the 23 MB matrix of
-    desk siteB patient 1 with 72 beams.
+    about 2.2x the matrix, plus O(body voxels) index arrays and at most two
+    beams' lateral temporaries, which are O(near rows x lateral beamlets per
+    beam). By tracemalloc, over 12 builds, its peak is 13.0-13.4 MB
+    (12.42-12.75 MiB) for the 5.0 MB matrix of 64x64x32 siteA patient 1 with 7
+    beams, and 50.2-50.3 MB for the 23 MB matrix of desk siteB patient 1 with
+    72 beams.
+
+    Beams run two at a time: beam 2k on the calling thread and beam 2k + 1 on
+    one helper thread, a ThreadPoolExecutor of one worker that is joined before
+    the build returns or raises; numpy releases the GIL in a beam's array
+    passes, so the two overlap. A beam's near rows, column march and
+    `_lateral_entries` call no public function. The calling thread turns each
+    beam's depths and r^2 into values with `beamlet_kernel` as soon as it has
+    them, in beam order, so every public call of a build runs on the calling
+    thread (a tracer that rebinds them may keep one span stack), and the
+    entries, assembled in beam order, are bit-identical to a one-thread
+    build's. One helper, not more: a third beam in flight raised the 64x64x32
+    peak to 13.30-14.65 MiB.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import scipy.sparse as sp
 
     structures = case.structures
@@ -361,8 +384,9 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
     window_col, window_dz2 = _axial_windows(level_dz2, cfg)
     nearest_dz2 = level_dz2.min(axis=1).take(level)
 
-    beams = []
-    for b in range(cfg.n_beams):
+    def beam_entries(b):
+        # beam b's `_lateral_entries`; it calls no public dosekit function, so it
+        # may run on the helper thread
         phi = 2.0 * np.pi * b / cfg.n_beams
         d = np.array([np.cos(phi), np.sin(phi), 0.0])
         u = np.array([-np.sin(phi), np.cos(phi), 0.0])
@@ -425,9 +449,21 @@ def build_influence_matrix(case: PatientCase, cfg: BeamConfig) -> InfluenceMatri
         depth = cfg.ray_step_mm * count.take(near_col * nz_box + near_lvl).astype(np.float64)
         del count, near_col
 
-        beams.append(_lateral_entries(near, pu, depth, near_lvl, window_col,
-                                      window_dz2, u_offsets, cfg))
-        del near, pu, depth, near_lvl
+        return _lateral_entries(near, pu, depth, near_lvl, window_col, window_dz2,
+                                u_offsets, cfg)
+
+    def with_values(row, count, col, depth, r2):
+        return row, count, col, beamlet_kernel(depth, r2, cfg)
+
+    # beam 2k runs here while 2k + 1 runs on the helper; both get their values
+    # here, in beam order, so that every public call stays on this thread
+    beams = []
+    with ThreadPoolExecutor(1) as helper:
+        for b in range(0, cfg.n_beams, 2):
+            odd = helper.submit(beam_entries, b + 1) if b + 1 < cfg.n_beams else None
+            beams.append(with_values(*beam_entries(b)))
+            if odd is not None:
+                beams.append(with_values(*odd.result()))
 
     del col_of, level, nearest_dz2, col_rel, col_xy, z_lines, box, body_arr, ptv_union
     matrix = _csr_from_beams(beams, (body_idx.size, cfg.n_beams * nu * nv))

@@ -54,10 +54,13 @@ class MissingFileError(DosekitError):
 
 
 def _read_bytes(path: Path) -> bytes:
-    """The bytes of the file at `path`; MissingFileError, naming it, if there is none."""
+    """The bytes of the file at `path`; MissingFileError, naming it, if there is none
+    (a directory at `path` is named as one, as the writers name it)."""
     try:
         return path.read_bytes()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except IsADirectoryError as exc:
+        raise MissingFileError(f"{path}: is a directory") from exc
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise MissingFileError(f"{path}: no such file") from exc
 
 

@@ -96,15 +96,22 @@ def site_record(**changes):
     return {**builtin_site("siteA").to_json_dict(), "schema_version": 2, **changes}
 
 
+# a site path that holds a directory, not a file
+DIRECTORY = object()
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "no such file"),
+    (DIRECTORY, "is a directory"),
     ("{", "not valid JSON"),
     (json.dumps(site_record(schema_version=1)), "schema_version 1, expected 2"),
     (json.dumps(site_record(ptv_levels=[1.5])), "ptv_levels must be nonempty with values in"),
-], ids=["missing", "not-json", "wrong-schema-version", "refused-record"])
+], ids=["missing", "directory", "not-json", "wrong-schema-version", "refused-record"])
 def test_bad_site_file_exits_3(tmp_path, text, message):
     path = tmp_path / "site.json"
-    if text is not None:
+    if text is DIRECTORY:
+        path.mkdir()
+    elif text is not None:
         path.write_text(text)
     done = dosekit("phantom", "--site", path, "--seed", 1, "--out", tmp_path / "out")
     assert done.returncode == 3  # a MissingFileError or a FileFormatError
@@ -266,8 +273,9 @@ def scipy_modules_after(code):
 def test_import_loads_no_scipy():
     # scipy.sparse and scipy.special cost about 0.2-0.3 s to load: the planner
     # imports the one on a process's first influence build, the t-test the other;
-    # scipy.linalg.blas (50-70 ms) waits for a process's first plan
-    assert scipy_modules_after("") == []
+    # scipy.linalg.blas (50-70 ms) waits for a process's first plan; the influence
+    # build's concurrent.futures waits with scipy.sparse
+    assert scipy_modules_after("assert 'concurrent.futures' not in sys.modules") == []
 
 
 def test_phantom_command_loads_no_scipy(tmp_path):

@@ -1,9 +1,15 @@
+import concurrent.futures
 import dataclasses
+import functools
+import inspect
 import json
 import math
 import os
 import re
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import dsymv
 from scipy.optimize import nnls
 
-from dosekit import planner
+from dosekit import evaluation, phantom, planner, volume
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.seeds import derive_seed
@@ -721,19 +727,141 @@ def test_influence_build_memory_at_64x64x32():
     case = generate_patient(scaled_site(builtin_site("siteA"), 2), 1)
     assert case.structures.dims == (64, 64, 32)
     _, peak = traced(build_influence_matrix, case, BeamConfig())
-    # 12.77 MiB measured; 14.24 MiB if the per-voxel arrays stay alive through
-    # `_csr_from_beams`
+    # 12.42-12.75 MiB measured, with two beams in flight; 13.89-14.23 MiB if the
+    # per-voxel arrays stay alive through `_csr_from_beams`
     assert peak < 13.5 * 2**20
 
 
 def test_influence_build_memory_at_72_beams():
     # the CSR arrays are written in place from 12-byte compact entries and 12-byte
-    # row runs: 2.17x the matrix here (50.0 MB for 23.0 MB), so 2.5x lets no
+    # row runs: 2.18-2.19x the matrix here (50.2-50.3 MB for 23.0 MB), so 2.5x lets no
     # regression of 15 % or more pass
     infl, peak = traced(build_influence_matrix, generate_patient(builtin_site("siteB"), 1),
                         BeamConfig(n_beams=72))
     matrix = infl.matrix
     assert peak <= 2.5 * (matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes)
+
+
+class SynchronousExecutor:
+    """ThreadPoolExecutor's stand-in: each submitted call runs at once, on the
+    caller, and its arguments are appended to `submitted`."""
+
+    def __init__(self, submitted):
+        self.submitted = submitted
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def csr_bytes(infl):
+    m = infl.matrix
+    return m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes(), infl.voxel_indices.tobytes()
+
+
+@pytest.mark.parametrize("site, n_beams", [(scaled_site(builtin_site("siteA"), 2), 7),
+                                           (builtin_site("siteB"), 72)],
+                         ids=["64x64x32", "72-beams"])
+def test_two_thread_build_is_the_one_thread_build(site, n_beams, monkeypatch):
+    # the helper's beams run on the caller instead; 10 builds with the GIL handed
+    # between the threads every 0.1 ms, 50x as often as by default, give the same bytes
+    case, cfg = generate_patient(site, 1), BeamConfig(n_beams=n_beams)
+    submitted = []
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ThreadPoolExecutor",
+                  lambda max_workers: SynchronousExecutor(submitted))
+        expected = csr_bytes(build_influence_matrix(case, cfg))
+    assert submitted == [(b,) for b in range(1, n_beams, 2)]  # the helper's beams
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(10):
+            assert csr_bytes(build_influence_matrix(case, cfg)) == expected
+            assert threading.active_count() == threads  # the helper is joined
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_public_calls_stay_on_the_calling_thread(monkeypatch):
+    # the layers' public functions, rebound in every dosekit namespace as a tracer
+    # that keeps one span stack would rebind them, record the thread of each call
+    calls = []
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for module in (planner, phantom, volume, evaluation):
+        for name, fn in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                wrappers[fn] = recording(name, fn)
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "dosekit"]:
+        for attr, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[value])
+    cfg = BeamConfig()
+    planner.generate_plans(generate_patient(builtin_site("siteA"), 1), cfg, 1, seed=0,
+                           max_iters=10)
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    assert [name for name, _ in calls].count("beamlet_kernel") == cfg.n_beams
+
+
+class BeamError(Exception):
+    pass
+
+
+def test_helper_failure_reaches_the_caller(monkeypatch):
+    caller = threading.get_ident()
+    real = planner._lateral_entries
+
+    def failing_on_the_helper(*args):
+        if threading.get_ident() != caller:
+            raise BeamError("beam 1")
+        return real(*args)
+
+    monkeypatch.setattr(planner, "_lateral_entries", failing_on_the_helper)
+    threads = threading.active_count()
+    with pytest.raises(BeamError, match="^beam 1$"):
+        build_influence_matrix(generate_patient(builtin_site("siteA"), 1), BeamConfig())
+    assert threading.active_count() == threads
+
+
+def test_caller_failure_waits_for_the_helper(monkeypatch):
+    caller = threading.get_ident()
+    real = planner._lateral_entries
+    helper_done = threading.Event()
+
+    def failing_on_the_caller(*args):
+        if threading.get_ident() == caller:
+            raise BeamError("beam 0")
+        time.sleep(0.2)  # the caller's beam fails long before this one ends
+        entries = real(*args)
+        helper_done.set()
+        return entries
+
+    monkeypatch.setattr(planner, "_lateral_entries", failing_on_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(BeamError, match="^beam 0$"):
+        build_influence_matrix(generate_patient(builtin_site("siteA"), 1), BeamConfig())
+    assert helper_done.is_set()
+    assert threading.active_count() == threads
 
 
 def test_gram_memory_at_72_beams():
