@@ -5,16 +5,18 @@
     dosekit plan --case cases/siteA-1 --count 8 --seed 0 --out plans/siteA-1
 
 A ``--site`` that ends in ``.json`` is a site file (``phantom.SiteSpec``).
-``plan`` writes plan i to ``<out>/plan<i>`` as soon as it is solved, so the
-plans solved before a failure stay on disk. The exit status is 0 on success,
-2 for a ValidationError (bad configuration or input contract) and 3 for any
-other DosekitError, as ``errors.py`` sets out; argparse's own usage errors
-also exit with 2.
+``plan`` writes plan i to ``<out>/plan<i>`` as soon as it and every earlier plan
+are solved, in index order, so the plans before a failure stay on disk. The odd
+plans may be solved on a helper process, which ends before ``plan`` does. The
+exit status is 0 on success, 2 for a ValidationError (bad configuration or
+input contract) and 3 for any other DosekitError, as ``errors.py`` sets out;
+argparse's own usage errors also exit with 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -38,8 +40,10 @@ def _plan(args) -> None:
     _count(args.count, "plan_count")  # a refused count leaves no --out behind
     case = load_patient(args.case)
     _make_parents(out / "plan0")  # a file in the way of --out fails here, not after the solve
-    for plan in _solved_plans(case, BeamConfig(), args.count, args.seed):
-        save_plan(out / f"plan{plan.index}", plan)
+    # closed on a failed save too, so the plans' helper process is joined at once
+    with contextlib.closing(_solved_plans(case, BeamConfig(), args.count, args.seed)) as plans:
+        for plan in plans:
+            save_plan(out / f"plan{plan.index}", plan)
     print(f"{case.id}: {args.count} plans -> {args.out}")
 
 

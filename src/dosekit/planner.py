@@ -29,9 +29,10 @@ kept as that triangle alone, the F-ordered n x n array (8 n^2 bytes for n
 beamlets) that dsyrk writes, its strict lower triangle 0. Every dense product
 of a plan goes through scipy.linalg.blas (see `_gram`). Neither scipy module is
 imported with this module: scipy.sparse (and concurrent.futures) is imported on
-a process's first influence build and scipy.linalg.blas on its first plan. The
-two scipy modules cost about 0.2-0.3 s and 50-70 ms to load, which importing
-the package (and `dosekit phantom`) should not pay.
+a process's first influence build, scipy.linalg.blas on its first plan, and
+multiprocessing on its first call that starts a helper process. The two scipy
+modules cost about 0.2-0.3 s and 50-70 ms to load, and multiprocessing about
+6 ms, which importing the package (and `dosekit phantom`) should not pay.
 At n = 336 beamlets that product is most of an iteration, so the loop keeps
 Python small around it: each iteration runs inline as one positional dsymv call
 and four ufunc calls writing into preallocated buffers, with no function call
@@ -40,11 +41,33 @@ block of 64 iterations, and a block that ends non-finite is replayed, through
 the same loop body, with a check after every iteration, so a divergence is
 still reported at its exact first iteration. Sampling the structure tradeoff
 weights sweeps the Pareto surface.
+
+Where plans run. Threads cannot solve two plans at once: scipy's BLAS wrappers,
+dsymv among them, hold the GIL (two threads solving two desk plans took 64 ms,
+against 72 ms one after the other). So when the odd plans of a `generate_plans`
+call hold at least _HELPER_MIN_ITERS = 2000 CP iterations, (plan_count // 2) *
+max_iters, and os.fork exists, one helper process is forked after the
+influence build. It inherits the case and matrix, solves every odd plan, all
+queued at the start, while the caller solves the even ones, and sends each
+plan back pickled; the plans come back in index order, bit-identical to a
+one-process loop's. A fork costs about 10-20 ms per call on a 2-core host
+(2 ms to fork, about 5 ms of copy-on-write faults in each process, 3-4 ms to
+reap). Against one process the helper measured -33 to -37 % of the call's time
+at 8 plans x 2000 iterations and -13 to -22 % at 2 x 2000, but +15 to +36 % at
+4 x 200 and 0 to +14 % at 8 x 200, so a smaller call runs every plan on the
+caller. The helper forms its own G for each of its plans, so a call's memory
+peak spans two processes. It is forked, not spawned: a spawned helper would
+import numpy and scipy again (about 0.3 s, more than a desk case's plans) and
+take the matrix as a pickle. No thread of dosekit's runs at the fork, as the
+build's helper thread is joined and the pool starts its own thread after
+forking, so a caller that runs threads of its own shares the fork's risks.
 """
 
 from __future__ import annotations
 
+import copyreg
 import math
+import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,6 +100,12 @@ class SolverDivergenceError(PlannerError):
     def __init__(self, iteration: int, what: str = "iterate"):
         self.iteration = iteration
         super().__init__(f"non-finite {what} at iteration {iteration}")
+
+    def __reduce__(self):
+        # a copy (the pickle that brings a plan's failure from the helper process)
+        # keeps args and .iteration as they stand; rebuilt through __init__, it would
+        # take its message, a plan's prefix included, as its iteration
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -791,28 +820,69 @@ def generate_plans(
     seed: int,
     max_iters: int = 2000,
 ) -> list[Plan]:
-    """Pseudo-random Pareto samples: one weight draw and one solve per plan."""
+    """Pseudo-random Pareto samples: one weight draw and one solve per plan. Plan i
+    is plans[i] and comes out as a one-process loop would make it; the odd plans of
+    a large enough call are solved on a helper process (see the module docstring)."""
     return list(_solved_plans(case, cfg, plan_count, seed, max_iters))
+
+
+# `_solved_plans` solves the odd plans on a helper process when the helper's share
+# of the CP iterations, (plan_count // 2) * max_iters, is at least this
+_HELPER_MIN_ITERS = 2000
+# the helper process's (case, infl, seed, max_iters), set by `_start_helper`
+_helper_args = None
+
+
+def _start_helper(*args):
+    global _helper_args
+    _helper_args = args
+
+
+def _helper_plan(i):
+    return _plan(*_helper_args, i)
+
+
+def _plan(case: PatientCase, infl: InfluenceMatrix, seed: int, max_iters: int, i: int) -> Plan:
+    weights = sample_weights(case.structures, seed=derive_seed(seed, "weights", i))
+    try:
+        return solve_fluence(infl, case.structures, weights, max_iters,
+                             patient_id=case.id, index=i)
+    except PlannerError as exc:
+        # re-raised as itself, so its class and attributes (a divergence's
+        # .iteration) reach the caller, with the plan named in its message
+        exc.args = (f"plan {i} for {case.id}: {exc}",)
+        raise
 
 
 def _solved_plans(case: PatientCase, cfg: BeamConfig, plan_count: int, seed: int,
                   max_iters: int = 2000):
-    """`generate_plans`' plans, each yielded as soon as it is solved; the counts are
-    checked on the first next(), before the influence matrix is built."""
+    """`generate_plans`' plans in index order, each yielded as soon as it and every
+    earlier plan are solved; the counts are checked on the first next(), before the
+    influence matrix is built. The helper process, if one is started, is joined
+    before the generator returns, raises or is closed, and its queued plans are
+    cancelled."""
     _count(plan_count, "plan_count")
     _count(max_iters, "max_iters")
     infl = build_influence_matrix(case, cfg)
-    for i in range(plan_count):
-        weights = sample_weights(case.structures, seed=derive_seed(seed, "weights", i))
-        try:
-            plan = solve_fluence(infl, case.structures, weights, max_iters,
-                                 patient_id=case.id, index=i)
-        except PlannerError as exc:
-            # re-raised as itself, so its class and attributes (a divergence's
-            # .iteration) reach the caller, with the plan named in its message
-            exc.args = (f"plan {i} for {case.id}: {exc}",)
-            raise
-        yield plan
+    args = (case, infl, seed, max_iters)
+    if (plan_count // 2) * max_iters < _HELPER_MIN_ITERS or not hasattr(os, "fork"):
+        for i in range(plan_count):
+            yield _plan(*args, i)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import scipy.linalg.blas  # noqa: F401  loaded before the fork, so once for both
+
+    # a fork inherits case and infl, so only each plan's index and result are pickled
+    helper = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_helper, initargs=args)
+    try:
+        odd = {i: helper.submit(_helper_plan, i) for i in range(1, plan_count, 2)}
+        for i in range(plan_count):
+            yield odd[i].result() if i % 2 else _plan(*args, i)
+    finally:
+        helper.shutdown(cancel_futures=True)
 
 
 PLAN_JSON = "plan.json"

@@ -274,8 +274,10 @@ def test_import_loads_no_scipy():
     # scipy.sparse and scipy.special cost about 0.2-0.3 s to load: the planner
     # imports the one on a process's first influence build, the t-test the other;
     # scipy.linalg.blas (50-70 ms) waits for a process's first plan; the influence
-    # build's concurrent.futures waits with scipy.sparse
-    assert scipy_modules_after("assert 'concurrent.futures' not in sys.modules") == []
+    # build's concurrent.futures waits with scipy.sparse, and the plans' helper
+    # process (multiprocessing, about 6 ms) for a call that starts one
+    assert scipy_modules_after("assert 'concurrent.futures' not in sys.modules\n"
+                               "assert 'multiprocessing' not in sys.modules") == []
 
 
 def test_phantom_command_loads_no_scipy(tmp_path):
@@ -290,6 +292,17 @@ def test_influence_build_loads_scipy_sparse():
         "case = dosekit.phantom.generate_patient(dosekit.phantom.builtin_site('siteA'), 1)\n"
         "dosekit.planner.build_influence_matrix(case, dosekit.planner.BeamConfig())")
     assert "scipy.sparse" in loaded
+
+
+def test_one_plan_loads_no_multiprocessing():
+    # a one-plan call (a scaled-influence case) starts no helper process, so it
+    # must not pay that import either
+    loaded = scipy_modules_after(
+        "case = dosekit.phantom.generate_patient(dosekit.phantom.builtin_site('siteA'), 1)\n"
+        "dosekit.planner.generate_plans(case, dosekit.planner.BeamConfig(), 1, seed=0)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures.process' not in sys.modules")
+    assert "scipy.linalg.blas" in loaded
 
 
 # KernelSpec.check_pooling is the model's check of a site grid: the 3D UNet is its

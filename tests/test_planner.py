@@ -4,7 +4,9 @@ import functools
 import inspect
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import sys
 import tempfile
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import dsymv
 from scipy.optimize import nnls
 
-from dosekit import evaluation, phantom, planner, volume
+from dosekit import cli, evaluation, phantom, planner, volume
 from dosekit.errors import DosekitError, ValidationError
 from dosekit.phantom import PatientCase, builtin_site, generate_patient
 from dosekit.seeds import derive_seed
@@ -743,16 +745,22 @@ def test_influence_build_memory_at_72_beams():
 
 
 class SynchronousExecutor:
-    """ThreadPoolExecutor's stand-in: each submitted call runs at once, on the
-    caller, and its arguments are appended to `submitted`."""
+    """ThreadPoolExecutor's and ProcessPoolExecutor's stand-in: the initializer and
+    each submitted call run at once, on the caller, and each call's arguments are
+    appended to `submitted`."""
 
-    def __init__(self, submitted):
+    def __init__(self, submitted, initializer=None, initargs=()):
         self.submitted = submitted
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        return None
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
         return None
 
     def submit(self, fn, *args):
@@ -862,6 +870,133 @@ def test_caller_failure_waits_for_the_helper(monkeypatch):
         build_influence_matrix(generate_patient(builtin_site("siteA"), 1), BeamConfig())
     assert helper_done.is_set()
     assert threading.active_count() == threads
+
+
+def plan_bytes(plans):
+    return [(p.index, p.fluence.tobytes(), p.dose.data.tobytes(), p.diagnostics)
+            for p in plans]
+
+
+def helper_on_the_caller(monkeypatch, submitted):
+    """The plans' helper process replaced by a SynchronousExecutor; the helper's
+    arguments, which its initializer sets here, are restored after the test."""
+    monkeypatch.setattr(planner, "_helper_args", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers, mp_context, initializer, initargs:
+                        SynchronousExecutor(submitted, initializer, initargs))
+
+
+def test_helper_process_plans_are_the_one_process_plans(monkeypatch):
+    # the 8 x 2000 plans of a desk-pareto case, the helper's run on the caller instead
+    case = generate_patient(builtin_site("siteB"), 1)
+    submitted = []
+    with monkeypatch.context() as m:
+        helper_on_the_caller(m, submitted)
+        expected = plan_bytes(generate_plans(case, BeamConfig(), 8, seed=0))
+    assert submitted == [(i,) for i in (1, 3, 5, 7)]  # the helper's plans
+    real, started = concurrent.futures.ProcessPoolExecutor, []
+
+    def recording(*args, **kwargs):
+        started.append(kwargs["mp_context"].get_start_method())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    assert plan_bytes(generate_plans(case, BeamConfig(), 8, seed=0)) == expected
+    assert started == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("plan_count, max_iters", [(4, 200), (1, 2000)])
+def test_small_calls_solve_every_plan_on_the_caller(plan_count, max_iters, monkeypatch):
+    # dataset-roundtrip's set-up and scaled-influence's cases: a fork would cost more
+    submitted = []
+    helper_on_the_caller(monkeypatch, submitted)
+    plans = generate_plans(generate_patient(builtin_site("siteA"), 1), BeamConfig(),
+                           plan_count, seed=0, max_iters=max_iters)
+    assert [p.index for p in plans] == list(range(plan_count))
+    assert submitted == []
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["on-the-caller", "on-the-helper"])
+def test_failed_plan_leaves_no_process(failing, monkeypatch):
+    solve = planner.solve_fluence
+
+    def fail_on_one_plan(*args, **kwargs):
+        if kwargs["index"] == failing:
+            raise planner.PlannerError("no plan")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve_fluence", fail_on_one_plan)  # the helper inherits it
+    case = generate_patient(builtin_site("siteA"), 1)
+    with pytest.raises(planner.PlannerError, match=f"^plan {failing} for {case.id}: no plan$"):
+        generate_plans(case, BeamConfig(), 4, seed=0)
+    assert multiprocessing.active_children() == []
+
+
+def test_helper_divergence_keeps_its_type_and_iteration(monkeypatch):
+    # plan 1 diverges on the helper, and comes back pickled
+    caller, real = os.getpid(), planner.estimate_operator_norm
+    monkeypatch.setattr(planner, "estimate_operator_norm",
+                        lambda G: real(G) if os.getpid() == caller else 1e-3)
+    case = generate_patient(builtin_site("siteA"), 4)
+    with pytest.raises(SolverDivergenceError) as exc:
+        generate_plans(case, BeamConfig(), 2, seed=3)
+    weights = sample_weights(case.structures, seed=derive_seed(3, "weights", 1))
+    M, b = objective_rows(build_influence_matrix(case, BeamConfig()), case.structures,
+                          weights)
+    iteration = reference_divergence(M, b, 1e-3, 2000)
+    assert exc.value.iteration == iteration
+    assert str(exc.value) == f"plan 1 for {case.id}: non-finite iterate at iteration {iteration}"
+    assert multiprocessing.active_children() == []
+
+
+def test_plan_command_whose_first_save_fails_leaves_no_process(tmp_path, monkeypatch,
+                                                               capsys):
+    # the consumer stops at plan 0 while the helper holds plans 1 and 3
+    phantom.save_patient(tmp_path / "case", generate_patient(builtin_site("siteA"), 1))
+
+    def failing_save(directory, plan):
+        raise MissingFileError(f"{directory}: no room")
+
+    # the generator is kept alive here, so its collection cannot end the helper:
+    # `dosekit plan` must close it
+    kept = []
+
+    def kept_plans(*args):
+        kept.append(planner._solved_plans(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "save_plan", failing_save)
+    monkeypatch.setattr(cli, "_solved_plans", kept_plans)
+    argv = ["plan", "--case", str(tmp_path / "case"), "--count", "4", "--seed", "0",
+            "--out", str(tmp_path / "plans")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"dosekit: {tmp_path / 'plans' / 'plan0'}: no room\n"
+    assert multiprocessing.active_children() == []
+
+
+def dosekit_error_classes():
+    found, todo = [], [DosekitError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_every_dosekit_error_survives_a_pickle(protocol):
+    # a plan's failure reaches the caller from the helper process as a pickle
+    classes = dosekit_error_classes()
+    assert {SolverDivergenceError, FileFormatError, phantom.PhantomGenerationError} < set(classes)
+    for cls in classes:
+        exc = cls(188) if cls is SolverDivergenceError else cls("a fault")
+        exc.args = (f"plan 1 for siteA-p0004: {exc}",)  # as `generate_plans` names the plan
+        copy = pickle.loads(pickle.dumps(exc, protocol=protocol))
+        # a divergence rebuilt through __init__ came back as "non-finite iterate at
+        # iteration plan 1 for siteA-p0004: non-finite iterate at iteration 188"
+        assert type(copy) is cls
+        assert str(copy) == str(exc) and vars(copy) == vars(exc)
 
 
 def test_gram_memory_at_72_beams():
