@@ -822,7 +822,9 @@ def generate_plans(
 ) -> list[Plan]:
     """Pseudo-random Pareto samples: one weight draw and one solve per plan. Plan i
     is plans[i] and comes out as a one-process loop would make it; the odd plans of
-    a large enough call are solved on a helper process (see the module docstring)."""
+    a large enough call are solved on a helper process (see the module docstring).
+    The plans are produced in index order, each once it and every earlier plan are
+    solved, which is the order in which `dosekit plan` writes them."""
     return list(_solved_plans(case, cfg, plan_count, seed, max_iters))
 
 
